@@ -651,8 +651,8 @@ def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvar
     """Is the synthesis kernel invariant under the weighted right shift?
 
     For each orthonormal kernel basis vector the component of its shifted
-    image orthogonal to the kernel is measured; the defect is the largest
-    such norm.
+    image (``shift_weighted``, applied to all columns at once) orthogonal
+    to the kernel is measured; the defect is the largest such norm.
     """
     if sys.weights is None:
         raise InvalidInput("system must carry weights")
@@ -660,11 +660,11 @@ def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvar
     basis = kernel.basis
     if basis.shape[1] == 0:
         return KernelInvarianceResult(invariant=True, defect=0.0, kernel_dim=0)
-    defect = 0.0
-    for j in range(basis.shape[1]):
-        shifted = shift_weighted(sys.weights, basis[:, j])
-        off = shifted - basis @ (numkit.adjoint(basis) @ shifted)
-        defect = max(defect, float(np.linalg.norm(off)))
+    a = np.asarray(sys.weights, dtype=complex)
+    shifted = np.zeros(basis.shape, dtype=complex)
+    shifted[1:] = (a[:-1] / a[1:])[:, None] * basis[:-1]
+    off = shifted - basis @ (numkit.adjoint(basis) @ shifted)
+    defect = float(np.max(np.linalg.norm(off, axis=0)))
     return KernelInvarianceResult(invariant=defect <= tol, defect=defect,
                                   kernel_dim=basis.shape[1])
 
@@ -736,12 +736,9 @@ def representation_residual(f_sys: VectorSystem, g_sys: VectorSystem,
 
     if n < 2:
         return 0.0
-    worst = 0.0
-    for j in range(1, n):  # one-based index j; f_{j+1} is column j
-        acc = np.zeros(f_sys.dim, dtype=complex)
-        for k in range(1, n):
-            coef = np.vdot(gu[:, k - 1], fu[:, j - 1])  # <f_j, g_k>
-            acc = acc + coef * (a[k - 1] / a[k]) * fu[:, k]
-        rhs = (a[j] / a[j - 1]) * acc
-        worst = max(worst, float(np.linalg.norm(fu[:, j] - rhs)))
-    return worst
+    # All j at once (one-based j, k): coef[k-1, j-1] = <f_j, g_k>, row k
+    # carries a_{k-1}/a_k, and column j of the sum is scaled by a_j/a_{j-1}.
+    coef = numkit.adjoint(gu[:, :n - 1]) @ fu[:, :n - 1]
+    back = (a[:n - 1] / a[1:n])[:, None] * coef
+    rhs = (a[1:n] / a[:n - 1]) * (fu[:, 1:n] @ back)
+    return float(np.max(np.linalg.norm(fu[:, 1:n] - rhs, axis=0)))

@@ -529,6 +529,31 @@ def test_kernel_invariance_duplicated_vector():
     assert res.defect == pytest.approx(0.5, abs=1e-12)
 
 
+def loop_kernel_defect(sys, basis):
+    """Oracle: shift one kernel basis vector at a time."""
+    defect = 0.0
+    for j in range(basis.shape[1]):
+        shifted = dynsamp.shift_weighted(sys.weights, basis[:, j])
+        off = shifted - basis @ (numkit.adjoint(basis) @ shifted)
+        defect = max(defect, float(np.linalg.norm(off)))
+    return defect
+
+
+def test_kernel_invariance_matches_column_loop_randomized():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        d = int(rng.integers(1, 7))
+        n = int(rng.integers(d + 1, 4 * d + 3))
+        vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        weights = rng.uniform(0.3, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n))
+        sys = frames.vector_system(list(vecs), weights=weights)
+        res = dynsamp.kernel_invariance_check(sys)
+        basis = frames.kernel_synthesis(sys, tol=1e-10).basis
+        assert res.kernel_dim == basis.shape[1]
+        assert res.defect == pytest.approx(loop_kernel_defect(sys, basis),
+                                           abs=1e-12)
+
+
 def test_kernel_invariance_requires_weights():
     with pytest.raises(InvalidInput):
         dynsamp.kernel_invariance_check(frames.standard_basis(2))
@@ -611,6 +636,36 @@ def test_representation_overcomplete_non_orbit():
     residual = dynsamp.representation_residual(sys, dual, [1.0, 1.0, 1.0])
     assert residual == pytest.approx(math.sqrt(5.0) / 3.0, abs=1e-12)
     assert residual > 0.1
+
+
+def loop_representation_residual(fu, gu, a):
+    """Oracle: the recursion evaluated term by term, one-based j and k."""
+    n = fu.shape[1]
+    worst = 0.0
+    for j in range(1, n):
+        acc = np.zeros(fu.shape[0], dtype=complex)
+        for k in range(1, n):
+            coef = np.vdot(gu[:, k - 1], fu[:, j - 1])  # <f_j, g_k>
+            acc = acc + coef * (a[k - 1] / a[k]) * fu[:, k]
+        rhs = (a[j] / a[j - 1]) * acc
+        worst = max(worst, float(np.linalg.norm(fu[:, j] - rhs)))
+    return worst
+
+
+def test_representation_matches_double_loop_randomized():
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        d = int(rng.integers(1, 7))
+        n = int(rng.integers(2, 4 * d + 3))
+        vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        sys = frames.vector_system(list(vecs))
+        dual = frames.canonical_dual(sys)
+        a = rng.uniform(0.3, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n))
+        fu, gu = frames.synthesis(sys), frames.synthesis(dual)
+        oracle = loop_representation_residual(fu, gu, a)
+        residual = dynsamp.representation_residual(sys, dual, a)
+        scale = numkit.operator_norm(fu) ** 2
+        assert residual == pytest.approx(oracle, abs=1e-12 * scale)
 
 
 def test_representation_rejects_non_dual():

@@ -199,6 +199,16 @@ def test_spectral_radius_circulant_shift():
     assert numkit.spectral_radius(shift) == pytest.approx(float(moduli.max()))
 
 
+def test_spectral_radius_eigensolver_failure_propagates(monkeypatch):
+    # No estimate replaces a failed eigensolve; callers see the LinAlgError.
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(numkit.np.linalg, "eigvals", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        numkit.spectral_radius(np.diag([0.5, 0.75]))
+
+
 # ---------------------------------------------------------------------------
 # solve_stein
 # ---------------------------------------------------------------------------
@@ -208,7 +218,7 @@ def test_stein_scalar_geometric_series():
     c = np.array([[1.0]])
     oracle = brute_stein_series(t, c)  # sum of 0.25^n
     sol = numkit.solve_stein(t, c)
-    assert sol.method == "vectorized-solve"
+    assert sol.method == "doubling-iteration"
     np.testing.assert_allclose(sol.s, oracle, atol=1e-12)
     np.testing.assert_allclose(sol.s[0, 0].real, 4.0 / 3.0, atol=1e-12)
 
@@ -248,7 +258,7 @@ def test_stein_residual_and_hermitian_randomized():
 
 
 def test_stein_doubling_path_matches_closed_form():
-    d = 70  # above the dense-solve limit
+    d = 70  # larger than every other solve in this file
     rng = np.random.default_rng(3)
     lam = rng.uniform(0.1, 0.8, size=d)
     phi = rng.standard_normal(d)
@@ -258,6 +268,25 @@ def test_stein_doubling_path_matches_closed_form():
     assert sol.iterations >= 1
     closed = np.outer(phi, phi) / (1.0 - np.outer(lam, lam))
     np.testing.assert_allclose(sol.s, closed, atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [32, 48])
+def test_stein_near_one_spectrum_closed_form(d):
+    # lambda_k = 1 - 2^-k puts the spectrum within 2^-d of the unit circle.
+    # Oracle: S_ij = b_i b_j / (1 - lambda_i lambda_j), with the denominator
+    # written as eps_i + eps_j - eps_i eps_j (eps_k = 2^-k exactly) so that
+    # it carries no cancellation.
+    eps = 2.0 ** -np.arange(1, d + 1)
+    lam = 1.0 - eps
+    b = np.sqrt(1.0 - lam**2)
+    c = np.outer(b, b).astype(complex)
+    closed = np.outer(b, b) / (eps[:, None] + eps[None, :] - np.outer(eps, eps))
+    oracle_min = np.linalg.eigvalsh(closed)[0]
+    sol = numkit.solve_stein(np.diag(lam).astype(complex), c)
+    got_min = np.linalg.eigvalsh(sol.s)[0]
+    assert abs(got_min - oracle_min) <= 1e-7 * abs(oracle_min)
+    assert sol.residual <= 1e-12 * (1.0 + numkit.frobenius(c))
+    assert sol.iterations <= 64
 
 
 def test_stein_divergent_series():
