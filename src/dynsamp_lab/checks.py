@@ -519,9 +519,10 @@ def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentR
             records = list(pool.map(lambda job: run_single(*job), jobs))
     else:
         records = [run_single(ctx, name) for ctx, name in jobs]
+    echo = config_to_dict(cfg)
     return ExperimentReport(
-        config_hash=config_hash(cfg),
+        config_hash=config_hash(cfg, echo),
         seed=cfg.seed,
-        config_echo=config_to_dict(cfg),
+        config_echo=echo,
         checks=records,
     )

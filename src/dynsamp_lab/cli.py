@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .checks import KNOWN_CHECKS, run_experiment
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_tolerances
 from .errors import InvalidInput
 from .presets import PRESET_NAMES, preset_config
 from .report import ExperimentReport
@@ -68,8 +68,8 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             parse_config_checks(cfg)
             if args.tol is not None:
-                cfg = dataclasses.replace(
-                    cfg, tolerances={**cfg.tolerances, "default": args.tol})
+                cfg = dataclasses.replace(cfg, tolerances=parse_tolerances(
+                    {**cfg.tolerances, "default": args.tol}))
             report = run_experiment(cfg, parallel=args.parallel)
             report.write(args.out, fmt=args.format)
             _cache_report(report)

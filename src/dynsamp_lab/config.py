@@ -2,12 +2,16 @@
 
 Configs are versioned JSON documents; complex scalars serialize as
 two-element ``[re, im]`` arrays (plain numbers are accepted on input).
+The schema states the structure and is compiled once, at import;
+``parse_complex`` alone owns the scalar rule and walks every scalar leaf.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,23 +23,15 @@ from .errors import InvalidInput
 
 SCHEMA_VERSION = 1
 
-_COMPLEX = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"},
-         "minItems": 2, "maxItems": 2},
-    ]
-}
-
 _OPERATOR_SPEC = {
     "type": "object",
     "properties": {
         "kind": {"enum": ["diagonal", "nilpotent_shift", "circulant",
                           "dense", "block_diag"]},
         "dimension": {"type": "integer", "minimum": 1},
-        "values": {"type": "array", "items": _COMPLEX},
-        "first_row": {"type": "array", "items": _COMPLEX},
-        "entries": {"type": "array", "items": _COMPLEX},
+        "values": {"type": "array"},
+        "first_row": {"type": "array"},
+        "entries": {"type": "array"},
         "blocks": {"type": "array"},
     },
     "required": ["kind"],
@@ -50,38 +46,71 @@ CONFIG_SCHEMA = {
         "operator": _OPERATOR_SPEC,
         "generators": {
             "type": "array",
-            "items": {"type": "array", "items": _COMPLEX},
+            "items": {"type": "array"},
             "minItems": 1,
         },
         "weights": {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["constant", "geometric", "explicit"]},
-                "value": _COMPLEX,
-                "values": {"type": "array", "items": _COMPLEX},
+                "value": {"type": ["number", "array"]},
+                "values": {"type": "array"},
             },
             "required": ["kind"],
         },
         "horizon": {"type": "integer", "minimum": 1},
         "checks": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "tolerances": {"type": "object"},
+        "tolerances": {"type": "object",
+                       "additionalProperties": {"type": "number"}},
         "seed": {"type": "integer"},
         "params": {"type": "object"},
     },
     "required": ["dimension", "operator", "generators", "horizon", "checks"],
 }
 
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 
 class ConfigError(InvalidInput):
     """Configuration failed to parse or validate (CLI exit code 1)."""
 
 
+def _real(x, value) -> float:
+    """``x`` as a finite float; ``value`` is the scalar named on refusal."""
+    if type(x) is not float and (isinstance(x, bool)
+                                 or not isinstance(x, numbers.Real)):
+        raise ConfigError(f"cannot parse complex scalar from {value!r}")
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ConfigError(f"complex scalar {value!r} is not finite")
+    return f
+
+
 def parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"cannot parse complex scalar from {value!r}")
+    """A finite real number, or ``[re, im]`` of finite real numbers.
+
+    Booleans are not numbers.  This is the only check on scalar leaves:
+    the schema leaves them to it.
+    """
+    if isinstance(value, list):
+        if len(value) != 2:
+            raise ConfigError(f"cannot parse complex scalar from {value!r}")
+        return complex(_real(value[0], value), _real(value[1], value))
+    return complex(_real(value, value))
+
+
+def parse_tolerances(raw: dict) -> dict:
+    """Tolerance overrides by name; every value a finite real number."""
+    for name, value in raw.items():
+        try:
+            _real(value, value)
+        except ConfigError:
+            raise ConfigError(f"tolerance {name!r} must be a finite number, "
+                              f"got {value!r}") from None
+    return dict(raw)
 
 
 def encode_complex(value: complex) -> list[float]:
@@ -99,25 +128,24 @@ class OperatorSpec:
     blocks: tuple["OperatorSpec", ...] | None = None
 
 
+def _parse_scalars(raw: dict, key: str) -> tuple[complex, ...] | None:
+    return tuple(map(parse_complex, raw[key])) if key in raw else None
+
+
 def parse_operator_spec(raw: dict) -> OperatorSpec:
     kind = raw.get("kind")
+    # the schema does not look at scalar leaves, so every scalar field is
+    # parsed here, also the ones this kind ignores
+    values, first_row, entries = (
+        _parse_scalars(raw, key) for key in ("values", "first_row", "entries"))
     if kind == "block_diag":
         blocks = tuple(parse_operator_spec(b) for b in raw.get("blocks", ()))
         if not blocks:
             raise ConfigError("block_diag operator needs at least one block")
         return OperatorSpec(kind=kind, blocks=blocks,
                             dimension=raw.get("dimension"))
-    spec = OperatorSpec(
-        kind=kind,
-        dimension=raw.get("dimension"),
-        values=tuple(parse_complex(v) for v in raw["values"])
-        if "values" in raw else None,
-        first_row=tuple(parse_complex(v) for v in raw["first_row"])
-        if "first_row" in raw else None,
-        entries=tuple(parse_complex(v) for v in raw["entries"])
-        if "entries" in raw else None,
-    )
-    return spec
+    return OperatorSpec(kind=kind, dimension=raw.get("dimension"),
+                        values=values, first_row=first_row, entries=entries)
 
 
 def operator_dimension(spec: OperatorSpec) -> int:
@@ -188,15 +216,17 @@ def parse_weight_spec(raw: dict | None) -> WeightSpec | None:
     if raw is None:
         return None
     kind = raw.get("kind")
+    # parsed even where the kind ignores it; see parse_operator_spec
+    value = parse_complex(raw["value"]) if "value" in raw else None
+    values = [parse_complex(v) for v in raw.get("values", ())]
     try:
         if kind == "constant":
-            return WeightSpec.constant(parse_complex(raw.get("value", 1.0)))
+            return WeightSpec.constant(1.0 if value is None else value)
         if kind == "geometric":
-            if "value" not in raw:
+            if value is None:
                 raise ConfigError("geometric weights need 'value'")
-            return WeightSpec.geometric(parse_complex(raw["value"]))
+            return WeightSpec.geometric(value)
         if kind == "explicit":
-            values = [parse_complex(v) for v in raw.get("values", ())]
             if not values:
                 raise ConfigError("explicit weights need 'values'")
             if any(abs(v) == 0.0 for v in values):
@@ -238,10 +268,9 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict, known_checks=None) -> ExperimentConfig:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not match schema: {exc.message}") from exc
+    err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if err is not None:
+        raise ConfigError(f"config does not match schema: {err.message}")
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
@@ -253,9 +282,7 @@ def parse_config(raw: dict, known_checks=None) -> ExperimentConfig:
         raise ConfigError(
             f"operator dimension {op_dim} does not match configured {dim}"
         )
-    generators = tuple(
-        tuple(parse_complex(v) for v in g) for g in raw["generators"]
-    )
+    generators = tuple(tuple(map(parse_complex, g)) for g in raw["generators"])
     for g in generators:
         if len(g) != dim:
             raise ConfigError(f"generator length {len(g)} != dimension {dim}")
@@ -273,7 +300,7 @@ def parse_config(raw: dict, known_checks=None) -> ExperimentConfig:
         horizon=raw["horizon"],
         checks=checks,
         weights=weights,
-        tolerances=dict(raw.get("tolerances", {})),
+        tolerances=parse_tolerances(raw.get("tolerances", {})),
         seed=int(raw.get("seed", 0)),
         params=dict(raw.get("params", {})),
     )
@@ -302,10 +329,11 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(
-        canonical_json(config_to_dict(cfg)).encode()
-    ).hexdigest()
+def config_hash(cfg: ExperimentConfig, echo: dict | None = None) -> str:
+    """sha256 of the canonical echo; pass ``echo`` if it is already built."""
+    if echo is None:
+        echo = config_to_dict(cfg)
+    return hashlib.sha256(canonical_json(echo).encode()).hexdigest()
 
 
 def load_config(path) -> ExperimentConfig:

@@ -61,6 +61,8 @@ REPORT_SCHEMA = {
                  "payload_hash"],
 }
 
+_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
 
 def jsonify(value):
     """Convert nested values to JSON-safe structures.
@@ -130,17 +132,23 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def stable_payload(self) -> dict:
-        """Report payload with timing fields stripped (hash basis)."""
-        payload = self.to_dict()
-        payload.pop("payload_hash", None)
-        for check in payload["checks"]:
-            check.pop("wall_time", None)
-        return payload
+    def stable_payload(self, payload: dict | None = None) -> dict:
+        """Report payload with timing fields stripped (hash basis).
 
-    def payload_hash(self) -> str:
+        ``payload`` is this report's ``to_dict()`` if it is already built;
+        it is copied, not changed.
+        """
+        if payload is None:
+            payload = self.to_dict()
+        stable = {k: v for k, v in payload.items() if k != "payload_hash"}
+        stable["checks"] = [{k: v for k, v in check.items() if k != "wall_time"}
+                            for check in payload["checks"]]
+        return stable
+
+    def payload_hash(self, payload: dict | None = None) -> str:
+        """SHA-256 of ``stable_payload(payload)`` in canonical JSON."""
         return hashlib.sha256(
-            canonical_json(self.stable_payload()).encode()
+            canonical_json(self.stable_payload(payload)).encode()
         ).hexdigest()
 
     def to_dict(self) -> dict:
@@ -158,8 +166,8 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         payload = self.to_dict()
-        payload["payload_hash"] = self.payload_hash()
-        jsonschema.validate(payload, REPORT_SCHEMA)
+        payload["payload_hash"] = self.payload_hash(payload)
+        validate_report(payload)
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
@@ -198,4 +206,7 @@ def _flatten(value, prefix=""):
 
 
 def validate_report(payload: dict) -> None:
-    jsonschema.validate(payload, REPORT_SCHEMA)
+    """Raise the best-matching ``jsonschema.ValidationError``, if any."""
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(payload))
+    if error is not None:
+        raise error
