@@ -93,6 +93,28 @@ def _check_orbit_bounds(ctx: CheckContext, name: str):
     return outputs, margins, passed
 
 
+def _stein_series(t: np.ndarray, generators, depth: int) -> np.ndarray:
+    """Brute-force oracle ``sum_{n <= depth} T^n C T*^n`` with ``C = G G*``.
+
+    Term n is ``(T^n G)(T^n G)*``, so the orbit blocks ``T^n G`` are built
+    one power at a time and summed as ``K_b K_b*`` over column blocks of at
+    most d columns (at least one term each): O(d^2) memory at any depth.
+    """
+    g = np.column_stack(generators)
+    d, r = g.shape
+    per_block = max(1, d // r)
+    brute = np.zeros((d, d), dtype=complex)
+    block = np.empty((d, per_block * r), dtype=complex)
+    for start in range(0, depth + 1, per_block):
+        terms = min(per_block, depth + 1 - start)
+        for k in range(terms):
+            block[:, k * r:(k + 1) * r] = g
+            g = t @ g
+        kb = block[:, :terms * r]
+        brute += kb @ numkit.adjoint(kb)
+    return brute
+
+
 def _check_stein(ctx: CheckContext, name: str):
     c = np.zeros((ctx.config.dimension,) * 2, dtype=complex)
     for g in ctx.generators:
@@ -116,12 +138,7 @@ def _check_stein(ctx: CheckContext, name: str):
         depth = max(1, math.ceil(math.log(1e-12 * (1.0 - q) / c_norm)
                                  / math.log(q)))
         if depth <= 5000:
-            brute = np.zeros_like(c)
-            term = c.astype(complex)
-            t = ctx.operator
-            for _ in range(depth + 1):
-                brute += term
-                term = t @ term @ numkit.adjoint(t)
+            brute = _stein_series(ctx.operator, ctx.generators, depth)
             err = numkit.frobenius(sol.s - brute)
             outputs["truncation_depth"] = depth
             margins["brute_force_error"] = err

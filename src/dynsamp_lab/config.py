@@ -76,7 +76,8 @@ class ConfigError(InvalidInput):
 
 
 def _real(x, value) -> float:
-    """``x`` as a finite float; ``value`` is the scalar named on refusal."""
+    """``x`` as a finite float, refusing integers that float64 would round;
+    ``value`` is the scalar named on refusal."""
     if type(x) is not float and (isinstance(x, bool)
                                  or not isinstance(x, numbers.Real)):
         raise ConfigError(f"cannot parse complex scalar from {value!r}")
@@ -86,14 +87,18 @@ def _real(x, value) -> float:
         f = math.inf
     if not math.isfinite(f):
         raise ConfigError(f"complex scalar {value!r} is not finite")
+    if isinstance(x, numbers.Integral) and int(f) != x:
+        raise ConfigError(f"complex scalar {value!r} is an integer that "
+                          f"float64 cannot hold exactly")
     return f
 
 
 def parse_complex(value) -> complex:
     """A finite real number, or ``[re, im]`` of finite real numbers.
 
-    Booleans are not numbers.  This is the only check on scalar leaves:
-    the schema leaves them to it.
+    Booleans are not numbers, and an integer must be one that float64
+    holds exactly (``2**53 + 1`` is refused, not rounded).  This is the
+    only check on scalar leaves: the schema leaves them to it.
     """
     if isinstance(value, list):
         if len(value) != 2:
@@ -108,8 +113,8 @@ def parse_tolerances(raw: dict) -> dict:
         try:
             _real(value, value)
         except ConfigError:
-            raise ConfigError(f"tolerance {name!r} must be a finite number, "
-                              f"got {value!r}") from None
+            raise ConfigError(f"tolerance {name!r} must be a finite number "
+                              f"that float64 holds, got {value!r}") from None
     return dict(raw)
 
 

@@ -239,14 +239,20 @@ def surjectivity_report(t, phi, s, horizon: int | None = None,
 
     s_inv_phi = np.linalg.solve(s, phi)
 
-    # criterion (i): first witness along the orbit tail
-    values = []
+    # the orbit tail T^n phi, n = 1..horizon, walked once; coeffs[n-1] is
+    # <S^{-1} phi, T^n phi>, shared by criterion (i) and the tail diagnostic
+    tail_vecs = np.empty((d, horizon), dtype=complex)
     v = phi
-    for _ in range(horizon):
+    for n in range(horizon):
         v = t @ v
-        values.append(abs(np.vdot(s_inv_phi, v)))
-    max_inner = float(max(values))
-    witness = next((n + 1 for n, val in enumerate(values) if val > tol), None)
+        tail_vecs[:, n] = v
+    coeffs = numkit.adjoint(tail_vecs) @ s_inv_phi
+
+    # criterion (i): first witness along the orbit tail
+    values = np.abs(coeffs)
+    max_inner = float(values.max())
+    above = np.flatnonzero(values > tol)
+    witness = int(above[0]) + 1 if above.size else None
 
     # criterion (ii): distance of phi to the range of T
     dist = float(np.linalg.norm(phi - t @ (numkit.pinv(t) @ phi)))
@@ -259,16 +265,8 @@ def surjectivity_report(t, phi, s, horizon: int | None = None,
     crit_iv = abs(math.sqrt(max(q, 0.0)) - 1.0)
 
     # tail of the canonical expansion of phi (diagnostic)
-    coeffs = []
-    tail = np.zeros(d, dtype=complex)
-    v = phi
-    for _ in range(horizon):
-        v = t @ v
-        coef = np.vdot(v, s_inv_phi)  # <S^{-1} phi, T^n phi>
-        coeffs.append(coef)
-        tail = tail + coef * v
     tail_coeff = float(np.linalg.norm(coeffs))
-    tail_synth = float(np.linalg.norm(tail))
+    tail_synth = float(np.linalg.norm(tail_vecs @ coeffs))
 
     ground_truth = numkit.matrix_rank(t) == d
     verdict_i = max_inner > tol
@@ -379,30 +377,39 @@ def iterated_frame_operator_check(sys: VectorSystem, generators,
     "cannot-be-frame" records that divergence.  Otherwise the verdict is
     "bounded" when the growth ratio over the last doubling window stays
     below the threshold, else "inconclusive".
+
+    The iterates are stored n-major (column ``n r + j`` holds ``S^n g_j``
+    for r generators), so prefix m is the first ``m r`` columns.  An
+    iterate that overflows float64 raises ``LinAlgError`` before any prefix
+    is measured; an upper bound whose square overflows is ``inf``.
     """
     report = frames.frame_bounds(sys, ambient=True)
     if report.a_opt <= report.tol:
         raise NotAFrame("base system is not a frame of the ambient space")
     if horizon < 2:
         raise InvalidInput("horizon must be >= 2")
-    gens = tuple(numkit.as_vector(g) for g in generators)
+    iterates = [numkit.as_vector(g) for g in generators]
     s = frames.frame_operator(sys)
+    r = len(iterates)
 
-    runs = []
-    for g in gens:
-        run = [g]
-        for _ in range(horizon - 1):
-            run.append(s @ run[-1])
-        runs.append(run)
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = np.empty((s.shape[0], horizon * r), dtype=complex)
+        runs[:, :r] = np.column_stack(iterates)
+        for n in range(1, horizon):
+            for j in range(r):
+                iterates[j] = s @ iterates[j]
+                if not np.all(np.isfinite(iterates[j])):
+                    raise np.linalg.LinAlgError(
+                        f"iterate S^n g is not finite in float64 at n = {n}")
+                runs[:, n * r + j] = iterates[j]
 
-    uppers = np.empty(horizon)
-    for m in range(1, horizon + 1):
-        cols = np.column_stack([run[n] for run in runs for n in range(m)])
-        sv = np.linalg.svd(cols, compute_uv=False)
-        uppers[m - 1] = float(sv[0] ** 2)
+        uppers = np.empty(horizon)
+        for m in range(1, horizon + 1):
+            sv = np.linalg.svd(runs[:, :m * r], compute_uv=False)
+            uppers[m - 1] = sv[0] ** 2
 
-    half = max(1, horizon // 2)
-    ratio = uppers[-1] / uppers[half - 1] if uppers[half - 1] > 0 else math.inf
+        half = max(1, horizon // 2)
+        ratio = uppers[-1] / uppers[half - 1] if uppers[half - 1] > 0 else math.inf
     growing = ratio >= _GROWTH_RATIO
     if report.a_opt >= 1.0 and growing:
         verdict = "cannot-be-frame"
@@ -652,7 +659,10 @@ def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvar
 
     For each orthonormal kernel basis vector the component of its shifted
     image (``shift_weighted``, applied to all columns at once) orthogonal
-    to the kernel is measured; the defect is the largest such norm.
+    to the kernel is measured; the defect is the largest such norm.  That
+    component is the projection onto the row space, ``(I - B B*) x =
+    V_r V_r* x``, whose basis V_r has rank <= d columns where the kernel
+    basis B has N - rank.
     """
     if sys.weights is None:
         raise InvalidInput("system must carry weights")
@@ -663,7 +673,8 @@ def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvar
     a = np.asarray(sys.weights, dtype=complex)
     shifted = np.zeros(basis.shape, dtype=complex)
     shifted[1:] = (a[:-1] / a[1:])[:, None] * basis[:-1]
-    off = shifted - basis @ (numkit.adjoint(basis) @ shifted)
+    rows = kernel.complement
+    off = rows @ (numkit.adjoint(rows) @ shifted)
     defect = float(np.max(np.linalg.norm(off, axis=0)))
     return KernelInvarianceResult(invariant=defect <= tol, defect=defect,
                                   kernel_dim=basis.shape[1])

@@ -146,10 +146,8 @@ def canonical_dual(sys: VectorSystem, tol: float | None = None) -> VectorSystem:
     report = frame_bounds(sys, ambient=False, tol=tol)
     if report.a_opt <= report.tol:
         raise NotAFrame("system has no positive lower frame bound on its span")
-    s_pinv = numkit.pinv(frame_operator(sys))
-    u = synthesis(sys)
-    duals = tuple(s_pinv @ u[:, k] for k in range(u.shape[1]))
-    return VectorSystem(dim=sys.dim, vectors=duals)
+    duals = numkit.pinv(frame_operator(sys)) @ synthesis(sys)
+    return VectorSystem(dim=sys.dim, vectors=tuple(duals.T))
 
 
 def mixed_frame_operator(f_sys: VectorSystem, g_sys: VectorSystem) -> np.ndarray:
@@ -163,10 +161,15 @@ def mixed_frame_operator(f_sys: VectorSystem, g_sys: VectorSystem) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class KernelBasis:
-    """Orthonormal coefficient vectors (columns) spanning the synthesis kernel."""
+    """Orthonormal coefficient vectors (columns) spanning the synthesis kernel.
+
+    ``complement`` spans the orthogonal complement (the row space of the
+    synthesis matrix), so ``I - basis basis* = complement complement*``.
+    """
 
     basis: np.ndarray  # N x k, orthonormal columns
     tol: float
+    complement: np.ndarray  # N x (N - k), orthonormal columns
 
     @property
     def dimension(self) -> int:
@@ -182,8 +185,8 @@ def kernel_synthesis(sys: VectorSystem, tol: float = 1e-10) -> KernelBasis:
     _, s, vh = np.linalg.svd(u, full_matrices=True)
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    basis = numkit.adjoint(vh)[:, rank:]
-    return KernelBasis(basis=basis, tol=tol)
+    v = numkit.adjoint(vh)
+    return KernelBasis(basis=v[:, rank:], tol=tol, complement=v[:, :rank])
 
 
 def lower_riesz_profile(sys: VectorSystem) -> np.ndarray:
@@ -191,17 +194,16 @@ def lower_riesz_profile(sys: VectorSystem) -> np.ndarray:
 
     Entry n-1 is the optimal lower Riesz constant of the first n vectors,
     measured on coefficient space; it is exactly zero once n exceeds the
-    ambient dimension.
+    ambient dimension.  One QR of the first ``min(d, N)`` columns gives
+    every prefix at once: ``U[:, :k] = Q[:, :k] R[:k, :k]``, so the prefix
+    shares its singular values with the leading k x k triangular block.
     """
     u = synthesis(sys)
     d, n = u.shape
-    out = np.empty(n)
-    for k in range(1, n + 1):
-        if k > d:
-            out[k - 1] = 0.0
-            continue
-        s = np.linalg.svd(u[:, :k], compute_uv=False)
-        out[k - 1] = float(s[-1] ** 2)
+    r = np.linalg.qr(u[:, :min(d, n)], mode="r")
+    out = np.zeros(n)
+    for k in range(1, r.shape[1] + 1):
+        out[k - 1] = np.linalg.svd(r[:k, :k], compute_uv=False)[-1] ** 2
     return out
 
 

@@ -1,10 +1,15 @@
 """Tests for configs, reports, the check runner, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynsamp_lab
 from dynsamp_lab import checks, cli, config, presets, report
 from dynsamp_lab.config import ConfigError
 
@@ -282,3 +287,58 @@ def test_cli_unknown_certificate_suffix(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     code = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# overflowing iterated frame operators: report, not warnings
+# ---------------------------------------------------------------------------
+
+def run_subprocess(tmp_path, raw):
+    """``dynsamp run`` in a fresh interpreter, so stderr is the real one."""
+    cfg_path = tmp_path / "cfg.json"
+    out_path = tmp_path / "report.json"
+    cfg_path.write_text(json.dumps(raw))
+    src = str(Path(dynsamp_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynsamp_lab.cli", "run", str(cfg_path),
+         "--out", str(out_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    record = json.loads(out_path.read_text())["checks"][0]
+    return proc, record
+
+
+def iterated_config(weight, horizon):
+    # S = weight^2 * (frame operator of the diagonal orbit): a large weight
+    # drives the iterates S^n g, or their squared norms, past float64
+    return {
+        "schema_version": 1,
+        "dimension": 2,
+        "operator": {"kind": "diagonal", "values": [0.5, 0.25]},
+        "generators": [[1.0, 1.0]],
+        "weights": {"kind": "constant", "value": weight},
+        "horizon": horizon,
+        "checks": ["iterated-frame-operator"],
+    }
+
+
+def test_cli_overflowing_iterate_is_an_error_record_without_warnings(tmp_path):
+    proc, record = run_subprocess(tmp_path, iterated_config(1e30, 8))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert record["error"] == ("LinAlgError: iterate S^n g is not finite "
+                               "in float64 at n = 6")
+    assert record["outputs"] == {}
+
+
+def test_cli_overflowing_squared_bound_is_inf_without_warnings(tmp_path):
+    proc, record = run_subprocess(tmp_path, iterated_config(1e45, 4))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert record["error"] is None
+    bounds = record["outputs"]["prefix_upper_bounds"]
+    assert bounds[2:] == ["inf", "inf"]
+    assert all(isinstance(b, float) for b in bounds[:2])
+    assert record["outputs"]["verdict"] == "cannot-be-frame"

@@ -146,6 +146,18 @@ def test_parse_complex_rule():
             config.parse_complex(leaf)
 
 
+def test_parse_complex_refuses_integers_that_float64_rounds():
+    assert config.parse_complex(2**53) == complex(2**53)
+    assert config.parse_complex([-(2**60), 3]) == complex(-(2**60), 3)
+    assert config.parse_complex(np.int64(2**62)) == complex(2**62)
+    for leaf in (2**53 + 1, -(2**53 + 1), np.int64(2**53 + 1),
+                 [0.5, 2**63 - 1], 10**300):
+        with pytest.raises(ConfigError, match="float64 cannot hold exactly"):
+            config.parse_complex(leaf)
+    with pytest.raises(ConfigError, match="tolerance 'default'"):
+        config.parse_config(base(tolerances={"default": 2**53 + 1}))
+
+
 @pytest.mark.parametrize("raw", [
     base(dimension="2"),
     base(horizon=0),
@@ -263,3 +275,16 @@ def test_cli_refuses_non_finite_tol_flag(tmp_path, capsys, tol):
     code, err = run_cli(tmp_path, capsys, base(), f"--tol={tol}")
     assert code == 1
     assert len(err) == 1 and "tolerance 'default'" in err[0]
+
+
+@pytest.mark.parametrize("raw", [
+    base(generators=[[2**53 + 1, 0.5]]),
+    base(operator={"kind": "dense",
+                   "entries": [0.5, 0.0, [0.0, -(2**53 + 1)], 0.5]}),
+    base(weights={"kind": "explicit", "values": [1.0, 2**53 + 1]}),
+])
+def test_cli_refuses_integers_that_float64_rounds(tmp_path, capsys, raw):
+    code, err = run_cli(tmp_path, capsys, raw)
+    assert code == 1
+    assert len(err) == 1 and "9007199254740993" in err[0] \
+        and "float64 cannot hold exactly" in err[0]
