@@ -9,18 +9,21 @@ surface as failed check records, not crashes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
+import jsonschema
 import numpy as np
 
 from . import dynsamp, frames, numkit, perturb
 from .config import (
+    ConfigError,
     ExperimentConfig,
     build_operator,
     config_hash,
     config_to_dict,
+    params_schema,
     parse_complex,
     parse_operator_spec,
     parse_weight_spec,
@@ -36,16 +39,11 @@ class CheckContext:
     operator: np.ndarray
     generators: tuple[np.ndarray, ...]
     seed: int
+    params: dict | perturb.CertificateInputs  # validated and parsed at load
 
     def tol(self, key: str, default: float) -> float:
         tols = self.config.tolerances
         return float(tols.get(key, tols.get("default", default)))
-
-    def params_for(self, name: str) -> dict:
-        return dict(self.config.params.get(name, {}))
-
-    def weight_spec(self) -> WeightSpec | None:
-        return self.config.weights
 
     def orbit_system(self, weights="config", horizon=None):
         w = self.config.weights if weights == "config" else weights
@@ -62,7 +60,7 @@ class CheckContext:
             "horizon": self.config.horizon,
             "operator_kind": self.config.operator.kind,
             "generators": len(self.generators),
-            "params": self.params_for(name),
+            "params": dict(self.config.params.get(name, {})),
         }
 
 
@@ -153,10 +151,9 @@ def _check_stein(ctx: CheckContext, name: str):
 def _check_surjectivity(ctx: CheckContext, name: str):
     phi = ctx.generators[0]
     sol = dynsamp.orbit_frame_operator_exact(ctx.operator, phi)
-    p = ctx.params_for(name)
     rep = dynsamp.surjectivity_report(
         ctx.operator, phi, sol.s,
-        horizon=p.get("witness_horizon"),
+        horizon=ctx.params.get("witness_horizon"),
         tol=ctx.tol("surjectivity", 1e-8),
     )
     outputs = {
@@ -176,10 +173,9 @@ def _check_surjectivity(ctx: CheckContext, name: str):
 
 
 def _check_periodic(ctx: CheckContext, name: str):
-    p = ctx.params_for(name)
     model = dynsamp.periodic_orbit_model(
         ctx.operator, ctx.generators[0],
-        period=p.get("period"), seed=ctx.seed,
+        period=ctx.params.get("period"), seed=ctx.seed,
     )
     tolr = ctx.tol("periodic", 1e-10)
     s_scale = max(1.0, numkit.frobenius(model.s))
@@ -248,8 +244,7 @@ def _check_representation(ctx: CheckContext, name: str):
 
 def _check_nogo_proxy(ctx: CheckContext, name: str):
     d = ctx.config.dimension
-    p = ctx.params_for(name)
-    horizons = [int(n) for n in p.get("horizons", [d, 4 * d, 16 * d])]
+    horizons = [int(n) for n in ctx.params.get("horizons", [d, 4 * d, 16 * d])]
     phi = ctx.generators[0]
     b_opts = dynsamp.unitary_nogo_proxy(ctx.operator, phi, horizons)
     floor = [n * float(np.linalg.norm(phi)) ** 2 / d for n in horizons]
@@ -270,10 +265,10 @@ def _check_riesz_profile(ctx: CheckContext, name: str):
 
 
 def _check_iterated(ctx: CheckContext, name: str):
-    p = ctx.params_for(name)
     sys = ctx.orbit_system()
     res = dynsamp.iterated_frame_operator_check(
-        sys, ctx.generators, horizon=int(p.get("horizon", ctx.config.horizon))
+        sys, ctx.generators,
+        horizon=int(ctx.params.get("horizon", ctx.config.horizon))
     )
     outputs = {
         "lower_bound_a": res.lower_bound_a,
@@ -284,114 +279,17 @@ def _check_iterated(ctx: CheckContext, name: str):
     return outputs, {}, passed
 
 
-def _subspace_basis(dim: int, coords) -> np.ndarray:
-    basis = np.zeros((dim, len(coords)), dtype=complex)
-    for j, c in enumerate(coords):
-        basis[int(c), j] = 1.0
-    return basis
-
-
-def _psi_vectors(ctx: CheckContext, p: dict, coords) -> list[np.ndarray]:
-    if "psi_direction" in p:
-        direction = np.array([parse_complex(v) for v in p["psi_direction"]])
-    else:
-        direction = np.zeros(ctx.config.dimension, dtype=complex)
-        direction[int(coords[0])] = 1.0
-    scales = p.get("psi_scales", [1.0])
-    return [float(s) * direction for s in scales]
-
-
 def _check_perturbation(ctx: CheckContext, name: str):
-    cert_name = name.split(":", 1)[1]
-    if cert_name not in perturb.CERTIFICATE_NAMES:
-        raise InvalidInput(f"unknown certificate {cert_name!r}")
-    p = ctx.params_for(name)
-    horizon = int(p.get("horizon", ctx.config.horizon))
-    operator = ctx.operator
-    if "operator" in p:
-        operator = build_operator(parse_operator_spec(p["operator"]))
-    phi = ctx.generators[0]
-    if "phi" in p:
-        phi = np.array([parse_complex(v) for v in p["phi"]])
-    dim = operator.shape[0]
-    coords = p.get("subspace_coords", list(range(dim)))
-
+    kind = perturb.CERTIFICATES[name.split(":", 1)[1]]
+    inp = ctx.params
     instances = []
     all_pass = True
-    if cert_name in ("riesz_orbit_perturbation", "weighted_frame_perturbation"):
-        cd = perturb.contraction_data(operator, _subspace_basis(dim, coords))
-        weights = parse_weight_spec(p.get("weights")) if "weights" in p \
-            else ctx.config.weights or WeightSpec.constant(1.0)
-        for psi in _psi_vectors(ctx, p, coords):
-            if cert_name == "riesz_orbit_perturbation":
-                cert = perturb.riesz_perturbation_certificate(cd, phi, psi,
-                                                              horizon)
-                ok = True
-                if cert.verdict:
-                    total = cert.hypothesis_values["proof_sum_total"]
-                    floor = cert.hypothesis_values["perturbed_floor"]
-                    ok = (
-                        total < 1.0
-                        and cert.conclusion_check.classification
-                        in ("riesz_sequence", "riesz_basis")
-                        and cert.conclusion_check.a_opt >= floor - 1e-8
-                    )
-            else:
-                cert = perturb.weighted_frame_perturbation_certificate(
-                    cd, phi, psi, weights, horizon)
-                ok = True
-                if cert.verdict:
-                    a_now = cert.conclusion_check.a_opt
-                    doubled = perturb.weighted_frame_perturbation_certificate(
-                        cd, phi, psi, weights, 2 * horizon)
-                    a_dbl = doubled.conclusion_check.a_opt
-                    ok = a_now > 0 and abs(a_dbl - a_now) <= 0.10 * a_now
+    for psi in inp.psis:
+        doubled = partial(kind.evaluate, inp, psi, 2 * inp.horizon)
+        for cert in kind.evaluate(inp, psi, inp.horizon):
+            ok = not cert.verdict or kind.concludes(cert, doubled)
             instances.append(_cert_summary(cert))
             all_pass = all_pass and ok
-    elif cert_name == "scaled_generator_perturbation":
-        weights = parse_weight_spec(p.get("weights")) if "weights" in p \
-            else ctx.config.weights or WeightSpec.constant(1.0)
-        for psi in _psi_vectors(ctx, p, coords):
-            cert = perturb.scaled_generator_perturbation_certificate(
-                operator, phi, psi, weights, horizon)
-            ok = True
-            if cert.verdict:
-                ok = cert.conclusion_check.classification in ("frame",
-                                                              "riesz_basis")
-            instances.append(_cert_summary(cert))
-            all_pass = all_pass and ok
-    elif cert_name == "multi_generator_riesz":
-        if "w_operator" not in p:
-            raise InvalidInput("multi_generator_riesz needs params.w_operator")
-        w_op = build_operator(parse_operator_spec(p["w_operator"]))
-        cd_w = perturb.contraction_data(w_op, _subspace_basis(dim, coords))
-        cd_t = perturb.contraction_data(operator, _subspace_basis(dim, coords))
-        cert = perturb.multi_generator_riesz_certificate(
-            cd_w, cd_t, ctx.generators, horizon)
-        ok = True
-        if cert.verdict:
-            ok = cert.conclusion_check.classification in ("riesz_sequence",
-                                                          "riesz_basis")
-        instances.append(_cert_summary(cert))
-        all_pass = ok
-    elif cert_name in ("two_operator_frame", "two_operator_riesz_sum"):
-        if "second_operator" not in p:
-            raise InvalidInput(f"{cert_name} needs params.second_operator")
-        w_op = build_operator(parse_operator_spec(p["second_operator"]))
-        basis = _subspace_basis(dim, coords)
-        cd_t = perturb.contraction_data(operator, basis)
-        cd_w = perturb.contraction_data(w_op, basis)
-        frame_cert, sum_cert = perturb.two_operator_certificates(
-            cd_t, cd_w, phi, horizon)
-        ok = True
-        for cert in (frame_cert, sum_cert):
-            if cert.verdict:
-                ok = ok and cert.conclusion_check.a_opt > 0
-            instances.append(_cert_summary(cert))
-        all_pass = ok
-    else:
-        raise InvalidInput(f"no evaluator for certificate {cert_name!r}")
-
     outputs = {"instances": instances}
     margins = {"best_margin": max((i["margin"] for i in instances),
                                   default=-math.inf)}
@@ -416,7 +314,7 @@ def _cert_summary(cert: perturb.Certificate) -> dict:
 
 def _check_satisfiability(ctx: CheckContext, name: str):
     cert_name = name.split(":", 1)[1]
-    p = ctx.params_for(name)
+    p = ctx.params
     trials = int(p.get("trials", 1000))
     rep = perturb.satisfiability_search(cert_name, trials, seed=ctx.seed)
     count = len(rep.satisfying)
@@ -446,8 +344,7 @@ def _check_repro_aldroubi(ctx: CheckContext, name: str):
     outputs = {"entrywise_error": err}
     passed = err <= tol
 
-    p = ctx.params_for(name)
-    sweep = [int(d) for d in p.get("sweep_dims", [])]
+    sweep = [int(d) for d in ctx.params.get("sweep_dims", [])]
     if sweep:
         rows = []
         prev_min = math.inf
@@ -474,34 +371,114 @@ def _check_repro_aldroubi(ctx: CheckContext, name: str):
     return outputs, {"repro_slack": tol - err}, passed
 
 
-REGISTRY = {
-    "orbit-bounds": _check_orbit_bounds,
-    "stein": _check_stein,
-    "surjectivity": _check_surjectivity,
-    "periodic": _check_periodic,
-    "ratio-bound": _check_ratio_bound,
-    "kernel-invariance": _check_kernel_invariance,
-    "representation": _check_representation,
-    "nogo-proxy": _check_nogo_proxy,
-    "riesz-profile": _check_riesz_profile,
-    "iterated-frame-operator": _check_iterated,
-    "perturbation": _check_perturbation,
-    "satisfiability": _check_satisfiability,
-    "repro-aldroubi": _check_repro_aldroubi,
-}
+def _params_operator(p: dict, key: str, dim: int | None = None) -> np.ndarray:
+    op = build_operator(parse_operator_spec(p[key]))
+    if dim is not None and op.shape[0] != dim:
+        raise ConfigError(f"{key} dimension {op.shape[0]} != {dim}")
+    return op
 
-KNOWN_CHECKS = frozenset(REGISTRY)
+
+def _params_vector(p: dict, key: str, dim: int) -> np.ndarray:
+    if len(p[key]) != dim:
+        raise ConfigError(f"{key} length {len(p[key])} != dimension {dim}")
+    return np.array([parse_complex(v) for v in p[key]])
+
+
+def _certificate_inputs(cfg: ExperimentConfig, operator, generators,
+                        p: dict) -> perturb.CertificateInputs:
+    """A schema-valid ``params["perturbation:<name>"]``, parsed; the
+    default operator, phi, weights and horizon are the config's."""
+    if "operator" in p:
+        operator = _params_operator(p, "operator")
+    dim = operator.shape[0]
+    phi = _params_vector(p, "phi", dim) if "phi" in p else generators[0]
+    if len(phi) != dim:
+        raise ConfigError(f"operator dimension {dim} != config dimension "
+                          f"{cfg.dimension}, so the generators do not fit")
+    coords = [int(c) for c in p.get("subspace_coords", range(dim))]
+    if max(coords) >= dim:
+        raise ConfigError(f"subspace_coords {max(coords)} >= dimension {dim}")
+    basis = np.eye(dim, dtype=complex)[:, coords]
+    direction = _params_vector(p, "psi_direction", dim) \
+        if "psi_direction" in p else basis[:, 0]
+    w_key = "w_operator" if "w_operator" in p else "second_operator"
+    return perturb.CertificateInputs(
+        operator=operator,
+        phi=phi,
+        generators=generators,
+        subspace_basis=basis,
+        psis=tuple(parse_complex(s).real * direction
+                   for s in p.get("psi_scales", [1.0])),
+        weights=parse_weight_spec(p["weights"]) if "weights" in p
+        else cfg.weights or WeightSpec.constant(1.0),
+        horizon=int(p.get("horizon", cfg.horizon)),
+        second_operator=_params_operator(p, w_key, dim) if w_key in p else None,
+    )
+
+
+_NO_PARAMS = params_schema({})
+_COUNT = {"type": "integer", "minimum": 1}
+_TALLY = {"type": "integer", "minimum": 0}
+_SEARCH_PARAMS = params_schema(
+    {"trials": _COUNT, "max_satisfying": _TALLY, "min_satisfying": _TALLY})
+
+# check name -> (check function, JSON schema of its params block)
+REGISTRY = {
+    "orbit-bounds": (_check_orbit_bounds, _NO_PARAMS),
+    "stein": (_check_stein, _NO_PARAMS),
+    "surjectivity": (_check_surjectivity,
+                     params_schema({"witness_horizon": _COUNT})),
+    "periodic": (_check_periodic, params_schema({"period": _COUNT})),
+    "ratio-bound": (_check_ratio_bound, _NO_PARAMS),
+    "kernel-invariance": (_check_kernel_invariance, _NO_PARAMS),
+    "representation": (_check_representation, _NO_PARAMS),
+    "nogo-proxy": (_check_nogo_proxy, params_schema(
+        {"horizons": {"type": "array", "items": _COUNT, "minItems": 1}})),
+    "riesz-profile": (_check_riesz_profile, _NO_PARAMS),
+    "iterated-frame-operator": (_check_iterated,
+                                params_schema({"horizon": _COUNT})),
+    "repro-aldroubi": (_check_repro_aldroubi, params_schema(
+        {"sweep_dims": {"type": "array", "items": _COUNT}})),
+}
+for _cert, _kind in perturb.CERTIFICATES.items():
+    REGISTRY[f"perturbation:{_cert}"] = (_check_perturbation, _kind.params)
+    REGISTRY[f"satisfiability:{_cert}"] = (_check_satisfiability,
+                                           _SEARCH_PARAMS)
+
+_VALIDATORS = {name: jsonschema.Draft202012Validator(schema)
+               for name, (_, schema) in REGISTRY.items()}
+
+
+def _parse_params(cfg: ExperimentConfig, operator, generators) -> dict:
+    """Every check name and ``params`` block validated, and parsed, before
+    any check runs; ``ConfigError`` (one line) on the first bad one."""
+    for name in cfg.params:
+        if name not in cfg.checks:
+            raise ConfigError(f"params[{name!r}] names no configured check")
+    parsed = {}
+    for name in cfg.checks:
+        if name not in REGISTRY:
+            raise ConfigError(f"unknown check {name!r}")
+        p = cfg.params.get(name, {})
+        err = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(p))
+        if err is not None:
+            raise ConfigError(
+                f"params[{name!r}]{err.json_path[1:]}: {err.message}")
+        if name.startswith("perturbation:"):
+            try:
+                p = _certificate_inputs(cfg, operator, generators, p)
+            except ConfigError as exc:
+                raise ConfigError(f"params[{name!r}]: {exc}") from None
+        parsed[name] = p
+    return parsed
 
 
 def run_single(ctx: CheckContext, name: str) -> CheckRecord:
-    base = name.split(":", 1)[0]
-    fn = REGISTRY.get(base)
-    if fn is None:
-        raise InvalidInput(f"unknown check {name!r}")
+    check, _ = REGISTRY[name]
     start = perf_counter()
     inputs = ctx.base_inputs(name)
     try:
-        outputs, margins, passed = fn(ctx, name)
+        outputs, margins, passed = check(ctx, name)
         error = None
     except (DynsampLabError, np.linalg.LinAlgError) as exc:
         outputs, margins, passed = {}, {}, False
@@ -517,25 +494,21 @@ def run_single(ctx: CheckContext, name: str) -> CheckRecord:
     )
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: bool = False) -> ExperimentReport:
-    """Execute all configured checks in declared order."""
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Validate every check and its params, then run them in declared order."""
     operator = cfg.operator_array()
     generators = cfg.generator_arrays()
-    contexts = [
-        CheckContext(
+    params = _parse_params(cfg, operator, generators)
+    records = [
+        run_single(CheckContext(
             config=cfg,
             operator=operator,
             generators=generators,
             seed=cfg.seed + 1000003 * index,
-        )
-        for index, _ in enumerate(cfg.checks)
+            params=params[name],
+        ), name)
+        for index, name in enumerate(cfg.checks)
     ]
-    jobs = list(zip(contexts, cfg.checks))
-    if parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            records = list(pool.map(lambda job: run_single(*job), jobs))
-    else:
-        records = [run_single(ctx, name) for ctx, name in jobs]
     echo = config_to_dict(cfg)
     return ExperimentReport(
         config_hash=config_hash(cfg, echo),

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .checks import KNOWN_CHECKS, run_experiment
+from .checks import run_experiment
 from .config import ConfigError, load_config, parse_tolerances
 from .errors import InvalidInput
 from .presets import PRESET_NAMES, preset_config
@@ -33,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", choices=("json", "csv"), default="json")
     run_p.add_argument("--tol", type=float, default=None,
                        help="override the default tolerance")
-    run_p.add_argument("--parallel", action="store_true",
-                       help="run independent checks concurrently")
 
     repro_p = sub.add_parser("repro", help="run a curated preset")
     repro_p.add_argument("preset", help=f"one of: {', '.join(PRESET_NAMES)}")
@@ -66,11 +64,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = load_config(args.config)
-            parse_config_checks(cfg)
             if args.tol is not None:
                 cfg = dataclasses.replace(cfg, tolerances=parse_tolerances(
                     {**cfg.tolerances, "default": args.tol}))
-            report = run_experiment(cfg, parallel=args.parallel)
+            report = run_experiment(cfg)
             report.write(args.out, fmt=args.format)
             _cache_report(report)
             _summarize(report)
@@ -87,18 +84,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if report.passed else 2
-
-
-def parse_config_checks(cfg) -> None:
-    from .perturb import CERTIFICATE_NAMES
-
-    for name in cfg.checks:
-        base, _, suffix = name.partition(":")
-        if base not in KNOWN_CHECKS:
-            raise ConfigError(f"unknown check {name!r}")
-        if base in ("perturbation", "satisfiability") \
-                and suffix not in CERTIFICATE_NAMES:
-            raise ConfigError(f"unknown certificate in check {name!r}")
 
 
 if __name__ == "__main__":

@@ -71,6 +71,12 @@ CONFIG_SCHEMA = {
 _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
+def params_schema(properties: dict, required=()) -> dict:
+    """Schema of one ``params[<check>]`` block: these keys and no others."""
+    return {"type": "object", "properties": properties,
+            "required": list(required), "additionalProperties": False}
+
+
 class ConfigError(InvalidInput):
     """Configuration failed to parse or validate (CLI exit code 1)."""
 
@@ -272,7 +278,7 @@ class ExperimentConfig:
         return build_operator(self.operator)
 
 
-def parse_config(raw: dict, known_checks=None) -> ExperimentConfig:
+def parse_config(raw: dict) -> ExperimentConfig:
     err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
     if err is not None:
         raise ConfigError(f"config does not match schema: {err.message}")
@@ -293,11 +299,6 @@ def parse_config(raw: dict, known_checks=None) -> ExperimentConfig:
             raise ConfigError(f"generator length {len(g)} != dimension {dim}")
     weights = parse_weight_spec(raw.get("weights"))
     checks = tuple(raw["checks"])
-    if known_checks is not None:
-        for name in checks:
-            base = name.split(":", 1)[0]
-            if base not in known_checks:
-                raise ConfigError(f"unknown check {name!r}")
     return ExperimentConfig(
         dimension=dim,
         operator=operator,

@@ -13,22 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import frames, numkit
+from .config import CONFIG_SCHEMA, params_schema
 from .dynsamp import OrbitSpec, WeightSpec, nilpotent_shift, orbit
 from .errors import HypothesisViolated, InvalidHypothesis, InvalidInput
 from .frames import BoundsReport, VectorSystem
 
-CERTIFICATE_NAMES = (
-    "riesz_orbit_perturbation",
-    "weighted_frame_perturbation",
-    "scaled_generator_perturbation",
-    "multi_generator_riesz",
-    "two_operator_frame",
-    "two_operator_riesz_sum",
-)
+_RIESZ = ("riesz_sequence", "riesz_basis")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +109,7 @@ def riesz_perturbation_certificate(cd: ContractionData, phi, psi, horizon: int,
     _in_subspace(cd, psi, tol)
     base = _plain_orbit(t, phi, horizon)
     report = frames.frame_bounds(base, ambient=False)
-    if report.classification not in ("riesz_sequence", "riesz_basis"):
+    if report.classification not in _RIESZ:
         raise HypothesisViolated(
             f"base orbit prefix is not a Riesz sequence ({report.classification})"
         )
@@ -296,8 +292,7 @@ def multi_generator_riesz_certificate(cd_w: ContractionData,
         "proof_sum": partial,
         "proof_tail_bound": tail,
         "proof_sum_total": partial + tail,
-        "base_is_riesz": 1.0 if w_report.classification
-        in ("riesz_sequence", "riesz_basis") else 0.0,
+        "base_is_riesz": 1.0 if w_report.classification in _RIESZ else 0.0,
     }
     return Certificate("multi_generator_riesz", values, float(margin),
                        margin > 0, conclusion)
@@ -367,7 +362,7 @@ def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
         if sum_margin > 0 else 0.0,
     }
     base_span = frames.frame_bounds(base, ambient=False)
-    if base_span.classification in ("riesz_sequence", "riesz_basis"):
+    if base_span.classification in _RIESZ:
         combined_vecs = []
         tv, wv = phi.copy(), phi.copy()
         for _ in range(horizon):
@@ -386,31 +381,67 @@ def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
 
 
 # ---------------------------------------------------------------------------
-# randomized satisfiability search
+# the certificate table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SearchReport:
-    certificate: str
-    tried: int
-    satisfying: list[dict] = field(default_factory=list)
+@dataclass(frozen=True, eq=False)
+class CertificateInputs:
+    """One certificate instance; each psi in ``psis`` is certified in turn
+    (ignored where no generator is perturbed).  ``second_operator`` is the
+    W of the multi-generator and two-operator certificates."""
+
+    operator: np.ndarray
+    horizon: int
+    subspace_basis: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    psis: tuple = (None,)
+    weights: WeightSpec | None = None
+    generators: tuple = ()
+    second_operator: np.ndarray | None = None
+
+    @cached_property
+    def contraction(self) -> ContractionData:
+        return contraction_data(self.operator, self.subspace_basis)
+
+    @cached_property
+    def second_contraction(self) -> ContractionData:
+        return contraction_data(self.second_operator, self.subspace_basis)
 
 
-def _block_contraction_instance(rng):
-    """Shift block plus diagonal contraction block, contraction subspace =
-    the trailing coordinates."""
-    m = int(rng.integers(2, 5))
-    k = int(rng.integers(1, 4))
-    d = m + k
-    scale = float(rng.uniform(0.5, 1.5))
-    t = np.zeros((d, d), dtype=complex)
-    t[:m, :m] = scale * nilpotent_shift(m)
-    diag = rng.uniform(0.05, 0.9, size=k)
-    t[m:, m:] = np.diag(diag).astype(complex)
-    v_basis = np.eye(d, dtype=complex)[:, m:]
-    phi = np.zeros(d, dtype=complex)
-    phi[0] = 1.0
-    return t, v_basis, phi, m, k
+class CertificateKind(NamedTuple):
+    """One row of the certificate table; its functions call certificate
+    functions by their module-global names.  ``concludes(cert, doubled)``
+    checks the conclusion of a certificate whose hypothesis holds;
+    ``doubled()`` evaluates it again at twice the horizon."""
+
+    params: dict  # JSON schema of params["perturbation:<name>"]
+    sample: Callable  # rng -> CertificateInputs of one search instance
+    evaluate: Callable  # (inputs, psi, horizon) -> tuple of Certificates
+    concludes: Callable
+
+
+_OPERATOR = CONFIG_SCHEMA["properties"]["operator"]
+_PARAMS = {
+    "horizon": {"type": "integer", "minimum": 1},
+    "operator": _OPERATOR,
+    "phi": {"type": "array"},
+    "subspace_coords": {"type": "array", "minItems": 1, "uniqueItems": True,
+                        "items": {"type": "integer", "minimum": 0}},
+    "psi_direction": {"type": "array"},
+    "psi_scales": {"type": "array", "minItems": 1,
+                   "items": {"type": "number"}},
+    "weights": CONFIG_SCHEMA["properties"]["weights"],
+    "w_operator": _OPERATOR,
+    "second_operator": _OPERATOR,
+}
+
+
+def _params(*keys, required=()) -> dict:
+    return params_schema({k: _PARAMS[k] for k in keys}, required)
+
+
+_ORBIT_PARAMS = ("horizon", "operator", "phi", "subspace_coords",
+                 "psi_direction", "psi_scales")
 
 
 def _random_contraction(rng, d, top=0.95):
@@ -419,87 +450,130 @@ def _random_contraction(rng, d, top=0.95):
     return (m / numkit.operator_norm(m)) * target
 
 
-def _search_one(name: str, rng) -> dict | None:
-    if name == "riesz_orbit_perturbation":
-        t, v_basis, phi, m, _ = _block_contraction_instance(rng)
-        dim = t.shape[0]
-        cd = contraction_data(t, v_basis)
-        direction = rng.standard_normal(v_basis.shape[1]) \
-            + 1j * rng.standard_normal(v_basis.shape[1])
-        direction /= np.linalg.norm(direction)
-        psi = v_basis @ direction * float(rng.uniform(0.0, 1.2))
-        cert = riesz_perturbation_certificate(cd, phi, psi, horizon=m)
-    elif name == "weighted_frame_perturbation":
-        t, v_basis, phi, m, _ = _block_contraction_instance(rng)
-        dim = t.shape[0]
-        cd = contraction_data(t, v_basis)
-        direction = rng.standard_normal(v_basis.shape[1]) \
-            + 1j * rng.standard_normal(v_basis.shape[1])
-        direction /= np.linalg.norm(direction)
-        psi = v_basis @ direction * float(rng.uniform(0.0, 1.2))
-        weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3)))
-        cert = weighted_frame_perturbation_certificate(cd, phi, psi, weights,
-                                                       horizon=m)
-    elif name == "scaled_generator_perturbation":
-        d = int(rng.integers(2, 6))
-        dim = d
-        t = nilpotent_shift(d)
-        phi = np.zeros(d, dtype=complex)
-        phi[0] = 1.0
-        psi = phi * float(rng.uniform(0.0, 0.5))
-        weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3)))
-        cert = scaled_generator_perturbation_certificate(t, phi, psi, weights,
-                                                         horizon=d)
-    elif name == "multi_generator_riesz":
-        d = int(rng.integers(1, 9))
-        dim = d
-        w_op = _random_contraction(rng, d)
-        t_op = _random_contraction(rng, d)
-        v_basis = np.eye(d, dtype=complex)
-        cd_w = contraction_data(w_op, v_basis)
-        cd_t = contraction_data(t_op, v_basis)
-        count = int(rng.integers(1, 3))
-        gens = [
-            (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-            * float(rng.uniform(0.1, 2.0))
-            for _ in range(count)
-        ]
-        cert = multi_generator_riesz_certificate(cd_w, cd_t, gens,
-                                                 horizon=4 * d)
-    elif name == "two_operator_frame":
-        d = int(rng.integers(1, 9))
-        dim = d
-        t_op = _random_contraction(rng, d)
-        w_op = _random_contraction(rng, d)
-        v_basis = np.eye(d, dtype=complex)
-        cd_t = contraction_data(t_op, v_basis)
-        cd_w = contraction_data(w_op, v_basis)
-        phi = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) \
-            * float(rng.uniform(0.2, 2.0))
-        cert, _ = two_operator_certificates(cd_t, cd_w, phi, horizon=4 * d)
-    elif name == "two_operator_riesz_sum":
-        d = int(rng.integers(1, 9))
-        dim = d
-        t_op = _random_contraction(rng, d)
+def _sample_block(rng, weighted: bool = False) -> CertificateInputs:
+    """Shift block plus diagonal contraction block, contraction subspace =
+    the trailing coordinates, and a psi of norm at most 1.2 inside it."""
+    m = int(rng.integers(2, 5))
+    k = int(rng.integers(1, 4))
+    d = m + k
+    scale = float(rng.uniform(0.5, 1.5))
+    t = np.zeros((d, d), dtype=complex)
+    t[:m, :m] = scale * nilpotent_shift(m)
+    t[m:, m:] = np.diag(rng.uniform(0.05, 0.9, size=k)).astype(complex)
+    v_basis = np.eye(d, dtype=complex)[:, m:]
+    phi = np.eye(d, dtype=complex)[0]
+    direction = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    direction /= np.linalg.norm(direction)
+    psi = v_basis @ direction * float(rng.uniform(0.0, 1.2))
+    weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3))) \
+        if weighted else None
+    return CertificateInputs(operator=t, horizon=m, subspace_basis=v_basis,
+                             phi=phi, psis=(psi,), weights=weights)
+
+
+def _sample_scaled(rng) -> CertificateInputs:
+    d = int(rng.integers(2, 6))
+    phi = np.eye(d, dtype=complex)[0]
+    psi = phi * float(rng.uniform(0.0, 0.5))
+    weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3)))
+    return CertificateInputs(operator=nilpotent_shift(d), horizon=d, phi=phi,
+                             psis=(psi,), weights=weights)
+
+
+def _sample_multi(rng) -> CertificateInputs:
+    d = int(rng.integers(1, 9))
+    w_op = _random_contraction(rng, d)
+    t_op = _random_contraction(rng, d)
+    count = int(rng.integers(1, 3))
+    gens = tuple((rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                 * float(rng.uniform(0.1, 2.0)) for _ in range(count))
+    return CertificateInputs(operator=t_op, horizon=4 * d,
+                             subspace_basis=np.eye(d, dtype=complex),
+                             generators=gens, second_operator=w_op)
+
+
+def _sample_two_operator(rng, nearby: bool) -> CertificateInputs:
+    """Two random contractions; ``nearby`` draws W within 0.01 of T."""
+    d = int(rng.integers(1, 9))
+    t_op = _random_contraction(rng, d)
+    if nearby:
         w_op = t_op + 0.01 * _random_contraction(rng, d)
         if numkit.operator_norm(w_op) >= 1.0:
             w_op = w_op / (numkit.operator_norm(w_op) + 0.05)
-        v_basis = np.eye(d, dtype=complex)
-        cd_t = contraction_data(t_op, v_basis)
-        cd_w = contraction_data(w_op, v_basis)
-        phi = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) \
-            * float(rng.uniform(0.2, 2.0))
-        _, cert = two_operator_certificates(cd_t, cd_w, phi, horizon=4 * d)
     else:
-        raise InvalidInput(f"unknown certificate {name!r}")
+        w_op = _random_contraction(rng, d)
+    phi = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) \
+        * float(rng.uniform(0.2, 2.0))
+    return CertificateInputs(operator=t_op, horizon=4 * d,
+                             subspace_basis=np.eye(d, dtype=complex),
+                             phi=phi, second_operator=w_op)
 
-    if cert.verdict and math.isfinite(cert.margin):
-        return {
-            "margin": cert.margin,
-            "dimension": dim,
-            "hypothesis_values": dict(cert.hypothesis_values),
-        }
-    return None
+
+def _riesz_concludes(cert: Certificate, doubled) -> bool:
+    h = cert.hypothesis_values
+    return (h["proof_sum_total"] < 1.0
+            and cert.conclusion_check.classification in _RIESZ
+            and cert.conclusion_check.a_opt >= h["perturbed_floor"] - 1e-8)
+
+
+def _stable_under_doubling(cert: Certificate, doubled) -> bool:
+    a_now = cert.conclusion_check.a_opt
+    a_dbl = doubled()[0].conclusion_check.a_opt
+    return a_now > 0 and abs(a_dbl - a_now) <= 0.10 * a_now
+
+
+def _two_operator(nearby: bool) -> CertificateKind:
+    """Both two-operator checks report both certificates of an instance."""
+    return CertificateKind(
+        _params("horizon", "operator", "phi", "subspace_coords",
+                "second_operator", required=["second_operator"]),
+        partial(_sample_two_operator, nearby=nearby),
+        lambda inp, psi, horizon: two_operator_certificates(
+            inp.contraction, inp.second_contraction, inp.phi, horizon),
+        lambda cert, doubled: cert.conclusion_check.a_opt > 0)
+
+
+CERTIFICATES = {
+    "riesz_orbit_perturbation": CertificateKind(
+        _params(*_ORBIT_PARAMS), _sample_block,
+        lambda inp, psi, horizon: (riesz_perturbation_certificate(
+            inp.contraction, inp.phi, psi, horizon),),
+        _riesz_concludes),
+    "weighted_frame_perturbation": CertificateKind(
+        _params(*_ORBIT_PARAMS, "weights"),
+        partial(_sample_block, weighted=True),
+        lambda inp, psi, horizon: (weighted_frame_perturbation_certificate(
+            inp.contraction, inp.phi, psi, inp.weights, horizon),),
+        _stable_under_doubling),
+    "scaled_generator_perturbation": CertificateKind(
+        _params(*_ORBIT_PARAMS, "weights"), _sample_scaled,
+        lambda inp, psi, horizon: (scaled_generator_perturbation_certificate(
+            inp.operator, inp.phi, psi, inp.weights, horizon),),
+        lambda cert, doubled: cert.conclusion_check.classification
+        in ("frame", "riesz_basis")),
+    "multi_generator_riesz": CertificateKind(
+        _params("horizon", "operator", "subspace_coords", "w_operator",
+                required=["w_operator"]),
+        _sample_multi,
+        lambda inp, psi, horizon: (multi_generator_riesz_certificate(
+            inp.second_contraction, inp.contraction, inp.generators, horizon),),
+        lambda cert, doubled: cert.conclusion_check.classification in _RIESZ),
+    "two_operator_frame": _two_operator(nearby=False),
+    "two_operator_riesz_sum": _two_operator(nearby=True),
+}
+
+CERTIFICATE_NAMES = tuple(CERTIFICATES)
+
+
+# ---------------------------------------------------------------------------
+# randomized satisfiability search
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SearchReport:
+    certificate: str
+    tried: int
+    satisfying: list[dict] = field(default_factory=list)
 
 
 def satisfiability_search(certificate_name: str, trials: int,
@@ -511,18 +585,24 @@ def satisfiability_search(certificate_name: str, trials: int,
     is positive.  Instances violating a hard hypothesis count as tried
     and unsatisfying.  Deterministic for a fixed seed.
     """
-    if certificate_name not in CERTIFICATE_NAMES:
+    kind = CERTIFICATES.get(certificate_name)
+    if kind is None:
         raise InvalidInput(f"unknown certificate {certificate_name!r}")
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     report = SearchReport(certificate=certificate_name, tried=trials)
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
         try:
-            hit = _search_one(certificate_name, rng)
+            inp = kind.sample(np.random.default_rng([seed, trial]))
+            certs = kind.evaluate(inp, inp.psis[0], inp.horizon)
         except HypothesisViolated:
-            hit = None
-        if hit is not None:
-            hit["trial"] = trial
-            report.satisfying.append(hit)
+            continue
+        cert = next(c for c in certs if c.name == certificate_name)
+        if cert.verdict and math.isfinite(cert.margin):
+            report.satisfying.append({
+                "margin": cert.margin,
+                "dimension": inp.operator.shape[0],
+                "hypothesis_values": dict(cert.hypothesis_values),
+                "trial": trial,
+            })
     return report

@@ -75,8 +75,8 @@ def test_config_rejects_bad_generator_length():
 
 def test_config_rejects_unknown_check():
     raw = shift_config(checks=["no-such-check"])
-    with pytest.raises(ConfigError):
-        config.parse_config(raw, known_checks=checks.KNOWN_CHECKS)
+    with pytest.raises(ConfigError, match="unknown check 'no-such-check'"):
+        checks.run_experiment(config.parse_config(raw))
 
 
 def test_block_diag_operator():
@@ -114,16 +114,6 @@ def test_report_deterministic_for_same_seed():
     h1 = checks.run_experiment(cfg).payload_hash()
     h2 = checks.run_experiment(cfg).payload_hash()
     assert h1 == h2
-
-
-def test_parallel_matches_sequential():
-    cfg = config.parse_config(shift_config(
-        checks=["orbit-bounds", "surjectivity", "riesz-profile",
-                "kernel-invariance"]))
-    seq = checks.run_experiment(cfg, parallel=False)
-    par = checks.run_experiment(cfg, parallel=True)
-    assert seq.payload_hash() == par.payload_hash()
-    assert [c.name for c in par.checks] == list(cfg.checks)
 
 
 def test_hypothesis_violation_becomes_check_failure():
@@ -231,7 +221,7 @@ def test_preset_configs_parse():
     for name in presets.PRESET_NAMES:
         cfg = presets.preset_config(name)
         for check_name in cfg.checks:
-            assert check_name.split(":", 1)[0] in checks.KNOWN_CHECKS
+            assert check_name in checks.REGISTRY
 
 
 def test_repro_dim_override():
@@ -275,7 +265,7 @@ def test_cli_run_parallel_and_tol(tmp_path):
     out_path = tmp_path / "report.json"
     cfg_path.write_text(json.dumps(shift_config()))
     code = cli.main(["run", str(cfg_path), "--out", str(out_path),
-                     "--tol", "1e-9", "--parallel"])
+                     "--tol", "1e-9"])
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert payload["metadata"]["config"]["tolerances"]["default"] == 1e-9
@@ -287,6 +277,115 @@ def test_cli_unknown_certificate_suffix(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     code = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
     assert code == 1
+
+
+def diagonal_config(check, params):
+    return {
+        "schema_version": 1,
+        "dimension": 2,
+        "operator": {"kind": "diagonal", "values": [0.5, 0.3]},
+        "generators": [[0.1, 0.1]],
+        "horizon": 8,
+        "checks": [check],
+        "params": {check: params},
+    }
+
+
+def test_multi_generator_riesz_via_runner():
+    check = "perturbation:multi_generator_riesz"
+    raw = diagonal_config(
+        check, {"w_operator": {"kind": "diagonal", "values": [0.4, 0.2]}})
+    rep = checks.run_experiment(config.parse_config(raw))
+    assert rep.passed and rep.checks[0].error is None
+    [inst] = rep.checks[0].outputs["instances"]
+    assert inst["name"] == "multi_generator_riesz"
+    h = inst["hypothesis_values"]
+    assert h["lambda"] == pytest.approx(0.5)
+    assert h["generator_energy"] == pytest.approx(0.02)
+    assert inst["margin"] == pytest.approx(h["threshold"] - 0.02)
+    assert inst["verdict"] is (inst["margin"] > 0)
+
+
+def test_two_operator_riesz_sum_via_runner_emits_both_instances():
+    check = "perturbation:two_operator_riesz_sum"
+    raw = diagonal_config(
+        check, {"second_operator": {"kind": "diagonal", "values": [0.45, 0.3]}})
+    rep = checks.run_experiment(config.parse_config(raw))
+    assert rep.passed and rep.checks[0].error is None
+    frame, riesz_sum = rep.checks[0].outputs["instances"]
+    assert frame["name"] == "two_operator_frame"
+    assert riesz_sum["name"] == "two_operator_riesz_sum"
+    # only the first coordinate differs: sum_n |0.5^n - 0.45^n|^2 0.1^2
+    exact = sum((0.5**n - 0.45**n) ** 2 * 0.01 for n in range(8))
+    h = riesz_sum["hypothesis_values"]
+    assert h["difference_sum"] == pytest.approx(exact, rel=1e-12)
+    assert riesz_sum["verdict"] is True
+    assert riesz_sum["conclusion"]["a_opt"] > 0
+
+
+GALLERY = presets._perturbation_gallery(3, 7)
+RIESZ = "perturbation:riesz_orbit_perturbation"
+SCALED = "perturbation:scaled_generator_perturbation"
+
+
+def gallery_with(check, **params):
+    raw = json.loads(json.dumps(GALLERY))
+    raw["params"][check].update(params)
+    return raw
+
+
+def misspelt_gallery():
+    raw = gallery_with(RIESZ)
+    block = raw["params"][RIESZ]
+    block["subspace_coord"] = block.pop("subspace_coords")
+    return raw
+
+
+def search_config(params):
+    check = "satisfiability:two_operator_frame"
+    return dict(diagonal_config(check, params), checks=[check])
+
+
+MALFORMED_PARAMS = {
+    "subspace_coords out of range": (
+        gallery_with(RIESZ, subspace_coords=[10]), "subspace_coords 10"),
+    "psi_direction of wrong length": (
+        gallery_with(RIESZ, psi_direction=[1.0, 0.0]), "psi_direction length"),
+    "psi_scales not numbers": (
+        gallery_with(RIESZ, psi_scales=["a"]), ".psi_scales[0]"),
+    "horizon not an integer": (
+        gallery_with(RIESZ, horizon="x"), ".horizon"),
+    "trials not an integer": (
+        search_config({"trials": "x"}), ".trials"),
+    "NaN in psi_direction": (
+        gallery_with(SCALED, psi_direction=[float("nan"), 0.0]), "not finite"),
+    "zero trials": (
+        search_config({"trials": 0}), "minimum of 1"),
+    "multi_generator_riesz without w_operator": (
+        diagonal_config("perturbation:multi_generator_riesz", {}),
+        "'w_operator' is a required property"),
+    "misspelt key": (
+        misspelt_gallery(), "'subspace_coord' was unexpected"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_PARAMS))
+def test_cli_refuses_malformed_params(tmp_path, capsys, case):
+    raw, message = MALFORMED_PARAMS[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out_path = tmp_path / "r.json"
+    assert cli.main(["run", str(cfg_path), "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: params[") and message in err
+    assert not out_path.exists()
+
+
+def test_params_for_unconfigured_check_refused():
+    raw = shift_config(params={"orbit-bound": {}})
+    with pytest.raises(ConfigError, match="names no configured check"):
+        checks.run_experiment(config.parse_config(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,8 @@ def test_tolerances_must_be_finite_numbers():
 def test_schemas_match_the_meta_schema():
     jsonschema.Draft202012Validator.check_schema(config.CONFIG_SCHEMA)
     jsonschema.Draft202012Validator.check_schema(report.REPORT_SCHEMA)
+    for _, params_schema in checks.REGISTRY.values():
+        jsonschema.Draft202012Validator.check_schema(params_schema)
 
 
 def dense_config(d: int, rng) -> dict:
