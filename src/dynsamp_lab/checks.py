@@ -1,17 +1,18 @@
 """Named experiment checks executed by the CLI runner.
 
 Every check receives a materialized context (operator, generators,
-weights, horizon, tolerances, seed) and returns an input echo, numeric
-outputs, margins, and a pass flag.  Mathematical hypothesis violations
-surface as failed check records, not crashes.
+weights, horizon, tolerances, seed, the run's orbit system) and returns
+an input echo, numeric outputs, margins, and a pass flag.  Mathematical
+hypothesis violations surface as failed check records, not crashes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from time import perf_counter
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -30,6 +31,7 @@ from .config import (
 )
 from .dynsamp import OrbitSpec, WeightSpec
 from .errors import DynsampLabError, InvalidInput
+from .frames import VectorSystem
 from .report import CheckRecord, ExperimentReport
 
 
@@ -40,19 +42,11 @@ class CheckContext:
     generators: tuple[np.ndarray, ...]
     seed: int
     params: dict | perturb.CertificateInputs  # validated and parsed at load
+    orbit: Callable[[], VectorSystem]  # built once, shared by orbit checks
 
     def tol(self, key: str, default: float) -> float:
         tols = self.config.tolerances
         return float(tols.get(key, tols.get("default", default)))
-
-    def orbit_system(self, weights="config", horizon=None):
-        w = self.config.weights if weights == "config" else weights
-        return dynsamp.orbit(OrbitSpec(
-            operator=self.operator,
-            generators=self.generators,
-            weights=w,
-            horizon=horizon or self.config.horizon,
-        ))
 
     def base_inputs(self, name: str) -> dict:
         return {
@@ -69,8 +63,7 @@ class CheckContext:
 # ---------------------------------------------------------------------------
 
 def _check_orbit_bounds(ctx: CheckContext, name: str):
-    sys = ctx.orbit_system()
-    rep = frames.frame_bounds(sys, ambient=True)
+    rep = frames.frame_bounds(ctx.orbit(), ambient=True)
     outputs = {
         "a_opt": rep.a_opt,
         "b_opt": rep.b_opt,
@@ -209,18 +202,15 @@ def _check_periodic(ctx: CheckContext, name: str):
 
 
 def _check_ratio_bound(ctx: CheckContext, name: str):
-    weights = ctx.config.weights or WeightSpec.constant(1.0)
-    sys = ctx.orbit_system(weights=weights)
-    res = dynsamp.ratio_bound_check(sys)
+    res = dynsamp.ratio_bound_check(ctx.orbit())
     outputs = {"sup_ratio": res.sup_ratio, "bound": res.bound}
     margins = {"margin": res.margin}
     return outputs, margins, res.margin >= -1e-10
 
 
 def _check_kernel_invariance(ctx: CheckContext, name: str):
-    weights = ctx.config.weights or WeightSpec.constant(1.0)
-    sys = ctx.orbit_system(weights=weights)
-    res = dynsamp.kernel_invariance_check(sys, tol=ctx.tol("kernel", 1e-8))
+    res = dynsamp.kernel_invariance_check(ctx.orbit(),
+                                          tol=ctx.tol("kernel", 1e-8))
     outputs = {
         "invariant": res.invariant,
         "defect": res.defect,
@@ -233,11 +223,9 @@ def _check_kernel_invariance(ctx: CheckContext, name: str):
 def _check_representation(ctx: CheckContext, name: str):
     if len(ctx.generators) != 1:
         raise InvalidInput("representation check needs a single generator")
-    weights = ctx.config.weights or WeightSpec.constant(1.0)
-    sys = ctx.orbit_system(weights=weights)
+    sys = ctx.orbit()
     dual = frames.canonical_dual(sys)
-    a = weights.sequence(ctx.config.horizon)
-    residual = dynsamp.representation_residual(sys, dual, a)
+    residual = dynsamp.representation_residual(sys, dual, sys.weights)
     tol = ctx.tol("representation", 1e-8)
     return {"residual": residual}, {"slack": tol - residual}, residual <= tol
 
@@ -254,9 +242,7 @@ def _check_nogo_proxy(ctx: CheckContext, name: str):
 
 
 def _check_riesz_profile(ctx: CheckContext, name: str):
-    weights = ctx.config.weights or WeightSpec.constant(1.0)
-    sys = ctx.orbit_system(weights=weights)
-    profile = frames.lower_riesz_profile(sys)
+    profile = frames.lower_riesz_profile(ctx.orbit())
     jitter = 1e-12 * max(1.0, float(profile[0]))
     monotone = bool(np.all(np.diff(profile) <= jitter))
     final_ratio = float(profile[-1] / profile[0]) if profile[0] > 0 else 0.0
@@ -265,9 +251,8 @@ def _check_riesz_profile(ctx: CheckContext, name: str):
 
 
 def _check_iterated(ctx: CheckContext, name: str):
-    sys = ctx.orbit_system()
     res = dynsamp.iterated_frame_operator_check(
-        sys, ctx.generators,
+        ctx.orbit(), ctx.generators,
         horizon=int(ctx.params.get("horizon", ctx.config.horizon))
     )
     outputs = {
@@ -499,6 +484,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     operator = cfg.operator_array()
     generators = cfg.generator_arrays()
     params = _parse_params(cfg, operator, generators)
+    spec = OrbitSpec(operator=operator, generators=generators,
+                     weights=cfg.weights or WeightSpec.constant(1.0),
+                     horizon=cfg.horizon)
+    # an orbit that raises is not cached: each orbit check records the error
+    orbit = cache(lambda: dynsamp.orbit(spec))
     records = [
         run_single(CheckContext(
             config=cfg,
@@ -506,6 +496,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             generators=generators,
             seed=cfg.seed + 1000003 * index,
             params=params[name],
+            orbit=orbit,
         ), name)
         for index, name in enumerate(cfg.checks)
     ]

@@ -1,17 +1,14 @@
 """Command-line experiment runner.
 
 Exit codes: 0 all checks passed, 1 configuration error, 2 at least one
-check failed.  Set DYNSAMP_CACHE to keep a content-addressed copy of
-every JSON report.
+check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
-from pathlib import Path
 
 from .checks import run_experiment
 from .config import ConfigError, load_config, parse_tolerances
@@ -42,15 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_report(report: ExperimentReport) -> None:
-    cache_dir = os.environ.get("DYNSAMP_CACHE")
-    if not cache_dir:
-        return
-    path = Path(cache_dir) / f"{report.config_hash}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(report.to_json())
-
-
 def _summarize(report: ExperimentReport, stream=sys.stdout) -> None:
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
@@ -69,7 +57,6 @@ def main(argv=None) -> int:
                     {**cfg.tolerances, "default": args.tol}))
             report = run_experiment(cfg)
             report.write(args.out, fmt=args.format)
-            _cache_report(report)
             _summarize(report)
         else:
             cfg = preset_config(args.preset, dim=args.dim, seed=args.seed)
@@ -78,7 +65,6 @@ def main(argv=None) -> int:
                 report.write(args.out, fmt="json")
             else:
                 print(report.to_json())
-            _cache_report(report)
             _summarize(report, stream=sys.stderr)
     except (ConfigError, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)

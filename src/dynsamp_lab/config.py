@@ -23,27 +23,33 @@ from .errors import InvalidInput
 
 SCHEMA_VERSION = 1
 
-_OPERATOR_SPEC = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["diagonal", "nilpotent_shift", "circulant",
-                          "dense", "block_diag"]},
-        "dimension": {"type": "integer", "minimum": 1},
-        "values": {"type": "array"},
-        "first_row": {"type": "array"},
-        "entries": {"type": "array"},
-        "blocks": {"type": "array"},
+# block_diag blocks are operator specs in turn: validated at every level
+OPERATOR_DEFS = {
+    "operator": {
+        "type": "object",
+        "properties": {
+            "kind": {"enum": ["diagonal", "nilpotent_shift", "circulant",
+                              "dense", "block_diag"]},
+            "dimension": {"type": "integer", "minimum": 1},
+            "values": {"type": "array"},
+            "first_row": {"type": "array"},
+            "entries": {"type": "array"},
+            "blocks": {"type": "array",
+                       "items": {"$ref": "#/$defs/operator"}},
+        },
+        "required": ["kind"],
     },
-    "required": ["kind"],
 }
+OPERATOR_SPEC = {"$ref": "#/$defs/operator"}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "$defs": OPERATOR_DEFS,
     "type": "object",
     "properties": {
         "schema_version": {"type": "integer"},
         "dimension": {"type": "integer", "minimum": 1},
-        "operator": _OPERATOR_SPEC,
+        "operator": OPERATOR_SPEC,
         "generators": {
             "type": "array",
             "items": {"type": "array"},
@@ -73,8 +79,9 @@ _VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 def params_schema(properties: dict, required=()) -> dict:
     """Schema of one ``params[<check>]`` block: these keys and no others."""
-    return {"type": "object", "properties": properties,
-            "required": list(required), "additionalProperties": False}
+    return {"$defs": OPERATOR_DEFS, "type": "object",
+            "properties": properties, "required": list(required),
+            "additionalProperties": False}
 
 
 class ConfigError(InvalidInput):

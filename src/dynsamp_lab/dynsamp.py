@@ -97,10 +97,10 @@ def nilpotent_shift(dim: int) -> np.ndarray:
 def orbit(spec: OrbitSpec) -> VectorSystem:
     """Materialize the orbit system, ordered generator-major.
 
-    For each generator phi the run ``a_0 phi, a_1 T phi, ...,
-    a_{N-1} T^{N-1} phi`` is appended; weights are carried on the system
-    (folded into synthesis columns downstream) and provenance records the
-    operator, generators and index model.
+    For each generator phi, ``a_0 phi, a_1 T phi, ..., a_{N-1} T^{N-1}
+    phi`` are consecutive synthesis columns; provenance records the
+    operator, generators and index model.  A column that float64 cannot
+    hold raises ``LinAlgError`` naming n, with no numpy warning.
     """
     t = numkit.as_operator(spec.operator)
     gens = tuple(numkit.as_vector(g) for g in spec.generators)
@@ -123,16 +123,23 @@ def orbit(spec: OrbitSpec) -> VectorSystem:
                 f"operator is not {spec.period}-periodic (deviation {dev:.3e})"
             )
 
-    run_weights = spec.weights.sequence(spec.horizon) if spec.weights else None
-    vectors: list[np.ndarray] = []
-    for g in gens:
-        v = g
-        for _ in range(spec.horizon):
-            vectors.append(v)
-            v = t @ v
+    h = spec.horizon
+    u = np.empty((t.shape[0], len(gens) * h), dtype=complex)
     weights = None
-    if run_weights is not None:
-        weights = np.tile(run_weights, len(gens))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, g in enumerate(gens):
+            v = g
+            for n in range(h):
+                u[:, j * h + n] = v
+                v = t @ v
+        if spec.weights:
+            weights = np.tile(spec.weights.sequence(h), len(gens))
+            u *= weights
+    finite = np.isfinite(u)
+    if not finite.all():
+        n = np.argmin(finite.all(axis=0).reshape(len(gens), h).all(axis=0))
+        raise np.linalg.LinAlgError(
+            f"orbit vector a_n T^n phi is not finite in float64 at n = {n}")
     prov = OrbitProvenance(
         operator=t,
         generators=gens,
@@ -140,8 +147,7 @@ def orbit(spec: OrbitSpec) -> VectorSystem:
         period=spec.period,
         horizon=spec.horizon,
     )
-    return VectorSystem(dim=t.shape[0], vectors=tuple(vectors),
-                        weights=weights, provenance=prov)
+    return VectorSystem(matrix=u, weights=weights, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +181,7 @@ def orbit_frame_operator_exact(t, phi, tol: float = 1e-12) -> SteinSolution:
     return numkit.solve_stein(t, np.outer(phi, phi.conj()), tol=tol)
 
 
-def reachability_rank(t, phi, rank_tol: float | None = None) -> int:
+def reachability_rank(t, phi) -> int:
     """Rank of ``[phi, T phi, ..., T^{d-1} phi]``."""
     t = numkit.as_operator(t)
     phi = numkit.as_vector(phi)
@@ -183,7 +189,7 @@ def reachability_rank(t, phi, rank_tol: float | None = None) -> int:
     cols = [phi]
     for _ in range(d - 1):
         cols.append(t @ cols[-1])
-    return numkit.matrix_rank(np.column_stack(cols), rank_tol)
+    return numkit.matrix_rank(np.column_stack(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +321,13 @@ def range_span_check(t, sys: VectorSystem, tol: float = 1e-8) -> RangeSpanResult
     if prov is None or prov.horizon is None:
         raise InvalidInput("system must carry orbit provenance")
     h = prov.horizon
-    cols = []
-    for j in range(len(prov.generators)):
-        for n in range(1, h):
-            cols.append(sys.vectors[j * h + n])
-    if not cols:
+    if h < 2:
         raise InvalidInput("orbit horizon too short: tail is empty")
+    # nonzero weights leave the span of the tail as it is
+    u = frames.synthesis(sys)
+    tail = u.reshape(sys.dim, len(prov.generators), h)[:, :, 1:]
     q_range = numkit.range_basis(t)
-    q_tail = numkit.range_basis(np.column_stack(cols))
+    q_tail = numkit.range_basis(tail.reshape(sys.dim, -1))
     p1 = q_range @ numkit.adjoint(q_range)
     p2 = q_tail @ numkit.adjoint(q_tail)
     gap = numkit.operator_norm(p1 - p2) if (p1.size and p2.size) else 1.0
@@ -658,23 +663,22 @@ def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvar
     """Is the synthesis kernel invariant under the weighted right shift?
 
     For each orthonormal kernel basis vector the component of its shifted
-    image (``shift_weighted``, applied to all columns at once) orthogonal
-    to the kernel is measured; the defect is the largest such norm.  That
-    component is the projection onto the row space, ``(I - B B*) x =
-    V_r V_r* x``, whose basis V_r has rank <= d columns where the kernel
-    basis B has N - rank.
+    image (the shift of ``shift_weighted``) orthogonal to the kernel is
+    measured; the defect is the largest such norm.  That component is the
+    projection onto the row space, ``(I - B B*) x = V_r V_r* x``, whose
+    norm is that of the short vector ``V_r* x``: the shift is folded into
+    V_r*, and no N x (N - rank) array is formed.
     """
     if sys.weights is None:
         raise InvalidInput("system must carry weights")
-    kernel = frames.kernel_synthesis(sys, tol=min(tol, 1e-10))
+    kernel = frames.kernel_synthesis(sys)
     basis = kernel.basis
     if basis.shape[1] == 0:
         return KernelInvarianceResult(invariant=True, defect=0.0, kernel_dim=0)
     a = np.asarray(sys.weights, dtype=complex)
-    shifted = np.zeros(basis.shape, dtype=complex)
-    shifted[1:] = (a[:-1] / a[1:])[:, None] * basis[:-1]
-    rows = kernel.complement
-    off = rows @ (numkit.adjoint(rows) @ shifted)
+    # V_r* (shift x) = sum_{k >= 1} conj(V_r[k]) (a_{k-1} / a_k) x[k-1]
+    rows_shifted = numkit.adjoint(kernel.complement[1:]) * (a[:-1] / a[1:])
+    off = rows_shifted @ basis[:-1]
     defect = float(np.max(np.linalg.norm(off, axis=0)))
     return KernelInvarianceResult(invariant=defect <= tol, defect=defect,
                                   kernel_dim=basis.shape[1])
@@ -691,13 +695,13 @@ class RatioBoundResult:
     margin: float
 
 
-def ratio_bound_check(sys: VectorSystem, tol: float | None = None) -> RatioBoundResult:
+def ratio_bound_check(sys: VectorSystem) -> RatioBoundResult:
     """Check ``sup_n |a_n / a_{n+1}| <= sqrt(B/A) ||T||`` on an orbit frame."""
     if sys.provenance is None:
         raise InvalidInput("system must carry orbit provenance")
     if sys.weights is None:
         raise InvalidInput("system must carry weights")
-    report = frames.frame_bounds(sys, ambient=True, tol=tol)
+    report = frames.frame_bounds(sys, ambient=True)
     if report.a_opt <= report.tol:
         raise NotAFrame("system is not a frame of the ambient space")
     h = sys.provenance.horizon or len(sys)
@@ -725,8 +729,9 @@ def representation_residual(f_sys: VectorSystem, g_sys: VectorSystem,
 
         f_{j+1} = (a_j / a_{j-1}) * sum_k <f_j, g_k> (a_{k-1} / a_k) f_{k+1}
 
-    over 1 <= j <= N-1, the k-sum truncated at N-1.  The pair must satisfy
-    the reconstruction identity on the span within ``tol``.
+    over 1 <= j <= N-1, the k-sum (the mixed frame operator of {(a_{k-1} /
+    a_k) f_{k+1}} and {g_k}, applied to f_j) truncated at N-1.  The pair
+    must satisfy the reconstruction identity on the span within ``tol``.
     """
     if f_sys.dim != g_sys.dim or len(f_sys) != len(g_sys):
         raise InvalidInput("dual pair must match in dimension and length")
@@ -738,18 +743,16 @@ def representation_residual(f_sys: VectorSystem, g_sys: VectorSystem,
         raise InvalidInput("weights must be nonzero scalars")
 
     fu = frames.synthesis(f_sys)
-    gu = frames.synthesis(g_sys)
-    mixed = fu @ numkit.adjoint(gu)
-    q = numkit.range_basis(fu)
-    projector = q @ numkit.adjoint(q)
-    if numkit.operator_norm(mixed - projector) > tol:
+    q = f_sys.spectrum.range_basis
+    mixed = frames.mixed_frame_operator(f_sys, g_sys)
+    if numkit.operator_norm(mixed - q @ numkit.adjoint(q)) > tol:
         raise InvalidInput("second system is not a dual of the first")
 
     if n < 2:
         return 0.0
-    # All j at once (one-based j, k): coef[k-1, j-1] = <f_j, g_k>, row k
-    # carries a_{k-1}/a_k, and column j of the sum is scaled by a_j/a_{j-1}.
-    coef = numkit.adjoint(gu[:, :n - 1]) @ fu[:, :n - 1]
-    back = (a[:n - 1] / a[1:n])[:, None] * coef
-    rhs = (a[1:n] / a[:n - 1]) * (fu[:, 1:n] @ back)
+    ratio = a[:n - 1] / a[1:n]
+    m = frames.mixed_frame_operator(
+        VectorSystem(matrix=fu[:, 1:n] * ratio),
+        VectorSystem(matrix=frames.synthesis(g_sys)[:, :n - 1]))
+    rhs = (m @ fu[:, :n - 1]) / ratio
     return float(np.max(np.linalg.norm(fu[:, 1:n] - rhs, axis=0)))

@@ -2,13 +2,15 @@
 
 Synthesis and frame operators, optimal bounds with classification,
 canonical duals, mixed frame operators, synthesis kernels, and lower
-Riesz profiles.  A system is an ordered family of vectors with optional
-nonzero scalar weights folded into the synthesis columns.
+Riesz profiles.  A system is stored as its synthesis matrix, with
+optional nonzero scalar weights folded into the columns.  Its one
+:class:`numkit.Spectrum` decides the rank of every derived quantity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,25 +39,36 @@ class OrbitProvenance:
 
 @dataclass(frozen=True, eq=False)
 class VectorSystem:
-    """Ordered family of vectors in C^dim with optional weights."""
+    """Ordered family of vectors in C^dim, stored as its read-only
+    synthesis matrix, and the spectrum of that matrix, computed once."""
 
-    dim: int
-    vectors: tuple[np.ndarray, ...]
+    matrix: np.ndarray  # dim x N, complex, weights folded in
     weights: np.ndarray | None = None
     provenance: OrbitProvenance | None = None
 
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.matrix.shape[1]
+
+    @cached_property
+    def spectrum(self) -> numkit.Spectrum:
+        return numkit.spectrum(self.matrix)
 
 
 def vector_system(vectors, weights=None, provenance=None) -> VectorSystem:
     """Validated constructor: common dimension, finite entries, nonzero weights."""
-    vecs = tuple(numkit.as_vector(v) for v in vectors)
+    vecs = [numkit.as_vector(v) for v in vectors]
     if not vecs:
         raise InvalidInput("a vector system needs at least one vector")
-    dim = vecs[0].size
-    if any(v.size != dim for v in vecs):
+    if any(v.size != vecs[0].size for v in vecs):
         raise InvalidInput("all vectors must share the same dimension")
+    u = np.column_stack(vecs)
     w = None
     if weights is not None:
         w = np.array(weights, dtype=complex).reshape(-1)
@@ -63,21 +76,18 @@ def vector_system(vectors, weights=None, provenance=None) -> VectorSystem:
             raise InvalidInput("weights length must match the number of vectors")
         if np.any(np.abs(w) == 0.0):
             raise InvalidInput("weights must be nonzero scalars")
-    return VectorSystem(dim=dim, vectors=vecs, weights=w, provenance=provenance)
+        u = u * w[None, :]
+    return VectorSystem(matrix=u, weights=w, provenance=provenance)
 
 
 def standard_basis(dim: int) -> VectorSystem:
     """The canonical orthonormal basis of C^dim as a system."""
-    eye = np.eye(dim, dtype=complex)
-    return VectorSystem(dim=dim, vectors=tuple(eye[:, k] for k in range(dim)))
+    return VectorSystem(matrix=np.eye(dim, dtype=complex))
 
 
 def synthesis(sys: VectorSystem) -> np.ndarray:
-    """dim x N synthesis matrix; column k is ``weights[k] * vectors[k]``."""
-    u = np.column_stack(sys.vectors).astype(complex)
-    if sys.weights is not None:
-        u = u * sys.weights[None, :]
-    return u
+    """The stored dim x N synthesis matrix (read-only)."""
+    return sys.matrix
 
 
 @dataclass(frozen=True)
@@ -92,7 +102,7 @@ class BoundsReport:
     tol: float
 
 
-def frame_bounds(sys: VectorSystem, ambient: bool = True, tol: float | None = None) -> BoundsReport:
+def frame_bounds(sys: VectorSystem, ambient: bool = True) -> BoundsReport:
     """Optimal lower/upper constants of a system.
 
     The upper constant is always ``sigma_max(U)^2``.  With ``ambient=True``
@@ -101,15 +111,13 @@ def frame_bounds(sys: VectorSystem, ambient: bool = True, tol: float | None = No
     is taken relative to the span, i.e. the smallest squared singular value
     above the rank cutoff.  Classification picks the most specific of
     riesz_basis / frame / riesz_sequence / frame_sequence, with bessel_only
-    reserved for systems of rank zero.  Default cutoff: ``1e-10 * b_opt``
-    on squared singular values.
+    reserved for systems of rank zero.  Rank and cutoff (``1e-10 * b_opt``
+    on squared singular values) are the system's spectrum's.
     """
-    u = synthesis(sys)
-    s = np.linalg.svd(u, compute_uv=False)
-    sq = (s.astype(float)) ** 2
-    b = float(sq[0]) if sq.size else 0.0
-    cut = 1e-10 * b if tol is None else float(tol)
-    rank = int(np.sum(sq > cut))
+    sp = sys.spectrum
+    sq = sp.s**2
+    b = float(sq[0])
+    rank = sp.rank
     n = len(sys)
     d = sys.dim
     spans = rank == d
@@ -128,7 +136,7 @@ def frame_bounds(sys: VectorSystem, ambient: bool = True, tol: float | None = No
     else:
         a = float(sq[rank - 1]) if rank > 0 else 0.0
     return BoundsReport(a_opt=a, b_opt=b, rank=rank, spans_ambient=spans,
-                        classification=cls, tol=cut)
+                        classification=cls, tol=sp.cut)
 
 
 def frame_operator(sys: VectorSystem) -> np.ndarray:
@@ -137,17 +145,19 @@ def frame_operator(sys: VectorSystem) -> np.ndarray:
     return u @ numkit.adjoint(u)
 
 
-def canonical_dual(sys: VectorSystem, tol: float | None = None) -> VectorSystem:
+def canonical_dual(sys: VectorSystem) -> VectorSystem:
     """Canonical dual system {S^+ f_k}, taken on the span of the system.
 
     Reconstructs the orthogonal projection onto the span:
-    ``sum_k <f, dual_k> f_k = P_span f``.
+    ``sum_k <f, dual_k> f_k = P_span f``.  From the spectrum,
+    ``S^+ U = U_r Sigma_r^-1 V_r*``, so neither S nor its pseudo-inverse
+    is formed.
     """
-    report = frame_bounds(sys, ambient=False, tol=tol)
-    if report.a_opt <= report.tol:
+    sp = sys.spectrum
+    if sp.rank == 0:
         raise NotAFrame("system has no positive lower frame bound on its span")
-    duals = numkit.pinv(frame_operator(sys)) @ synthesis(sys)
-    return VectorSystem(dim=sys.dim, vectors=tuple(duals.T))
+    r = sp.rank
+    return VectorSystem(matrix=sp.u[:, :r] @ (sp.vh[:r] / sp.s[:r, None]))
 
 
 def mixed_frame_operator(f_sys: VectorSystem, g_sys: VectorSystem) -> np.ndarray:
@@ -168,7 +178,6 @@ class KernelBasis:
     """
 
     basis: np.ndarray  # N x k, orthonormal columns
-    tol: float
     complement: np.ndarray  # N x (N - k), orthonormal columns
 
     @property
@@ -176,17 +185,16 @@ class KernelBasis:
         return self.basis.shape[1]
 
 
-def kernel_synthesis(sys: VectorSystem, tol: float = 1e-10) -> KernelBasis:
+def kernel_synthesis(sys: VectorSystem) -> KernelBasis:
     """Orthonormal basis of the null space of the synthesis matrix.
 
-    Singular values at or below ``tol * sigma_max`` are treated as zero.
+    The kernel is the orthogonal complement of the spectrum's kept row
+    space V_r, taken from a complete QR of V_r (no N x N SVD).
     """
-    u = synthesis(sys)
-    _, s, vh = np.linalg.svd(u, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    v = numkit.adjoint(vh)
-    return KernelBasis(basis=v[:, rank:], tol=tol, complement=v[:, :rank])
+    sp = sys.spectrum
+    rows = numkit.adjoint(sp.vh[:sp.rank])
+    q, _ = np.linalg.qr(rows, mode="complete")
+    return KernelBasis(basis=q[:, rows.shape[1]:], complement=rows)
 
 
 def lower_riesz_profile(sys: VectorSystem) -> np.ndarray:
@@ -223,5 +231,4 @@ def bessel_from_operator(t, basis: VectorSystem) -> VectorSystem:
     gram = numkit.adjoint(u) @ u
     if numkit.frobenius(gram - np.eye(n)) > 1e-10:
         raise InvalidInput("basis is not orthonormal within tolerance")
-    vecs = tuple(t @ u[:, k] for k in range(n))
-    return VectorSystem(dim=basis.dim, vectors=vecs)
+    return VectorSystem(matrix=t @ u)

@@ -1,7 +1,8 @@
 """Dense complex linear-algebra kernel.
 
-Factorizations, pseudo-inverse, PSD square root, spectral radius, and a
-discrete Stein-equation solver (one squaring iteration at every dimension,
+The spectrum of a synthesis matrix (one thin SVD, one rank cut), eps-rank
+pseudo-inverse and rank, PSD square root, spectral radius, and a discrete
+Stein-equation solver (one squaring iteration at every dimension,
 guarded by its residual).  Operators and vectors are plain complex
 ``numpy`` arrays; every public function validates its inputs and never
 mutates them.
@@ -69,10 +70,30 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
 
 
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``m = u @ diag(s) @ vh`` with singular values descending."""
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Thin SVD ``m = u @ diag(s) @ vh`` of a synthesis matrix and its one
+    rank decision: ``rank`` squared singular values above ``cut = 1e-10 *
+    sigma_max^2``."""
+
+    u: np.ndarray  # d x min(d, N), orthonormal columns
+    s: np.ndarray  # min(d, N) singular values, descending
+    vh: np.ndarray  # min(d, N) x N, orthonormal rows
+    cut: float
+    rank: int
+
+    @property
+    def range_basis(self) -> np.ndarray:
+        return self.u[:, :self.rank]
+
+
+def spectrum(m) -> Spectrum:
+    """The :class:`Spectrum` of a (possibly rectangular) matrix."""
     m = as_matrix(m)
-    return np.linalg.svd(m, full_matrices=False)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    sq = s**2
+    cut = 1e-10 * float(sq[0])
+    return Spectrum(u=u, s=s, vh=vh, cut=cut, rank=int(np.sum(sq > cut)))
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
@@ -90,38 +111,30 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     return w.astype(float), v
 
 
-def pinv(m, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
+def _eps_rank(m: np.ndarray, s: np.ndarray) -> int:
+    """Numerical rank of an operator or Krylov matrix: its singular values
+    ``s`` (descending) above ``max(shape) * eps * sigma_max``."""
+    return int(np.sum(s > max(m.shape) * np.finfo(float).eps * s[0]))
 
-    ``rank_tol`` is an absolute cutoff on singular values; the default is
-    ``max(shape) * eps * sigma_max``.
-    """
+
+def pinv(m) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse via SVD, at the eps rank."""
     m = as_matrix(m)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    if rank_tol < 0:
-        raise InvalidInput("rank_tol must be nonnegative")
-    inv = np.where(s > rank_tol, 1.0 / np.where(s > rank_tol, s, 1.0), 0.0)
-    return adjoint(vh) @ (inv[:, None] * adjoint(u))
+    r = _eps_rank(m, s)
+    return adjoint(vh[:r]) @ (adjoint(u[:, :r]) / s[:r, None])
 
 
-def matrix_rank(m, rank_tol: float | None = None) -> int:
+def matrix_rank(m) -> int:
     m = as_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    if rank_tol is None:
-        rank_tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    return int(np.sum(s > rank_tol))
+    return _eps_rank(m, np.linalg.svd(m, compute_uv=False))
 
 
-def range_basis(m, rank_tol: float | None = None) -> np.ndarray:
+def range_basis(m) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of ``m``."""
     m = as_matrix(m)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > rank_tol))
-    return u[:, :rank]
+    return u[:, :_eps_rank(m, s)]
 
 
 def sqrt_psd(m) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import frames, numkit
-from .config import CONFIG_SCHEMA, params_schema
+from .config import CONFIG_SCHEMA, OPERATOR_SPEC, params_schema
 from .dynsamp import OrbitSpec, WeightSpec, nilpotent_shift, orbit
 from .errors import HypothesisViolated, InvalidHypothesis, InvalidInput
 from .frames import BoundsReport, VectorSystem
@@ -88,6 +88,10 @@ def _plain_orbit(t, phi, horizon, weights=None) -> VectorSystem:
                            weights=weights, horizon=horizon))
 
 
+def _column_norms(sys: VectorSystem) -> np.ndarray:
+    return np.linalg.norm(frames.synthesis(sys), axis=0)
+
+
 # ---------------------------------------------------------------------------
 # single-orbit perturbations
 # ---------------------------------------------------------------------------
@@ -119,13 +123,9 @@ def riesz_perturbation_certificate(cd: ContractionData, phi, psi, horizon: int,
     threshold = (1.0 - mu) * math.sqrt(a)
     margin = threshold - psi_norm
 
-    s_pinv = numkit.pinv(frames.frame_operator(base))
-    partial = 0.0
-    v_phi, v_psi = phi, psi
-    for _ in range(horizon):
-        partial += float(np.linalg.norm(v_psi) * np.linalg.norm(s_pinv @ v_phi))
-        v_phi = t @ v_phi
-        v_psi = t @ v_psi
+    # S^+ T^n phi is column n of the canonical dual of the base orbit
+    partial = float(_column_norms(_plain_orbit(t, psi, horizon))
+                    @ _column_norms(frames.canonical_dual(base)))
     tail = (mu**horizon) * psi_norm / ((1.0 - mu) * math.sqrt(a)) if a > 0 else math.inf
     total = partial + tail
 
@@ -264,25 +264,18 @@ def multi_generator_riesz_certificate(cd_w: ContractionData,
     w_report = frames.frame_bounds(w_sys, ambient=False)
     if w_report.a_opt <= w_report.tol:
         raise HypothesisViolated("W-orbit system has no lower bound on its span")
-    s = frames.frame_operator(w_sys)
-    s_pinv = numkit.pinv(s)
-    s_pinv_norm = numkit.operator_norm(s_pinv)
+    s_pinv_norm = 1.0 / w_report.a_opt  # ||S^+|| on the span
     energy = float(sum(np.linalg.norm(g) ** 2 for g in gens))
     threshold = (1.0 - lam**2) / (2.0 * s_pinv_norm)
     margin = threshold - energy
 
-    partial = 0.0
-    for g in gens:
-        wv, tv = g, g
-        for _ in range(horizon):
-            partial += float(
-                np.linalg.norm(wv - tv) * np.linalg.norm(s_pinv @ wv)
-            )
-            wv = w_op @ wv
-            tv = t_op @ tv
+    t_sys = orbit(OrbitSpec(operator=t_op, generators=gens, horizon=horizon))
+    # S^+ W^n g_j is a column of the canonical dual of the W-system
+    gaps = np.linalg.norm(frames.synthesis(w_sys) - frames.synthesis(t_sys),
+                          axis=0)
+    partial = float(gaps @ _column_norms(frames.canonical_dual(w_sys)))
     tail = 2.0 * s_pinv_norm * energy * lam ** (2 * horizon) / (1.0 - lam**2)
 
-    t_sys = orbit(OrbitSpec(operator=t_op, generators=gens, horizon=horizon))
     conclusion = frames.frame_bounds(t_sys, ambient=False)
     values = {
         "lambda": lam,
@@ -343,12 +336,8 @@ def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
         w_report,
     )
 
-    diff_sum = 0.0
-    tv, wv = phi.copy(), phi.copy()
-    for _ in range(horizon):
-        diff_sum += float(np.linalg.norm(tv - wv) ** 2)
-        tv = t_op @ tv
-        wv = w_op @ wv
+    t_cols, w_cols = frames.synthesis(base), frames.synthesis(w_sys)
+    diff_sum = float(np.sum(np.linalg.norm(t_cols - w_cols, axis=0) ** 2))
     tail = 4.0 * phi_norm**2 * lam ** (2 * horizon) / (1.0 - lam**2)
     sum_margin = a - (diff_sum + tail)
 
@@ -363,13 +352,7 @@ def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
     }
     base_span = frames.frame_bounds(base, ambient=False)
     if base_span.classification in _RIESZ:
-        combined_vecs = []
-        tv, wv = phi.copy(), phi.copy()
-        for _ in range(horizon):
-            combined_vecs.append(tv + wv)
-            tv = t_op @ tv
-            wv = w_op @ wv
-        combined = frames.vector_system(combined_vecs)
+        combined = VectorSystem(matrix=t_cols + w_cols)
         combined_report = frames.frame_bounds(combined, ambient=False)
         values["riesz_variant_margin"] = (
             math.sqrt(base_span.a_opt * (1.0 - lam**2)) - phi_norm
@@ -420,10 +403,9 @@ class CertificateKind(NamedTuple):
     concludes: Callable
 
 
-_OPERATOR = CONFIG_SCHEMA["properties"]["operator"]
 _PARAMS = {
     "horizon": {"type": "integer", "minimum": 1},
-    "operator": _OPERATOR,
+    "operator": OPERATOR_SPEC,
     "phi": {"type": "array"},
     "subspace_coords": {"type": "array", "minItems": 1, "uniqueItems": True,
                         "items": {"type": "integer", "minimum": 0}},
@@ -431,8 +413,8 @@ _PARAMS = {
     "psi_scales": {"type": "array", "minItems": 1,
                    "items": {"type": "number"}},
     "weights": CONFIG_SCHEMA["properties"]["weights"],
-    "w_operator": _OPERATOR,
-    "second_operator": _OPERATOR,
+    "w_operator": OPERATOR_SPEC,
+    "second_operator": OPERATOR_SPEC,
 }
 
 

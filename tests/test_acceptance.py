@@ -161,7 +161,8 @@ def test_criterion_7_lower_riesz_decay():
     t = dynsamp.nilpotent_shift(5)
     base = dynsamp.orbit(OrbitSpec(operator=t, generators=(delta(5, 0),),
                                    horizon=5))
-    vecs = list(base.vectors) + [base.vectors[0] + base.vectors[2]]
+    u = frames.synthesis(base)
+    vecs = list(u.T) + [u[:, 0] + u[:, 2]]
     profile = frames.lower_riesz_profile(frames.vector_system(vecs))
     ok = ok and bool(np.all(np.diff(profile) <= 1e-12))
     ok = ok and profile[-1] / profile[0] <= 0.1

@@ -206,17 +206,6 @@ def test_cli_repro_writes_report(tmp_path):
     report.validate_report(payload)
 
 
-def test_cli_cache_env(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("DYNSAMP_CACHE", str(cache))
-    out = tmp_path / "rep.json"
-    assert cli.main(["repro", "shift-orbit", "--out", str(out)]) == 0
-    cached = list(cache.glob("*.json"))
-    assert len(cached) == 1
-    payload = json.loads(cached[0].read_text())
-    assert payload["metadata"]["config_hash"] == cached[0].stem
-
-
 def test_preset_configs_parse():
     for name in presets.PRESET_NAMES:
         cfg = presets.preset_config(name)
@@ -382,6 +371,31 @@ def test_cli_refuses_malformed_params(tmp_path, capsys, case):
     assert not out_path.exists()
 
 
+BAD_BLOCKS = {
+    "a block that is a number": ([5], "5 is not of type 'object'"),
+    "a block whose values are a number": (
+        [{"kind": "diagonal", "values": 5}], "5 is not of type 'array'"),
+}
+
+
+@pytest.mark.parametrize("placement", ["config", "params"])
+@pytest.mark.parametrize("case", list(BAD_BLOCKS))
+def test_cli_refuses_malformed_nested_blocks(tmp_path, capsys, case,
+                                             placement):
+    blocks, message = BAD_BLOCKS[case]
+    operator = {"kind": "block_diag", "blocks": blocks}
+    raw = shift_config(operator=operator) if placement == "config" \
+        else gallery_with(RIESZ, operator=operator)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out_path = tmp_path / "r.json"
+    assert cli.main(["run", str(cfg_path), "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+    assert not out_path.exists()
+
+
 def test_params_for_unconfigured_check_refused():
     raw = shift_config(params={"orbit-bound": {}})
     with pytest.raises(ConfigError, match="names no configured check"):
@@ -441,3 +455,23 @@ def test_cli_overflowing_squared_bound_is_inf_without_warnings(tmp_path):
     assert bounds[2:] == ["inf", "inf"]
     assert all(isinstance(b, float) for b in bounds[:2])
     assert record["outputs"]["verdict"] == "cannot-be-frame"
+
+
+def test_cli_overflowing_orbit_is_an_error_record_without_warnings(tmp_path):
+    # 1e10^31 overflows float64; the orbit is built once and both orbit
+    # checks record the error
+    proc, record = run_subprocess(tmp_path, {
+        "schema_version": 1,
+        "dimension": 2,
+        "operator": {"kind": "diagonal", "values": [1e10, 0.5]},
+        "generators": [[1.0, 1.0]],
+        "horizon": 40,
+        "checks": ["orbit-bounds", "kernel-invariance"],
+    })
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    records = json.loads((tmp_path / "report.json").read_text())["checks"]
+    for rec in records:
+        assert rec["error"] == ("LinAlgError: orbit vector a_n T^n phi is "
+                                "not finite in float64 at n = 31")
+        assert rec["outputs"] == {}

@@ -38,17 +38,18 @@ def brute_stein_series(t, c, tail_target=1e-14):
 
 
 # ---------------------------------------------------------------------------
-# svd
+# spectrum (the thin SVD of a synthesis matrix)
 # ---------------------------------------------------------------------------
 
 def test_svd_identity():
-    _, s, _ = numkit.svd(np.eye(2))
-    np.testing.assert_allclose(s, [1.0, 1.0], atol=1e-14)
+    sp = numkit.spectrum(np.eye(2))
+    np.testing.assert_allclose(sp.s, [1.0, 1.0], atol=1e-14)
+    assert sp.rank == 2
 
 
 def test_svd_diagonal():
-    _, s, _ = numkit.svd(np.diag([2.0, 1.0]))
-    np.testing.assert_allclose(s, [2.0, 1.0], atol=1e-14)
+    sp = numkit.spectrum(np.diag([2.0, 1.0]))
+    np.testing.assert_allclose(sp.s, [2.0, 1.0], atol=1e-14)
 
 
 def test_svd_rectangular_against_char_poly():
@@ -56,8 +57,9 @@ def test_svd_rectangular_against_char_poly():
     # Oracle: eigenvalues of M M* = [[2,1],[1,2]] from its characteristic
     # polynomial x^2 - 4x + 3.
     eigs = sorted(np.roots([1.0, -4.0, 3.0]).real, reverse=True)
-    _, s, _ = numkit.svd(m)
-    np.testing.assert_allclose(s, np.sqrt(eigs), atol=1e-12)
+    sp = numkit.spectrum(m)
+    np.testing.assert_allclose(sp.s, np.sqrt(eigs), atol=1e-12)
+    assert sp.cut == pytest.approx(1e-10 * eigs[0], rel=1e-12)
 
 
 def test_svd_reconstruction_randomized():
@@ -66,15 +68,15 @@ def test_svd_reconstruction_randomized():
         d = int(rng.integers(2, 17))
         n = int(rng.integers(1, 17))
         m = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-        u, s, vh = numkit.svd(m)
-        err = numkit.frobenius(m - u @ (s[:, None] * vh))
+        sp = numkit.spectrum(m)
+        err = numkit.frobenius(m - sp.u @ (sp.s[:, None] * sp.vh))
         assert err <= 1e-12 * (1.0 + numkit.frobenius(m))
-        assert np.all(np.diff(s) <= 1e-14) and np.all(s >= 0)
+        assert np.all(np.diff(sp.s) <= 1e-14) and np.all(sp.s >= 0)
 
 
 def test_svd_rejects_nonfinite():
     with pytest.raises(InvalidInput):
-        numkit.svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        numkit.spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
