@@ -29,7 +29,7 @@ from .config import (
     parse_operator_spec,
     parse_weight_spec,
 )
-from .dynsamp import OrbitSpec, WeightSpec
+from .dynsamp import WeightSpec
 from .errors import DynsampLabError, InvalidInput
 from .frames import VectorSystem
 from .report import CheckRecord, ExperimentReport
@@ -484,11 +484,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     operator = cfg.operator_array()
     generators = cfg.generator_arrays()
     params = _parse_params(cfg, operator, generators)
-    spec = OrbitSpec(operator=operator, generators=generators,
-                     weights=cfg.weights or WeightSpec.constant(1.0),
-                     horizon=cfg.horizon)
     # an orbit that raises is not cached: each orbit check records the error
-    orbit = cache(lambda: dynsamp.orbit(spec))
+    orbit = cache(partial(dynsamp.orbit, operator, generators, cfg.horizon,
+                          cfg.weights or WeightSpec.constant(1.0)))
     records = [
         run_single(CheckContext(
             config=cfg,

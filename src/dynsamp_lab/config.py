@@ -305,6 +305,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if len(g) != dim:
             raise ConfigError(f"generator length {len(g)} != dimension {dim}")
     weights = parse_weight_spec(raw.get("weights"))
+    if weights is not None:
+        try:
+            weights.sequence(raw["horizon"])
+        except InvalidInput as exc:
+            raise ConfigError(f"weights: {exc}") from None
     checks = tuple(raw["checks"])
     return ExperimentConfig(
         dimension=dim,

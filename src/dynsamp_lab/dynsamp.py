@@ -50,7 +50,9 @@ class WeightSpec:
         if self.kind == "constant":
             out = np.full(count, self.value, dtype=complex)
         elif self.kind == "geometric":
-            out = np.asarray(self.value, dtype=complex) ** np.arange(count)
+            # a power past float64 is not finite; the orbit guard names its n
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.asarray(self.value, dtype=complex) ** np.arange(count)
         elif self.kind == "explicit":
             if self.values is None or len(self.values) < count:
                 raise InvalidInput(
@@ -69,18 +71,6 @@ class WeightSpec:
 # orbit construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class OrbitSpec:
-    """Recipe for a truncated orbit system {a_n T^n phi}."""
-
-    operator: np.ndarray
-    generators: tuple[np.ndarray, ...]
-    weights: WeightSpec | None = None
-    horizon: int = 1
-    index_model: str = "N0"  # "N0" or "Z"
-    period: int | None = None
-
-
 def cyclic_shift(dim: int) -> np.ndarray:
     """Unitary cyclic shift: delta_k -> delta_{k+1 mod dim}."""
     return np.roll(np.eye(dim, dtype=complex), 1, axis=0)
@@ -94,60 +84,46 @@ def nilpotent_shift(dim: int) -> np.ndarray:
     return m
 
 
-def orbit(spec: OrbitSpec) -> VectorSystem:
-    """Materialize the orbit system, ordered generator-major.
+def orbit(t, generators, horizon: int,
+          weights: WeightSpec | None = None) -> VectorSystem:
+    """Materialize the truncated orbit system {a_n T^n phi}, n < horizon,
+    ordered generator-major.
 
     For each generator phi, ``a_0 phi, a_1 T phi, ..., a_{N-1} T^{N-1}
     phi`` are consecutive synthesis columns; provenance records the
-    operator, generators and index model.  A column that float64 cannot
-    hold raises ``LinAlgError`` naming n, with no numpy warning.
+    operator, generators and horizon.  When T^p = I, the two-sided orbit
+    {T^n phi : n in Z} runs through the p vectors of this orbit at
+    horizon p, once per period.  A column that float64 cannot hold raises
+    ``LinAlgError`` naming n, with no numpy warning.
     """
-    t = numkit.as_operator(spec.operator)
-    gens = tuple(numkit.as_vector(g) for g in spec.generators)
+    t = numkit.as_operator(t)
+    gens = tuple(numkit.as_vector(g) for g in generators)
     if not gens:
         raise InvalidInput("orbit needs at least one generator")
     if any(g.size != t.shape[0] for g in gens):
         raise InvalidInput("generator dimension does not match the operator")
-    if spec.horizon < 1:
+    if horizon < 1:
         raise InvalidInput("horizon must be >= 1")
-    if spec.index_model not in ("N0", "Z"):
-        raise InvalidInput(f"unknown index model {spec.index_model!r}")
-    if spec.index_model == "Z":
-        if spec.period is None or spec.period < 1:
-            raise InvalidInput("Z-periodic orbits need a positive period")
-        dev = numkit.frobenius(
-            np.linalg.matrix_power(t, spec.period) - np.eye(t.shape[0])
-        )
-        if dev > 1e-10 * max(1.0, math.sqrt(t.shape[0])):
-            raise InvalidInput(
-                f"operator is not {spec.period}-periodic (deviation {dev:.3e})"
-            )
 
-    h = spec.horizon
+    h = horizon
     u = np.empty((t.shape[0], len(gens) * h), dtype=complex)
-    weights = None
+    seq = None
     with np.errstate(over="ignore", invalid="ignore"):
         for j, g in enumerate(gens):
             v = g
             for n in range(h):
                 u[:, j * h + n] = v
                 v = t @ v
-        if spec.weights:
-            weights = np.tile(spec.weights.sequence(h), len(gens))
-            u *= weights
+        if weights:
+            seq = np.tile(weights.sequence(h), len(gens))
+            u *= seq
     finite = np.isfinite(u)
     if not finite.all():
         n = np.argmin(finite.all(axis=0).reshape(len(gens), h).all(axis=0))
         raise np.linalg.LinAlgError(
             f"orbit vector a_n T^n phi is not finite in float64 at n = {n}")
-    prov = OrbitProvenance(
-        operator=t,
-        generators=gens,
-        index_model=spec.index_model,
-        period=spec.period,
-        horizon=spec.horizon,
-    )
-    return VectorSystem(matrix=u, weights=weights, provenance=prov)
+    prov = OrbitProvenance(operator=t, generators=gens, horizon=h)
+    return VectorSystem(matrix=u, weights=seq, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +143,7 @@ def bessel_bound_contractive(t, phi) -> float:
     return float(np.linalg.norm(phi) ** 2 / (1.0 - norm_t**2))
 
 
-def orbit_frame_operator_exact(t, phi, tol: float = 1e-12) -> SteinSolution:
+def orbit_frame_operator_exact(t, phi) -> SteinSolution:
     """Frame operator of the full infinite orbit {T^n phi}, n >= 0.
 
     Computed as the Stein solution of ``S - T S T* = phi phi*``; positive
@@ -178,18 +154,13 @@ def orbit_frame_operator_exact(t, phi, tol: float = 1e-12) -> SteinSolution:
     phi = numkit.as_vector(phi)
     if phi.size != t.shape[0]:
         raise InvalidInput("generator dimension does not match the operator")
-    return numkit.solve_stein(t, np.outer(phi, phi.conj()), tol=tol)
+    return numkit.solve_stein(t, np.outer(phi, phi.conj()))
 
 
 def reachability_rank(t, phi) -> int:
-    """Rank of ``[phi, T phi, ..., T^{d-1} phi]``."""
+    """Rank of ``[phi, T phi, ..., T^{d-1} phi]``, the orbit at horizon d."""
     t = numkit.as_operator(t)
-    phi = numkit.as_vector(phi)
-    d = t.shape[0]
-    cols = [phi]
-    for _ in range(d - 1):
-        cols.append(t @ cols[-1])
-    return numkit.matrix_rank(np.column_stack(cols))
+    return numkit.matrix_rank(frames.synthesis(orbit(t, (phi,), t.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +279,18 @@ class RangeSpanResult:
     gap: float
 
 
-def range_span_check(t, sys: VectorSystem, tol: float = 1e-8) -> RangeSpanResult:
+def range_span_check(t, sys: VectorSystem) -> RangeSpanResult:
     """Compare the column space of T with the span of the orbit tail.
 
     The tail drops the n = 0 vector of every generator run.  The gap is
     the spectral norm of the difference of the orthogonal projectors,
     which equals the largest principal-angle sine for subspaces of equal
-    dimension and 1 when the dimensions differ.
+    dimension and 1 when the dimensions differ; the spaces are equal when
+    it is at most 1e-8.
     """
     t = numkit.as_operator(t)
     prov = sys.provenance
-    if prov is None or prov.horizon is None:
+    if prov is None:
         raise InvalidInput("system must carry orbit provenance")
     h = prov.horizon
     if h < 2:
@@ -331,24 +303,22 @@ def range_span_check(t, sys: VectorSystem, tol: float = 1e-8) -> RangeSpanResult
     p1 = q_range @ numkit.adjoint(q_range)
     p2 = q_tail @ numkit.adjoint(q_tail)
     gap = numkit.operator_norm(p1 - p2) if (p1.size and p2.size) else 1.0
-    return RangeSpanResult(equal=gap <= tol, gap=float(gap))
+    return RangeSpanResult(equal=gap <= 1e-8, gap=float(gap))
 
 
 # ---------------------------------------------------------------------------
 # frames generated by positive operators
 # ---------------------------------------------------------------------------
 
-def frame_from_positive_operator(t, basis: VectorSystem,
-                                 tol: float | None = None) -> VectorSystem:
+def frame_from_positive_operator(t, basis: VectorSystem) -> VectorSystem:
     """System {T^{1/2} e_k} over an ONB; its frame operator equals T.
 
-    Requires T Hermitian positive definite: all eigenvalues above ``tol``
-    (default ``1e-10 * lambda_max``).
+    Requires T Hermitian positive definite: all eigenvalues above
+    ``1e-10 * lambda_max``.
     """
     t = numkit.as_operator(t)
     w, _ = numkit.eig_hermitian(t)
-    cut = 1e-10 * float(w[-1]) if tol is None else float(tol)
-    if w[0] <= cut:
+    if w[0] <= 1e-10 * float(w[-1]):
         raise InvalidInput(
             f"operator is not positive definite: min eigenvalue {w[0]:.3e}"
         )
@@ -436,19 +406,19 @@ def unitary_nogo_proxy(t, phi, horizons) -> list[float]:
 
     For unitary T the trace of the truncated frame operator is
     ``N ||phi||^2``, so the upper bound grows at least like
-    ``N ||phi||^2 / dim``: the infinite orbit cannot be a frame.
+    ``N ||phi||^2 / dim``: the infinite orbit cannot be a frame.  One
+    orbit is walked to the largest horizon; the truncation at N is its
+    first N vectors.
     """
     t = numkit.as_operator(t)
-    phi = numkit.as_vector(phi)
     if numkit.frobenius(numkit.adjoint(t) @ t - np.eye(t.shape[0])) > 1e-10:
         raise InvalidInput("operator is not unitary within tolerance")
-    out = []
-    for n in horizons:
-        if n < 1:
-            raise InvalidInput("horizons must be positive")
-        sys = orbit(OrbitSpec(operator=t, generators=(phi,), horizon=int(n)))
-        out.append(frames.frame_bounds(sys, ambient=True).b_opt)
-    return out
+    horizons = [int(n) for n in horizons]
+    if min(horizons, default=0) < 1:
+        raise InvalidInput("horizons must be positive")
+    u = frames.synthesis(orbit(t, (phi,), max(horizons)))
+    return [frames.frame_bounds(VectorSystem(matrix=u[:, :n])).b_opt
+            for n in horizons]
 
 
 # ---------------------------------------------------------------------------
@@ -472,70 +442,68 @@ class PeriodicOrbitModel:
     transformed_upper: float
 
 
-def _psd_root_pair(s, rel_tol: float = 1e-12):
-    """Square root and pseudo-inverse square root of a PSD matrix, both cut
-    at ``rel_tol * lambda_max`` on the eigenvalues of ``s`` (thresholding
-    after the square root would invert eigenvalue dust amplified from
-    eps to sqrt(eps))."""
-    w, v = numkit.eig_hermitian(s)
-    cut = rel_tol * max(float(w[-1]), 0.0)
-    keep = w > cut
-    vk = v[:, keep]
-    wk = np.sqrt(w[keep])
-    root = (vk * wk) @ numkit.adjoint(vk)
-    root_pinv = (vk / wk) @ numkit.adjoint(vk)
-    projector = vk @ numkit.adjoint(vk)
-    return root, root_pinv, projector
+# T^p = I is accepted when ||T^p - I||_F <= _PERIOD_TOL * max(1, sqrt(d)).
+_PERIOD_TOL = 1e-10
 
 
-def detect_period(t, cap: int = 512, tol: float = 1e-10) -> int:
-    """Smallest p <= cap with T^p = I within tolerance."""
+def detect_period(t) -> int:
+    """Smallest p <= 512 with T^p = I within tolerance."""
     t = numkit.as_operator(t)
     d = t.shape[0]
     eye = np.eye(d)
     power = np.array(t)
-    for p in range(1, cap + 1):
-        if numkit.frobenius(power - eye) <= tol * max(1.0, math.sqrt(d)):
+    for p in range(1, 513):
+        if numkit.frobenius(power - eye) <= _PERIOD_TOL * max(1.0, math.sqrt(d)):
             return p
         power = power @ t
-    raise InvalidInput(f"no period <= {cap} found")
+    raise InvalidInput("no period <= 512 found")
 
 
-def periodic_orbit_model(t, phi, period: int | None = None, probes: int = 20,
-                         seed: int = 0, tol: float = 1e-10) -> PeriodicOrbitModel:
+def _period(t: np.ndarray, period: int | None) -> int:
+    """The period of T: detected, or ``period`` verified to give T^p = I."""
+    if period is None:
+        return detect_period(t)
+    p = int(period)
+    if p < 1:
+        raise InvalidInput("period must be >= 1")
+    dev = numkit.frobenius(np.linalg.matrix_power(t, p) - np.eye(t.shape[0]))
+    if dev > _PERIOD_TOL * max(1.0, math.sqrt(t.shape[0])):
+        raise InvalidInput(f"operator is not {p}-periodic (deviation {dev:.3e})")
+    return p
+
+
+def periodic_orbit_model(t, phi, period: int | None = None,
+                         seed: int = 0) -> PeriodicOrbitModel:
     """Exact one-period model of a two-sided orbit {T^n phi}, T^p = I.
 
-    Computes ``S = sum_{n<p} T^n phi phi* T*^n`` and verifies, numerically:
-    the invariance ``T S T* = S``; unitarity of ``U = S^{-1/2} T S^{1/2}``
-    (against the projector onto the range of S when the orbit only spans a
-    subspace); the norm sandwich ``sqrt(A/B) ||f|| <= ||T^n f|| <=
-    sqrt(B/A) ||f||`` over random probes and all |n| <= p; and the bounds
-    of the transformed orbit {U^n S^{-1/2} phi}, which land in
-    [A/B, B/A].
+    The orbit at horizon p is the two-sided orbit, one period of it, with
+    ``S = sum_{n<p} T^n phi phi* T*^n``.  Its bounds, rank, ``S^{1/2}``,
+    ``S^{+1/2}`` and the projector onto its span all come from the orbit's
+    one spectrum, ``S^{1/2} = U_r Sigma_r U_r*``.  Verified numerically:
+    the invariance ``T S T* = S``; unitarity of ``U = S^{+1/2} T S^{1/2}``
+    (against the span projector when the orbit only spans a subspace);
+    the norm sandwich ``sqrt(A/B) ||f|| <= ||T^n f|| <= sqrt(B/A) ||f||``
+    over 20 random probes and all |n| <= p; and the bounds of the
+    transformed orbit {U^n S^{+1/2} phi}, which land in [A/B, B/A].
     """
     t = numkit.as_operator(t)
     phi = numkit.as_vector(phi)
     d = t.shape[0]
-    p = detect_period(t) if period is None else int(period)
-    dev = numkit.frobenius(np.linalg.matrix_power(t, p) - np.eye(d))
-    if dev > 1e-10 * max(1.0, math.sqrt(d)):
-        raise InvalidInput(f"operator is not {p}-periodic (deviation {dev:.3e})")
+    p = _period(t, period)
 
-    sys = orbit(OrbitSpec(operator=t, generators=(phi,), horizon=p,
-                          index_model="Z", period=p))
+    sys = orbit(t, (phi,), p)
     s = frames.frame_operator(sys)
-    w = np.linalg.eigvalsh((s + numkit.adjoint(s)) / 2.0)
-    span_relative = w[0] <= 1e-12 * max(w[-1], 0.0)
-    if span_relative:
-        positive = w[w > 1e-12 * max(w[-1], 0.0)]
-        lower = float(positive[0]) if positive.size else 0.0
-    else:
-        lower = float(w[0])
-    upper = float(w[-1])
+    bounds = frames.frame_bounds(sys, ambient=False)
+    lower, upper = bounds.a_opt, bounds.b_opt
+    span_relative = bounds.rank < d
 
     tst_residual = numkit.frobenius(t @ s @ numkit.adjoint(t) - s)
 
-    root, root_pinv, projector = _psd_root_pair(s)
+    sp = sys.spectrum
+    ur, sr = sp.range_basis, sp.s[:sp.rank]
+    root = (ur * sr) @ numkit.adjoint(ur)
+    root_pinv = (ur / sr) @ numkit.adjoint(ur)
+    projector = ur @ numkit.adjoint(ur)
     u = root_pinv @ t @ root
     # the projector is the identity when the orbit spans
     unitarity_residual = numkit.frobenius(numkit.adjoint(u) @ u - projector)
@@ -547,7 +515,7 @@ def periodic_orbit_model(t, phi, period: int | None = None, probes: int = 20,
     t_inv = np.linalg.matrix_power(t, p - 1)  # T^{-1} since T^p = I
     lower_margin = math.inf
     upper_margin = math.inf
-    for _ in range(probes):
+    for _ in range(20):
         f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         if span_relative:
             f = projector @ f
@@ -564,8 +532,7 @@ def periodic_orbit_model(t, phi, period: int | None = None, probes: int = 20,
             fwd = t @ fwd
             bwd = t_inv @ bwd
 
-    psi = root_pinv @ phi
-    transformed = orbit(OrbitSpec(operator=u, generators=(psi,), horizon=p))
+    transformed = orbit(u, (root_pinv @ phi,), p)
     trep = frames.frame_bounds(transformed, ambient=not span_relative)
 
     return PeriodicOrbitModel(
@@ -573,7 +540,7 @@ def periodic_orbit_model(t, phi, period: int | None = None, probes: int = 20,
         period=p,
         lower=lower,
         upper=upper,
-        span_relative=bool(span_relative),
+        span_relative=span_relative,
         tst_residual=float(tst_residual),
         unitarity_residual=float(unitarity_residual),
         sandwich_lower_margin=float(lower_margin),
@@ -589,13 +556,13 @@ class CommutantTransportResult:
     power_residuals: tuple[float, ...]
 
 
-def commutant_transport(t, v, phi, period: int | None = None,
-                        tol: float = 1e-8) -> CommutantTransportResult:
+def commutant_transport(t, v, phi,
+                        period: int | None = None) -> CommutantTransportResult:
     """Compare frame operators of the orbits of phi and V phi.
 
-    For unitary V commuting with T the one-period frame operator
-    transports as ``S~ = V S V*``, and likewise for its powers (n = 1, 2,
-    3 are reported).
+    For unitary V (within 1e-10) commuting with T (within 1e-8) the
+    one-period frame operator transports as ``S~ = V S V*``, and likewise
+    for its powers (n = 1, 2, 3 are reported).
     """
     t = numkit.as_operator(t)
     v = numkit.as_operator(v)
@@ -603,17 +570,11 @@ def commutant_transport(t, v, phi, period: int | None = None,
     d = t.shape[0]
     if numkit.frobenius(numkit.adjoint(v) @ v - np.eye(d)) > 1e-10:
         raise InvalidInput("V is not unitary within tolerance")
-    if numkit.frobenius(v @ t - t @ v) > tol:
+    if numkit.frobenius(v @ t - t @ v) > 1e-8:
         raise InvalidInput("V does not commute with T within tolerance")
-    p = detect_period(t) if period is None else int(period)
-
-    def one_period(g):
-        sys = orbit(OrbitSpec(operator=t, generators=(g,), horizon=p,
-                              index_model="Z", period=p))
-        return frames.frame_operator(sys)
-
-    s = one_period(phi)
-    s_tilde = one_period(v @ phi)
+    p = _period(t, period)
+    s = frames.frame_operator(orbit(t, (phi,), p))
+    s_tilde = frames.frame_operator(orbit(t, (v @ phi,), p))
     transported = v @ s @ numkit.adjoint(v)
     residual = numkit.frobenius(s_tilde - transported)
     powers = tuple(
@@ -704,8 +665,7 @@ def ratio_bound_check(sys: VectorSystem) -> RatioBoundResult:
     report = frames.frame_bounds(sys, ambient=True)
     if report.a_opt <= report.tol:
         raise NotAFrame("system is not a frame of the ambient space")
-    h = sys.provenance.horizon or len(sys)
-    run = sys.weights[:h]
+    run = sys.weights[:sys.provenance.horizon]
     if run.size < 2:
         raise InvalidInput("need at least two weights to form a ratio")
     sup_ratio = float(np.max(np.abs(run[:-1] / run[1:])))
@@ -721,7 +681,7 @@ def ratio_bound_check(sys: VectorSystem) -> RatioBoundResult:
 # ---------------------------------------------------------------------------
 
 def representation_residual(f_sys: VectorSystem, g_sys: VectorSystem,
-                            weights, tol: float = 1e-8) -> float:
+                            weights) -> float:
     """Residual of the weighted-orbit recursion under a dual pair.
 
     With f_k the effective system vectors, g_k a dual family and a_n the
@@ -731,7 +691,7 @@ def representation_residual(f_sys: VectorSystem, g_sys: VectorSystem,
 
     over 1 <= j <= N-1, the k-sum (the mixed frame operator of {(a_{k-1} /
     a_k) f_{k+1}} and {g_k}, applied to f_j) truncated at N-1.  The pair
-    must satisfy the reconstruction identity on the span within ``tol``.
+    must satisfy the reconstruction identity on the span within 1e-8.
     """
     if f_sys.dim != g_sys.dim or len(f_sys) != len(g_sys):
         raise InvalidInput("dual pair must match in dimension and length")
@@ -745,7 +705,7 @@ def representation_residual(f_sys: VectorSystem, g_sys: VectorSystem,
     fu = frames.synthesis(f_sys)
     q = f_sys.spectrum.range_basis
     mixed = frames.mixed_frame_operator(f_sys, g_sys)
-    if numkit.operator_norm(mixed - q @ numkit.adjoint(q)) > tol:
+    if numkit.operator_norm(mixed - q @ numkit.adjoint(q)) > 1e-8:
         raise InvalidInput("second system is not a dual of the first")
 
     if n < 2:

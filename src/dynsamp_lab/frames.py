@@ -28,13 +28,12 @@ CLASSIFICATIONS = (
 
 @dataclass(frozen=True, eq=False)
 class OrbitProvenance:
-    """How an orbit system was generated."""
+    """How an orbit system was generated: the operator, the generators and
+    the horizon, each generator's run being ``horizon`` vectors long."""
 
     operator: np.ndarray
     generators: tuple[np.ndarray, ...]
-    index_model: str  # "N0" or "Z"
-    period: int | None = None
-    horizon: int | None = None
+    horizon: int
 
 
 @dataclass(frozen=True, eq=False)

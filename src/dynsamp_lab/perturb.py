@@ -20,7 +20,7 @@ import numpy as np
 
 from . import frames, numkit
 from .config import CONFIG_SCHEMA, OPERATOR_SPEC, params_schema
-from .dynsamp import OrbitSpec, WeightSpec, nilpotent_shift, orbit
+from .dynsamp import WeightSpec, nilpotent_shift, orbit
 from .errors import HypothesisViolated, InvalidHypothesis, InvalidInput
 from .frames import BoundsReport, VectorSystem
 
@@ -42,8 +42,9 @@ class ContractionData:
     invariance_defect: float
 
 
-def contraction_data(t, subspace_basis, tol: float = 1e-8) -> ContractionData:
-    """Validate an invariant contraction subspace."""
+def contraction_data(t, subspace_basis) -> ContractionData:
+    """Validate an invariant contraction subspace (invariance defect at
+    most 1e-8)."""
     t = numkit.as_operator(t)
     v = numkit.as_matrix(subspace_basis)
     if v.shape[0] != t.shape[0]:
@@ -54,9 +55,9 @@ def contraction_data(t, subspace_basis, tol: float = 1e-8) -> ContractionData:
     p = v @ numkit.adjoint(v)
     eye = np.eye(t.shape[0])
     defect = numkit.operator_norm((eye - p) @ t @ p)
-    if defect > tol:
+    if defect > 1e-8:
         raise InvalidHypothesis(
-            f"subspace is not invariant: defect {defect:.3e} > {tol:.1e}"
+            f"subspace is not invariant: defect {defect:.3e} > 1.0e-08"
         )
     mu = numkit.operator_norm(t @ v)
     if mu >= 1.0:
@@ -65,10 +66,10 @@ def contraction_data(t, subspace_basis, tol: float = 1e-8) -> ContractionData:
                            invariance_defect=float(defect))
 
 
-def _in_subspace(cd: ContractionData, vec, tol: float) -> None:
+def _in_subspace(cd: ContractionData, vec) -> None:
     v = numkit.as_vector(vec)
     p = cd.subspace_basis @ (numkit.adjoint(cd.subspace_basis) @ v)
-    if np.linalg.norm(v - p) > tol * max(1.0, np.linalg.norm(v)):
+    if np.linalg.norm(v - p) > 1e-8 * max(1.0, np.linalg.norm(v)):
         raise InvalidHypothesis("vector is not in the contraction subspace")
 
 
@@ -83,11 +84,6 @@ class Certificate:
     conclusion_check: BoundsReport | None = None
 
 
-def _plain_orbit(t, phi, horizon, weights=None) -> VectorSystem:
-    return orbit(OrbitSpec(operator=t, generators=(numkit.as_vector(phi),),
-                           weights=weights, horizon=horizon))
-
-
 def _column_norms(sys: VectorSystem) -> np.ndarray:
     return np.linalg.norm(frames.synthesis(sys), axis=0)
 
@@ -96,8 +92,8 @@ def _column_norms(sys: VectorSystem) -> np.ndarray:
 # single-orbit perturbations
 # ---------------------------------------------------------------------------
 
-def riesz_perturbation_certificate(cd: ContractionData, phi, psi, horizon: int,
-                                   tol: float = 1e-8) -> Certificate:
+def riesz_perturbation_certificate(cd: ContractionData, phi, psi,
+                                   horizon: int) -> Certificate:
     """Riesz-sequence stability of {T^n (phi + psi)} for psi in the
     contraction subspace.
 
@@ -110,8 +106,8 @@ def riesz_perturbation_certificate(cd: ContractionData, phi, psi, horizon: int,
     t = cd.operator
     phi = numkit.as_vector(phi)
     psi = numkit.as_vector(psi)
-    _in_subspace(cd, psi, tol)
-    base = _plain_orbit(t, phi, horizon)
+    _in_subspace(cd, psi)
+    base = orbit(t, (phi,), horizon)
     report = frames.frame_bounds(base, ambient=False)
     if report.classification not in _RIESZ:
         raise HypothesisViolated(
@@ -124,12 +120,12 @@ def riesz_perturbation_certificate(cd: ContractionData, phi, psi, horizon: int,
     margin = threshold - psi_norm
 
     # S^+ T^n phi is column n of the canonical dual of the base orbit
-    partial = float(_column_norms(_plain_orbit(t, psi, horizon))
+    partial = float(_column_norms(orbit(t, (psi,), horizon))
                     @ _column_norms(frames.canonical_dual(base)))
     tail = (mu**horizon) * psi_norm / ((1.0 - mu) * math.sqrt(a)) if a > 0 else math.inf
     total = partial + tail
 
-    perturbed = _plain_orbit(t, phi + psi, horizon)
+    perturbed = orbit(t, (phi + psi,), horizon)
     conclusion = frames.frame_bounds(perturbed, ambient=False)
     values = {
         "lower_riesz_bound": a,
@@ -146,8 +142,8 @@ def riesz_perturbation_certificate(cd: ContractionData, phi, psi, horizon: int,
 
 
 def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
-                                            weights: WeightSpec, horizon: int,
-                                            tol: float = 1e-8) -> Certificate:
+                                            weights: WeightSpec,
+                                            horizon: int) -> Certificate:
     """Frame stability of {a_n T^n (phi + psi)} for psi in the contraction
     subspace.
 
@@ -162,9 +158,9 @@ def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
     t = cd.operator
     phi = numkit.as_vector(phi)
     psi = numkit.as_vector(psi)
-    _in_subspace(cd, psi, tol)
+    _in_subspace(cd, psi)
     a_seq = weights.sequence(horizon)
-    base = _plain_orbit(t, phi, horizon, weights=weights)
+    base = orbit(t, (phi,), horizon, weights)
     report = frames.frame_bounds(base, ambient=False)
     if report.a_opt <= report.tol:
         raise HypothesisViolated("base weighted orbit has no lower bound")
@@ -175,7 +171,7 @@ def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
     threshold = math.sqrt(a * (1.0 - mu**2))
     margin = threshold - sup_weight * psi_norm
 
-    perturbed = _plain_orbit(t, phi + psi, horizon, weights=weights)
+    perturbed = orbit(t, (phi + psi,), horizon, weights)
     ambient_report = frames.frame_bounds(perturbed, ambient=True)
     span_report = frames.frame_bounds(perturbed, ambient=False)
     values = {
@@ -191,8 +187,7 @@ def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
 
 
 def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
-                                              horizon: int,
-                                              tol: float = 1e-8) -> Certificate:
+                                              horizon: int) -> Certificate:
     """Frame stability of {a_n T^n (phi + psi)} from a weight-ratio bound.
 
     Hypotheses: {a_n T^n phi} is a frame with lower bound A and
@@ -204,7 +199,7 @@ def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
     phi = numkit.as_vector(phi)
     psi = numkit.as_vector(psi)
     a_seq = weights.sequence(horizon + 1)
-    base = _plain_orbit(t, phi, horizon, weights=weights)
+    base = orbit(t, (phi,), horizon, weights)
     base_report = frames.frame_bounds(base, ambient=True)
     if base_report.a_opt <= base_report.tol:
         raise HypothesisViolated("base weighted orbit is not a frame")
@@ -217,11 +212,11 @@ def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
         b = 0.0
         margin = math.inf
     else:
-        bessel_sys = _plain_orbit(t, psi, horizon, weights=shifted)
+        bessel_sys = orbit(t, (psi,), horizon, shifted)
         b = frames.frame_bounds(bessel_sys, ambient=True).b_opt
         margin = math.sqrt(a / b) - sup_ratio if b > 0 else math.inf
 
-    perturbed = _plain_orbit(t, phi + psi, horizon, weights=weights)
+    perturbed = orbit(t, (phi + psi,), horizon, weights)
     conclusion = frames.frame_bounds(perturbed, ambient=True)
     values = {
         "lower_bound": a,
@@ -239,8 +234,7 @@ def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
 
 def multi_generator_riesz_certificate(cd_w: ContractionData,
                                       cd_t: ContractionData, generators,
-                                      horizon: int,
-                                      tol: float = 1e-8) -> Certificate:
+                                      horizon: int) -> Certificate:
     """Riesz-sequence transfer from W-orbits to T-orbits of shared
     generators inside both contraction subspaces.
 
@@ -256,11 +250,11 @@ def multi_generator_riesz_certificate(cd_w: ContractionData,
     if not gens:
         raise InvalidInput("need at least one generator")
     for g in gens:
-        _in_subspace(cd_w, g, tol)
-        _in_subspace(cd_t, g, tol)
+        _in_subspace(cd_w, g)
+        _in_subspace(cd_t, g)
     lam = max(cd_w.mu, cd_t.mu)
 
-    w_sys = orbit(OrbitSpec(operator=w_op, generators=gens, horizon=horizon))
+    w_sys = orbit(w_op, gens, horizon)
     w_report = frames.frame_bounds(w_sys, ambient=False)
     if w_report.a_opt <= w_report.tol:
         raise HypothesisViolated("W-orbit system has no lower bound on its span")
@@ -269,7 +263,7 @@ def multi_generator_riesz_certificate(cd_w: ContractionData,
     threshold = (1.0 - lam**2) / (2.0 * s_pinv_norm)
     margin = threshold - energy
 
-    t_sys = orbit(OrbitSpec(operator=t_op, generators=gens, horizon=horizon))
+    t_sys = orbit(t_op, gens, horizon)
     # S^+ W^n g_j is a column of the canonical dual of the W-system
     gaps = np.linalg.norm(frames.synthesis(w_sys) - frames.synthesis(t_sys),
                           axis=0)
@@ -292,8 +286,7 @@ def multi_generator_riesz_certificate(cd_w: ContractionData,
 
 
 def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
-                              phi, horizon: int,
-                              tol: float = 1e-8) -> tuple[Certificate, Certificate]:
+                              phi, horizon: int) -> tuple[Certificate, Certificate]:
     """Certificates for replacing the T-orbit of phi by the W-orbit.
 
     The frame certificate uses the stated inequality
@@ -307,11 +300,11 @@ def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
     t_op = cd_t.operator
     w_op = cd_w.operator
     phi = numkit.as_vector(phi)
-    _in_subspace(cd_t, phi, tol)
-    _in_subspace(cd_w, phi, tol)
+    _in_subspace(cd_t, phi)
+    _in_subspace(cd_w, phi)
     lam = max(cd_t.mu, cd_w.mu)
 
-    base = _plain_orbit(t_op, phi, horizon)
+    base = orbit(t_op, (phi,), horizon)
     base_report = frames.frame_bounds(base, ambient=True)
     if base_report.a_opt <= base_report.tol:
         raise HypothesisViolated("T-orbit prefix is not a frame")
@@ -319,7 +312,7 @@ def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
     phi_norm = float(np.linalg.norm(phi))
     threshold = math.sqrt(a * (1.0 - lam**2))
 
-    w_sys = _plain_orbit(w_op, phi, horizon)
+    w_sys = orbit(w_op, (phi,), horizon)
     w_report = frames.frame_bounds(w_sys, ambient=True)
 
     frame_margin = threshold - 2.0 * phi_norm

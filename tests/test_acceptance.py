@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from dynsamp_lab import cli, dynsamp, frames, numkit, perturb
-from dynsamp_lab.dynsamp import OrbitSpec, WeightSpec
+from dynsamp_lab.dynsamp import WeightSpec
 
 
 def _verdict(num, desc, ok):
@@ -147,8 +147,7 @@ def test_criterion_6_ratio_bound():
             ratios = rng.uniform(0.5, 2.0, size=horizon - 1)
             vals = np.concatenate([[1.0], np.cumprod(ratios)])
             weights = WeightSpec.explicit(vals)
-        sys = dynsamp.orbit(OrbitSpec(operator=t, generators=(phi,),
-                                      weights=weights, horizon=horizon))
+        sys = dynsamp.orbit(t, (phi,), horizon, weights)
         res = dynsamp.ratio_bound_check(sys)
         ok = ok and res.sup_ratio <= res.bound + 1e-10
         count += 1
@@ -159,8 +158,7 @@ def test_criterion_7_lower_riesz_decay():
     ok = True
     # nilpotent shift orbit plus one dependent vector
     t = dynsamp.nilpotent_shift(5)
-    base = dynsamp.orbit(OrbitSpec(operator=t, generators=(delta(5, 0),),
-                                   horizon=5))
+    base = dynsamp.orbit(t, (delta(5, 0),), 5)
     u = frames.synthesis(base)
     vecs = list(u.T) + [u[:, 0] + u[:, 2]]
     profile = frames.lower_riesz_profile(frames.vector_system(vecs))

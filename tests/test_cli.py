@@ -183,6 +183,30 @@ def test_cli_zero_weight_diagnostic(tmp_path, capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights", [
+    {"kind": "constant", "value": 0.0},
+    {"kind": "geometric", "value": 0.0},
+    {"kind": "explicit", "values": [1.0, 0.5]},  # horizon 3 needs 3
+])
+def test_cli_bad_weight_sequence_is_refused_at_load(tmp_path, capsys, weights):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(shift_config(weights=weights)))
+    code = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: weights: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_overflowing_geometric_weights_load_without_warnings():
+    # the sequence is computed at load; its overflow is the orbit's error
+    raw = shift_config(weights={"kind": "geometric", "value": 1e30},
+                       horizon=40, checks=["orbit-bounds"])
+    rep = checks.run_experiment(config.parse_config(raw))
+    assert rep.checks[0].error.startswith("LinAlgError: orbit vector")
+
+
 def test_cli_check_failure_exit_code(tmp_path):
     raw = shift_config(
         operator={"kind": "circulant", "first_row": [0.0, 0.0, 1.0]},

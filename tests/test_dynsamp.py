@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsamp_lab import dynsamp, frames, numkit
-from dynsamp_lab.dynsamp import OrbitSpec, WeightSpec
+from dynsamp_lab.dynsamp import WeightSpec
 from dynsamp_lab.errors import (
     DivergentSeries,
     HypothesisViolated,
@@ -24,9 +24,8 @@ def delta(dim, k):
 
 
 def orbit_of(t, phi, horizon, weights=None):
-    return dynsamp.orbit(OrbitSpec(operator=np.asarray(t, dtype=complex),
-                                   generators=(np.asarray(phi, dtype=complex),),
-                                   weights=weights, horizon=horizon))
+    return dynsamp.orbit(np.asarray(t, dtype=complex),
+                         (np.asarray(phi, dtype=complex),), horizon, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +67,8 @@ def test_orbit_diagonal():
 
 def test_orbit_generator_major_order():
     t = dynsamp.nilpotent_shift(3)
-    spec = OrbitSpec(operator=t, generators=(delta(3, 0), delta(3, 1)),
-                     weights=WeightSpec.geometric(0.5), horizon=2)
-    sys = dynsamp.orbit(spec)
+    sys = dynsamp.orbit(t, (delta(3, 0), delta(3, 1)), 2,
+                        WeightSpec.geometric(0.5))
     # delta1-run then delta2-run, weights repeating per run
     np.testing.assert_allclose(frames.synthesis(sys)[:, 1], 0.5 * delta(3, 1))
     np.testing.assert_allclose(frames.synthesis(sys)[:, 2], delta(3, 1))
@@ -78,11 +76,10 @@ def test_orbit_generator_major_order():
 
 
 def test_orbit_rejects_fake_period():
-    spec = OrbitSpec(operator=dynsamp.nilpotent_shift(2),
-                     generators=(delta(2, 0),), horizon=2,
-                     index_model="Z", period=2)
-    with pytest.raises(InvalidInput):
-        dynsamp.orbit(spec)
+    # the nilpotent shift has no period: a claimed period 2 is verified
+    with pytest.raises(InvalidInput, match="not 2-periodic"):
+        dynsamp.commutant_transport(dynsamp.nilpotent_shift(2), np.eye(2),
+                                    delta(2, 0), period=2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsamp_lab import checks, dynsamp, frames, numkit
-from dynsamp_lab.dynsamp import OrbitSpec
 
 EPS = np.finfo(float).eps
 
@@ -55,8 +54,7 @@ def profile_system(rng, shape, family):
         vecs[int(rng.integers(0, n))] = vecs[k] * rng.uniform(0.5, 2.0)
     elif family == "orbit":
         t = 0.9 * dynsamp.cyclic_shift(d) + 0.05 * random_vectors(rng, d, d)
-        return dynsamp.orbit(OrbitSpec(operator=t, generators=(vecs[0],),
-                                       horizon=n))
+        return dynsamp.orbit(t, (vecs[0],), n)
     return frames.vector_system(list(vecs))
 
 
@@ -203,9 +201,8 @@ def test_kernel_defect_matches_kernel_basis_formula(seed, orbit_family):
     weights = rng.uniform(0.3, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n))
     if orbit_family:
         t = 0.95 * dynsamp.cyclic_shift(d)
-        sys = dynsamp.orbit(OrbitSpec(
-            operator=t, generators=(random_vectors(rng, d, 1)[0],),
-            weights=dynsamp.WeightSpec.explicit(weights), horizon=n))
+        sys = dynsamp.orbit(t, (random_vectors(rng, d, 1)[0],), n,
+                            dynsamp.WeightSpec.explicit(weights))
     else:
         vecs = random_vectors(rng, d, n)
         if n > 1:  # a repeated vector keeps the rank below min(d, n)

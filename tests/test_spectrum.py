@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsamp_lab import checks, config, dynsamp, frames, numkit
-from dynsamp_lab.dynsamp import OrbitSpec, WeightSpec
+from dynsamp_lab.dynsamp import WeightSpec
 
 EPS = np.finfo(float).eps
 
@@ -77,9 +77,7 @@ def random_vectors(rng, d, n):
 def shifted_identity_orbit(d, r, phi, horizon):
     """0.5 * cyclic shift + 0.3 * I with geometric(r) weights."""
     t = 0.5 * dynsamp.cyclic_shift(d) + 0.3 * np.eye(d)
-    return dynsamp.orbit(OrbitSpec(operator=t, generators=(phi,),
-                                   weights=WeightSpec.geometric(r),
-                                   horizon=horizon))
+    return dynsamp.orbit(t, (phi,), horizon, WeightSpec.geometric(r))
 
 
 def ill_conditioned_system(rng, family):
@@ -92,9 +90,8 @@ def ill_conditioned_system(rng, family):
         # the orbit-ladder's dense rungs: 0.9 / sigma_max times a Gaussian
         m = random_vectors(rng, d, d)
         t = 0.9 * m / np.linalg.svd(m, compute_uv=False)[0]
-        return dynsamp.orbit(OrbitSpec(
-            operator=t, generators=(random_vectors(rng, d, 1)[0],),
-            weights=WeightSpec.constant(1.0), horizon=4 * d))
+        return dynsamp.orbit(t, (random_vectors(rng, d, 1)[0],), 4 * d,
+                             WeightSpec.constant(1.0))
     # graded columns over many orders of magnitude
     n = int(rng.integers(1, 3 * d))
     vecs = random_vectors(rng, d, n) \
@@ -143,9 +140,8 @@ def parity_system(rng, family):
     if family == "orbit":
         m = random_vectors(rng, d, d)
         t = rng.uniform(0.3, 0.9) * m / np.linalg.svd(m, compute_uv=False)[0]
-        return dynsamp.orbit(OrbitSpec(
-            operator=t, generators=(random_vectors(rng, d, 1)[0],),
-            weights=WeightSpec.explicit(weights), horizon=n))
+        return dynsamp.orbit(t, (random_vectors(rng, d, 1)[0],), n,
+                             WeightSpec.explicit(weights))
     vecs = random_vectors(rng, d, n)
     if family == "deficient" and n > 1:
         vecs[-1] = 2.0 * vecs[0]
@@ -242,8 +238,8 @@ def test_representation_accepts_the_library_dual_on_dense_rungs(d, seed):
 def test_an_orbit_error_is_each_orbit_check_record(monkeypatch):
     calls = []
 
-    def failing(spec):
-        calls.append(spec)
+    def failing(*args):
+        calls.append(args)
         raise np.linalg.LinAlgError("orbit failed")
 
     monkeypatch.setattr(dynsamp, "orbit", failing)
@@ -259,12 +255,115 @@ def test_orbit_checks_share_one_orbit(monkeypatch):
     calls = []
     orbit = dynsamp.orbit
 
-    def counted(spec):
-        calls.append(spec)
-        return orbit(spec)
+    def counted(t, generators, horizon, weights=None):
+        calls.append(weights)
+        return orbit(t, generators, horizon, weights)
 
     monkeypatch.setattr(dynsamp, "orbit", counted)
     rep = checks.run_experiment(dense_rung(8))
     assert len(calls) == 1
-    assert calls[0].weights == WeightSpec.constant(1.0)
+    assert calls[0] == WeightSpec.constant(1.0)
     assert all(c.error is None for c in rep.checks)
+
+
+# ---------------------------------------------------------------------------
+# the periodic (Z) model: one period of the orbit, and its spectrum
+# ---------------------------------------------------------------------------
+
+def _psd_root_pair(s, rel_tol: float = 1e-12):
+    """Square root and pseudo-inverse square root of a PSD matrix, both cut
+    at ``rel_tol * lambda_max`` on the eigenvalues of ``s`` (thresholding
+    after the square root would invert eigenvalue dust amplified from
+    eps to sqrt(eps))."""
+    w, v = numkit.eig_hermitian(s)
+    cut = rel_tol * max(float(w[-1]), 0.0)
+    keep = w > cut
+    vk = v[:, keep]
+    wk = np.sqrt(w[keep])
+    root = (vk * wk) @ numkit.adjoint(vk)
+    root_pinv = (vk / wk) @ numkit.adjoint(vk)
+    projector = vk @ numkit.adjoint(vk)
+    return root, root_pinv, projector
+
+
+def old_periodic_model(t, phi, p):
+    """The earlier model: eigenvalues of S = U U*, cut at 1e-12 * lambda_max,
+    and the root pair above; the transformed orbit as in the library."""
+    s = frames.frame_operator(dynsamp.orbit(t, (phi,), p))
+    w = np.linalg.eigvalsh((s + numkit.adjoint(s)) / 2.0)
+    span_relative = w[0] <= 1e-12 * max(w[-1], 0.0)
+    positive = w[w > 1e-12 * max(w[-1], 0.0)]
+    lower = float(positive[0]) if positive.size else 0.0
+    root, root_pinv, projector = _psd_root_pair(s)
+    u = root_pinv @ t @ root
+    transformed = frames.frame_bounds(
+        dynsamp.orbit(u, (root_pinv @ phi,), p), ambient=not span_relative)
+    return {
+        "span_relative": bool(span_relative), "lower": lower,
+        "upper": float(w[-1]), "root": root, "root_pinv": root_pinv,
+        "projector": projector,
+        "unitarity": numkit.frobenius(numkit.adjoint(u) @ u - projector),
+        "transformed": (transformed.a_opt, transformed.b_opt),
+    }
+
+
+def fourier_generator(coeffs):
+    """phi = sum_k c_k f_k, f_k the Fourier basis: the eigenvectors of the
+    cyclic shift, so the orbit's frame operator has eigenvalues p |c_k|^2."""
+    p = len(coeffs)
+    f = np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
+    return f @ np.asarray(coeffs, dtype=complex) / np.sqrt(p)
+
+
+def assert_one_periodic_rank(p, phi):
+    t = dynsamp.cyclic_shift(p)
+    sys = dynsamp.orbit(t, (phi,), p)
+    model = dynsamp.periodic_orbit_model(t, phi)
+    assert model.span_relative == (frames.frame_bounds(sys).rank < p)
+    assert model.lower == frames.frame_bounds(sys, ambient=False).a_opt
+    return model
+
+
+@pytest.mark.parametrize("eps", [1e-4, 3e-6, 1e-6])
+def test_the_periodic_model_makes_the_orbit_rank_decision(eps):
+    # S has eigenvalues 3, 3 and 3 eps^2; the orbit's cut is 1e-10 * 3, so
+    # eps = 3e-6 leaves a frame sequence of rank 2, not a spanning orbit
+    model = assert_one_periodic_rank(3, fourier_generator([1.0, 1.0, eps]))
+    assert model.span_relative == (eps < 1e-5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 10_000))
+def test_graded_circulant_orbits_have_one_periodic_rank(p, seed):
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** (-7.0 * rng.random(p))
+    phases = np.exp(2j * np.pi * rng.random(p))
+    assert_one_periodic_rank(p, fourier_generator(magnitudes * phases))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 10_000), st.booleans())
+def test_the_periodic_model_matches_the_earlier_root_pair(p, seed, deficient):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(0.1, 1.0, p) * np.exp(2j * np.pi * rng.random(p))
+    if deficient:  # Fourier coefficients that vanish: the orbit spans less
+        coeffs[rng.random(p) < 0.5] = 0.0
+        coeffs[0] = 1.0
+    t = dynsamp.cyclic_shift(p)
+    phi = fourier_generator(coeffs)
+    old = old_periodic_model(t, phi, p)
+    model = dynsamp.periodic_orbit_model(t, phi)
+    sp = dynsamp.orbit(t, (phi,), p).spectrum
+    assert model.span_relative == old["span_relative"] \
+        == (sp.rank < p) == (np.count_nonzero(coeffs) < p)
+
+    ur, sr = sp.range_basis, sp.s[:sp.rank]
+    for new, key in (((ur * sr) @ numkit.adjoint(ur), "root"),
+                     ((ur / sr) @ numkit.adjoint(ur), "root_pinv"),
+                     (ur @ numkit.adjoint(ur), "projector")):
+        assert numkit.frobenius(new - old[key]) <= 1e-10
+    assert model.lower == pytest.approx(old["lower"], rel=1e-12)
+    assert model.upper == pytest.approx(old["upper"], rel=1e-12)
+    assert model.unitarity_residual == pytest.approx(old["unitarity"], abs=1e-10)
+    assert (model.transformed_lower, model.transformed_upper) \
+        == pytest.approx(old["transformed"], abs=1e-10)
