@@ -62,7 +62,12 @@ class WeightSpec:
             out = np.array(self.values[:count], dtype=complex)
         else:
             raise InvalidInput(f"unknown weight kind {self.kind!r}")
-        if np.any(np.abs(out) == 0.0):
+        zero = np.abs(out) == 0.0
+        if zero.any():
+            if self.kind == "geometric" and self.value != 0:
+                raise InvalidInput(
+                    "geometric weight r^n underflows to 0 in float64 at "
+                    f"n = {int(np.argmax(zero))} (|r| = {abs(self.value):.6g})")
             raise InvalidInput("weights must be nonzero scalars")
         return out
 
@@ -97,6 +102,20 @@ def orbit(t, generators, horizon: int,
     ``LinAlgError`` naming n, with no numpy warning.
     """
     t = numkit.as_operator(t)
+    gens = orbit_generators(t, generators, horizon)
+    seq = None if weights is None else weights.sequence(horizon)
+    u, errors = orbit_stack(t[None], np.array(gens)[None], horizon,
+                            None if seq is None else seq[None])
+    if errors[0] is not None:
+        raise errors[0]
+    prov = OrbitProvenance(operator=t, generators=gens, horizon=horizon)
+    return VectorSystem(matrix=u[0],
+                        weights=None if seq is None else np.tile(seq, len(gens)),
+                        provenance=prov)
+
+
+def orbit_generators(t: np.ndarray, generators, horizon: int) -> tuple:
+    """The validated generators of an orbit of the operator ``t``."""
     gens = tuple(numkit.as_vector(g) for g in generators)
     if not gens:
         raise InvalidInput("orbit needs at least one generator")
@@ -104,26 +123,35 @@ def orbit(t, generators, horizon: int,
         raise InvalidInput("generator dimension does not match the operator")
     if horizon < 1:
         raise InvalidInput("horizon must be >= 1")
+    return gens
 
-    h = horizon
-    u = np.empty((t.shape[0], len(gens) * h), dtype=complex)
-    seq = None
+
+def orbit_stack(t: np.ndarray, starts: np.ndarray, horizon: int,
+                seqs: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """The :func:`orbit` synthesis matrices of a stack of operators ``t``
+    (``B x d x d``), generators ``starts`` (``B x G x d``) and weight rows
+    ``seqs`` (``B x horizon``): ``B x d x (G horizon)``, one stacked matvec
+    per step.  Also, per orbit, the ``LinAlgError`` naming the first n
+    whose column float64 cannot hold (that orbit's matrix is zeroed), or
+    None."""
+    b, g, d = starts.shape
+    u = np.empty((b, d, g * horizon), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, g in enumerate(gens):
-            v = g
-            for n in range(h):
-                u[:, j * h + n] = v
+        for j in range(g):
+            v = starts[:, j, :, None]
+            for n in range(horizon):
+                u[:, :, j * horizon + n] = v[:, :, 0]
                 v = t @ v
-        if weights:
-            seq = np.tile(weights.sequence(h), len(gens))
-            u *= seq
-    finite = np.isfinite(u)
-    if not finite.all():
-        n = np.argmin(finite.all(axis=0).reshape(len(gens), h).all(axis=0))
-        raise np.linalg.LinAlgError(
-            f"orbit vector a_n T^n phi is not finite in float64 at n = {n}")
-    prov = OrbitProvenance(operator=t, generators=gens, horizon=h)
-    return VectorSystem(matrix=u, weights=seq, provenance=prov)
+        if seqs is not None:
+            u *= np.tile(seqs, g)[:, None, :]
+    finite = np.isfinite(u).all(axis=1).reshape(b, g, horizon).all(axis=1)
+    errors = [None] * b
+    for i in np.flatnonzero(~finite.all(axis=1)):
+        errors[i] = np.linalg.LinAlgError(
+            "orbit vector a_n T^n phi is not finite in float64 at "
+            f"n = {np.argmin(finite[i])}")
+        u[i] = 0.0
+    return u, errors
 
 
 # ---------------------------------------------------------------------------

@@ -113,12 +113,16 @@ def frame_bounds(sys: VectorSystem, ambient: bool = True) -> BoundsReport:
     reserved for systems of rank zero.  Rank and cutoff (``1e-10 * b_opt``
     on squared singular values) are the system's spectrum's.
     """
-    sp = sys.spectrum
+    return spectrum_bounds(sys.spectrum, ambient)
+
+
+def spectrum_bounds(sp: numkit.Spectrum, ambient: bool = True) -> BoundsReport:
+    """:func:`frame_bounds` of the system whose synthesis matrix has the
+    spectrum ``sp``."""
     sq = sp.s**2
     b = float(sq[0])
     rank = sp.rank
-    n = len(sys)
-    d = sys.dim
+    d, n = sp.u.shape[0], sp.vh.shape[1]
     spans = rank == d
     if rank == 0:
         cls = "bessel_only"
@@ -155,8 +159,28 @@ def canonical_dual(sys: VectorSystem) -> VectorSystem:
     sp = sys.spectrum
     if sp.rank == 0:
         raise NotAFrame("system has no positive lower frame bound on its span")
-    r = sp.rank
-    return VectorSystem(matrix=sp.u[:, :r] @ (sp.vh[:r] / sp.s[:r, None]))
+    return VectorSystem(matrix=_dual_synthesis(sp.u, sp.s, sp.vh, sp.rank))
+
+
+def _dual_synthesis(u, s, vh, r: int) -> np.ndarray:
+    """``U_r Sigma_r^-1 V_r*`` of one thin SVD, or of a stack of them
+    sharing the rank ``r``."""
+    return u[..., :r] @ (vh[..., :r, :] / s[..., :r, None])
+
+
+def dual_column_norms(spectra: list[numkit.Spectrum]) -> np.ndarray:
+    """``||S^+ f_k||`` for every vector of each of several systems with one
+    shape, given their spectra: row i holds the column norms of
+    ``canonical_dual`` of system i (zeros at rank zero), one stacked
+    product per rank."""
+    out = np.zeros((len(spectra), spectra[0].vh.shape[1]))
+    ranks = [sp.rank for sp in spectra]
+    for r in set(ranks) - {0}:
+        idx = [i for i, rank in enumerate(ranks) if rank == r]
+        u, s, vh = (np.array([getattr(spectra[i], f) for i in idx])
+                    for f in ("u", "s", "vh"))
+        out[idx] = np.linalg.norm(_dual_synthesis(u, s, vh, r), axis=1)
+    return out
 
 
 def mixed_frame_operator(f_sys: VectorSystem, g_sys: VectorSystem) -> np.ndarray:

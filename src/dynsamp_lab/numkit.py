@@ -89,11 +89,27 @@ class Spectrum:
 
 def spectrum(m) -> Spectrum:
     """The :class:`Spectrum` of a (possibly rectangular) matrix."""
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    u, s, vh = np.linalg.svd(as_matrix(m), full_matrices=False)
+    cut, rank = _rank_cut(s)
+    return Spectrum(u=u, s=s, vh=vh, cut=float(cut), rank=int(rank))
+
+
+def spectra(stack: np.ndarray) -> list[Spectrum]:
+    """The :class:`Spectrum` of each matrix of a ``(B, d, N)`` stack, from
+    one stacked SVD (LAPACK runs per matrix, so each equals
+    :func:`spectrum` of that matrix bit for bit)."""
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    cut, rank = _rank_cut(s)
+    return [Spectrum(u=u[i], s=s[i], vh=vh[i], cut=float(cut[i]),
+                     rank=int(rank[i])) for i in range(len(s))]
+
+
+def _rank_cut(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cut ``1e-10 * sigma_max^2`` and the rank above it, over the
+    last axis of descending singular values."""
     sq = s**2
-    cut = 1e-10 * float(sq[0])
-    return Spectrum(u=u, s=s, vh=vh, cut=cut, rank=int(np.sum(sq > cut)))
+    cut = 1e-10 * sq[..., 0]
+    return cut, np.sum(sq > cut[..., None], axis=-1)
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,9 @@ the statement's conclusion on the perturbed system.  Infinite sums are
 truncated at the horizon with a geometric tail bound added, keeping the
 sufficient-condition direction intact.  A randomized satisfiability
 search probes whether the hypothesis set of a certificate is inhabited
-at all.
+at all.  Every certificate is computed by one stacked kernel: the search
+runs it once per shape group of its trials, the public certificate
+functions on a stack of one instance.
 """
 
 from __future__ import annotations
@@ -14,15 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import frames, numkit
 from .config import CONFIG_SCHEMA, OPERATOR_SPEC, params_schema
-from .dynsamp import WeightSpec, nilpotent_shift, orbit
+from .dynsamp import WeightSpec, nilpotent_shift, orbit_generators, orbit_stack
 from .errors import HypothesisViolated, InvalidHypothesis, InvalidInput
-from .frames import BoundsReport, VectorSystem
+from .frames import BoundsReport
 
 _RIESZ = ("riesz_sequence", "riesz_basis")
 
@@ -49,28 +51,12 @@ def contraction_data(t, subspace_basis) -> ContractionData:
     v = numkit.as_matrix(subspace_basis)
     if v.shape[0] != t.shape[0]:
         raise InvalidInput("subspace basis dimension does not match the operator")
-    k = v.shape[1]
-    if numkit.frobenius(numkit.adjoint(v) @ v - np.eye(k)) > 1e-10:
-        raise InvalidInput("subspace basis is not orthonormal within tolerance")
-    p = v @ numkit.adjoint(v)
-    eye = np.eye(t.shape[0])
-    defect = numkit.operator_norm((eye - p) @ t @ p)
-    if defect > 1e-8:
-        raise InvalidHypothesis(
-            f"subspace is not invariant: defect {defect:.3e} > 1.0e-08"
-        )
-    mu = numkit.operator_norm(t @ v)
-    if mu >= 1.0:
-        raise InvalidHypothesis(f"contraction factor {mu:.6g} >= 1 on the subspace")
-    return ContractionData(operator=t, subspace_basis=v, mu=float(mu),
-                           invariance_defect=float(defect))
-
-
-def _in_subspace(cd: ContractionData, vec) -> None:
-    v = numkit.as_vector(vec)
-    p = cd.subspace_basis @ (numkit.adjoint(cd.subspace_basis) @ v)
-    if np.linalg.norm(v - p) > 1e-8 * max(1.0, np.linalg.norm(v)):
-        raise InvalidHypothesis("vector is not in the contraction subspace")
+    fails = [None]
+    mu, defect = _contractions(t[None], v[None], fails)
+    if fails[0] is not None:
+        raise fails[0]
+    return ContractionData(operator=t, subspace_basis=v, mu=float(mu[0]),
+                           invariance_defect=float(defect[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +70,124 @@ class Certificate:
     conclusion_check: BoundsReport | None = None
 
 
-def _column_norms(sys: VectorSystem) -> np.ndarray:
-    return np.linalg.norm(frames.synthesis(sys), axis=0)
+# ---------------------------------------------------------------------------
+# stacked kernels
+#
+# A certificate is evaluated on a stack of instances of one shape: the
+# satisfiability search stacks a shape group, the public certificate
+# functions a single instance.  Stacked SVDs and products run LAPACK and
+# BLAS once per matrix, and each reduction is the one a single instance
+# makes, so every instance gets the bits it would get alone.  ``fails[i]``
+# holds the exception instance i raises alone (its first violated
+# hypothesis); later kernels still run over it, but its result is dropped.
+# ---------------------------------------------------------------------------
+
+class _Stack(NamedTuple):
+    """Instances of one shape stacked along axis 0; ``mu`` and ``w_mu``
+    are the contraction factors of T on ``basis`` and W on ``w_basis``."""
+
+    t: np.ndarray  # B x d x d
+    horizon: int
+    mu: np.ndarray | None = None  # B
+    basis: np.ndarray | None = None  # B x d x k
+    phi: np.ndarray | None = None  # B x d
+    psi: np.ndarray | None = None  # B x d
+    weights: tuple = ()  # one WeightSpec per instance
+    gens: np.ndarray | None = None  # B x G x d
+    w: np.ndarray | None = None  # B x d x d
+    w_mu: np.ndarray | None = None
+    w_basis: np.ndarray | None = None
+
+    @classmethod
+    def one(cls, horizon: int, weights: WeightSpec | None = None,
+            **arrays) -> "_Stack":
+        """The stack of one instance, from its unstacked fields."""
+        return cls(horizon=horizon, weights=(weights,),
+                   **{k: np.asarray(v)[None] for k, v in arrays.items()})
+
+
+def _one(kernel: Callable, stack: _Stack) -> tuple:
+    """The certificates of a stack of one; raises the exception it fails
+    with."""
+    out = kernel(stack, [None])[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _flag(fails: list, bad, make: Callable[[int], Exception]) -> None:
+    """Record ``make(i)`` for each instance i in ``bad`` not yet failed."""
+    for i in np.flatnonzero(bad):
+        if fails[i] is None:
+            fails[i] = make(i)
+
+
+def _certify(fails: list, certify: Callable[[int], tuple]) -> list:
+    """Per instance: its certificates, or the exception it fails with."""
+    return [certify(i) if fail is None else fail
+            for i, fail in enumerate(fails)]
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[i] @ y[i]`` for each row of two real ``B x n`` arrays."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex ``B x n`` array."""
+    return np.sqrt(_dots(x.real, x.real) + _dots(x.imag, x.imag))
+
+
+def _operator_norms(stack: np.ndarray) -> np.ndarray:
+    """``numkit.operator_norm`` of each matrix of a stack."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def _contractions(t, v, fails: list) -> tuple[np.ndarray, np.ndarray]:
+    """``mu`` and invariance defect of T on the span of V for each pair of
+    a stack, flagging what :func:`contraction_data` refuses."""
+    vh = np.conj(np.swapaxes(v, 1, 2))
+    gram_error = np.linalg.norm(vh @ v - np.eye(v.shape[2]), axis=(1, 2))
+    _flag(fails, gram_error > 1e-10, lambda i: InvalidInput(
+        "subspace basis is not orthonormal within tolerance"))
+    p = v @ vh
+    defect = _operator_norms((np.eye(t.shape[1]) - p) @ t @ p)
+    _flag(fails, defect > 1e-8, lambda i: InvalidHypothesis(
+        f"subspace is not invariant: defect {defect[i]:.3e} > 1.0e-08"))
+    mu = _operator_norms(t @ v)
+    _flag(fails, mu >= 1.0, lambda i: InvalidHypothesis(
+        f"contraction factor {mu[i]:.6g} >= 1 on the subspace"))
+    return mu, defect
+
+
+def _leaves_subspace(fails: list, basis, vecs) -> None:
+    """Flag each instance whose vector is not in its contraction subspace."""
+    coords = np.conj(np.swapaxes(basis, 1, 2)) @ vecs[:, :, None]
+    off = _norms(vecs - (basis @ coords)[:, :, 0])
+    _flag(fails, off > 1e-8 * np.maximum(1.0, _norms(vecs)),
+          lambda i: InvalidHypothesis("vector is not in the contraction subspace"))
+
+
+def _sequences(weights: tuple, count: int, fails: list) -> np.ndarray:
+    """``B x count`` weight sequences; a refused one is flagged (ones)."""
+    out = np.ones((len(weights), count), dtype=complex)
+    for i, spec in enumerate(weights):
+        try:
+            out[i] = spec.sequence(count)
+        except InvalidInput as exc:
+            fails[i] = fails[i] or exc
+    return out
+
+
+def _orbits(t, starts, horizon: int, fails: list, seqs=None) -> np.ndarray:
+    """:func:`orbit_stack`, flagging each orbit that leaves float64."""
+    u, errors = orbit_stack(t, starts, horizon, seqs)
+    _flag(fails, [e is not None for e in errors], errors.__getitem__)
+    return u
+
+
+def _bounds(spectra, ambient: bool) -> list[BoundsReport]:
+    return [frames.spectrum_bounds(sp, ambient) for sp in spectra]
 
 
 # ---------------------------------------------------------------------------
@@ -103,42 +205,53 @@ def riesz_perturbation_certificate(cd: ContractionData, phi, psi,
     a total below one certifies the perturbed prefix with lower bound at
     least ``A (1 - sum)^2``.
     """
-    t = cd.operator
-    phi = numkit.as_vector(phi)
-    psi = numkit.as_vector(psi)
-    _in_subspace(cd, psi)
-    base = orbit(t, (phi,), horizon)
-    report = frames.frame_bounds(base, ambient=False)
-    if report.classification not in _RIESZ:
-        raise HypothesisViolated(
-            f"base orbit prefix is not a Riesz sequence ({report.classification})"
-        )
-    a = report.a_opt
-    mu = cd.mu
-    psi_norm = float(np.linalg.norm(psi))
-    threshold = (1.0 - mu) * math.sqrt(a)
-    margin = threshold - psi_norm
+    phi, psi = orbit_generators(cd.operator, (phi, psi), horizon)
+    (cert,) = _one(_riesz_kernel, _Stack.one(
+        horizon, t=cd.operator, mu=cd.mu, basis=cd.subspace_basis,
+        phi=phi, psi=psi))
+    return cert
 
+
+def _riesz_kernel(st: _Stack, fails: list) -> list:
+    h = st.horizon
+    _leaves_subspace(fails, st.basis, st.psi)
+    base = numkit.spectra(_orbits(st.t, st.phi[:, None], h, fails))
+    reports = _bounds(base, ambient=False)
+    _flag(fails, [r.classification not in _RIESZ for r in reports],
+          lambda i: HypothesisViolated("base orbit prefix is not a Riesz "
+                                       f"sequence ({reports[i].classification})"))
+    psi_norms = _norms(st.psi)
     # S^+ T^n phi is column n of the canonical dual of the base orbit
-    partial = float(_column_norms(orbit(t, (psi,), horizon))
-                    @ _column_norms(frames.canonical_dual(base)))
-    tail = (mu**horizon) * psi_norm / ((1.0 - mu) * math.sqrt(a)) if a > 0 else math.inf
-    total = partial + tail
+    partials = _dots(
+        np.linalg.norm(_orbits(st.t, st.psi[:, None], h, fails), axis=1),
+        frames.dual_column_norms(base))
+    perturbed = _bounds(numkit.spectra(
+        _orbits(st.t, (st.phi + st.psi)[:, None], h, fails)), ambient=False)
 
-    perturbed = orbit(t, (phi + psi,), horizon)
-    conclusion = frames.frame_bounds(perturbed, ambient=False)
-    values = {
-        "lower_riesz_bound": a,
-        "mu": mu,
-        "psi_norm": psi_norm,
-        "threshold": threshold,
-        "proof_sum": partial,
-        "proof_tail_bound": tail,
-        "proof_sum_total": total,
-        "perturbed_floor": a * (1.0 - total) ** 2 if total < 1.0 else 0.0,
-    }
-    return Certificate("riesz_orbit_perturbation", values, float(margin),
-                       margin > 0, conclusion)
+    def certify(i: int) -> tuple:
+        a = reports[i].a_opt
+        mu = float(st.mu[i])
+        psi_norm = float(psi_norms[i])
+        threshold = (1.0 - mu) * math.sqrt(a)
+        margin = threshold - psi_norm
+        partial = float(partials[i])
+        tail = (mu**h) * psi_norm / ((1.0 - mu) * math.sqrt(a)) if a > 0 \
+            else math.inf
+        total = partial + tail
+        values = {
+            "lower_riesz_bound": a,
+            "mu": mu,
+            "psi_norm": psi_norm,
+            "threshold": threshold,
+            "proof_sum": partial,
+            "proof_tail_bound": tail,
+            "proof_sum_total": total,
+            "perturbed_floor": a * (1.0 - total) ** 2 if total < 1.0 else 0.0,
+        }
+        return (Certificate("riesz_orbit_perturbation", values, float(margin),
+                            margin > 0, perturbed[i]),)
+
+    return _certify(fails, certify)
 
 
 def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
@@ -155,35 +268,47 @@ def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
     subspace; at psi = 0 over a non-spanning base it degenerates to the
     base classification.
     """
-    t = cd.operator
-    phi = numkit.as_vector(phi)
-    psi = numkit.as_vector(psi)
-    _in_subspace(cd, psi)
-    a_seq = weights.sequence(horizon)
-    base = orbit(t, (phi,), horizon, weights)
-    report = frames.frame_bounds(base, ambient=False)
-    if report.a_opt <= report.tol:
-        raise HypothesisViolated("base weighted orbit has no lower bound")
-    a = report.a_opt
-    mu = cd.mu
-    sup_weight = float(np.max(np.abs(a_seq)))
-    psi_norm = float(np.linalg.norm(psi))
-    threshold = math.sqrt(a * (1.0 - mu**2))
-    margin = threshold - sup_weight * psi_norm
+    phi, psi = orbit_generators(cd.operator, (phi, psi), horizon)
+    (cert,) = _one(_weighted_kernel, _Stack.one(
+        horizon, weights, t=cd.operator, mu=cd.mu, basis=cd.subspace_basis,
+        phi=phi, psi=psi))
+    return cert
 
-    perturbed = orbit(t, (phi + psi,), horizon, weights)
-    ambient_report = frames.frame_bounds(perturbed, ambient=True)
-    span_report = frames.frame_bounds(perturbed, ambient=False)
-    values = {
-        "lower_bound": a,
-        "mu": mu,
-        "sup_weight": sup_weight,
-        "psi_norm": psi_norm,
-        "threshold": threshold,
-        "part_i_span_lower": span_report.a_opt,
-    }
-    return Certificate("weighted_frame_perturbation", values, float(margin),
-                       margin > 0, ambient_report)
+
+def _weighted_kernel(st: _Stack, fails: list) -> list:
+    h = st.horizon
+    _leaves_subspace(fails, st.basis, st.psi)
+    seqs = _sequences(st.weights, h, fails)
+    reports = _bounds(numkit.spectra(
+        _orbits(st.t, st.phi[:, None], h, fails, seqs)), ambient=False)
+    _flag(fails, [r.a_opt <= r.tol for r in reports], lambda i:
+          HypothesisViolated("base weighted orbit has no lower bound"))
+    sup_weights = np.max(np.abs(seqs), axis=1)
+    psi_norms = _norms(st.psi)
+    perturbed = numkit.spectra(
+        _orbits(st.t, (st.phi + st.psi)[:, None], h, fails, seqs))
+
+    def certify(i: int) -> tuple:
+        a = reports[i].a_opt
+        mu = float(st.mu[i])
+        sup_weight = float(sup_weights[i])
+        psi_norm = float(psi_norms[i])
+        threshold = math.sqrt(a * (1.0 - mu**2))
+        margin = threshold - sup_weight * psi_norm
+        values = {
+            "lower_bound": a,
+            "mu": mu,
+            "sup_weight": sup_weight,
+            "psi_norm": psi_norm,
+            "threshold": threshold,
+            "part_i_span_lower":
+                frames.spectrum_bounds(perturbed[i], ambient=False).a_opt,
+        }
+        return (Certificate("weighted_frame_perturbation", values,
+                            float(margin), margin > 0,
+                            frames.spectrum_bounds(perturbed[i], ambient=True)),)
+
+    return _certify(fails, certify)
 
 
 def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
@@ -196,36 +321,48 @@ def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
     degenerates to zero and the margin is reported as +inf.
     """
     t = numkit.as_operator(t)
-    phi = numkit.as_vector(phi)
-    psi = numkit.as_vector(psi)
-    a_seq = weights.sequence(horizon + 1)
-    base = orbit(t, (phi,), horizon, weights)
-    base_report = frames.frame_bounds(base, ambient=True)
-    if base_report.a_opt <= base_report.tol:
-        raise HypothesisViolated("base weighted orbit is not a frame")
-    a = base_report.a_opt
+    phi, psi = orbit_generators(t, (phi, psi), horizon)
+    (cert,) = _one(_scaled_kernel, _Stack.one(horizon, weights, t=t,
+                                              phi=phi, psi=psi))
+    return cert
 
-    shifted = WeightSpec.explicit(a_seq[1:])
-    sup_ratio = float(np.max(np.abs(a_seq[:-1] / a_seq[1:])))
-    psi_norm = float(np.linalg.norm(psi))
-    if psi_norm == 0.0:
-        b = 0.0
-        margin = math.inf
-    else:
-        bessel_sys = orbit(t, (psi,), horizon, shifted)
-        b = frames.frame_bounds(bessel_sys, ambient=True).b_opt
-        margin = math.sqrt(a / b) - sup_ratio if b > 0 else math.inf
 
-    perturbed = orbit(t, (phi + psi,), horizon, weights)
-    conclusion = frames.frame_bounds(perturbed, ambient=True)
-    values = {
-        "lower_bound": a,
-        "bessel_bound": b,
-        "sup_ratio": sup_ratio,
-        "psi_norm": psi_norm,
-    }
-    return Certificate("scaled_generator_perturbation", values, float(margin),
-                       margin > 0, conclusion)
+def _scaled_kernel(st: _Stack, fails: list) -> list:
+    h = st.horizon
+    a_seqs = _sequences(st.weights, h + 1, fails)
+    reports = _bounds(numkit.spectra(
+        _orbits(st.t, st.phi[:, None], h, fails, a_seqs[:, :h])), ambient=True)
+    _flag(fails, [r.a_opt <= r.tol for r in reports], lambda i:
+          HypothesisViolated("base weighted orbit is not a frame"))
+    sup_ratios = np.max(np.abs(a_seqs[:, :-1] / a_seqs[:, 1:]), axis=1)
+    psi_norms = _norms(st.psi)
+    # {a_{n+1} T^n psi}; a zero psi gives a zero system, never used
+    bessel = _bounds(numkit.spectra(
+        _orbits(st.t, st.psi[:, None], h, fails, a_seqs[:, 1:])), ambient=True)
+    perturbed = _bounds(numkit.spectra(
+        _orbits(st.t, (st.phi + st.psi)[:, None], h, fails, a_seqs[:, :h])),
+        ambient=True)
+
+    def certify(i: int) -> tuple:
+        a = reports[i].a_opt
+        sup_ratio = float(sup_ratios[i])
+        psi_norm = float(psi_norms[i])
+        if psi_norm == 0.0:
+            b = 0.0
+            margin = math.inf
+        else:
+            b = bessel[i].b_opt
+            margin = math.sqrt(a / b) - sup_ratio if b > 0 else math.inf
+        values = {
+            "lower_bound": a,
+            "bessel_bound": b,
+            "sup_ratio": sup_ratio,
+            "psi_norm": psi_norm,
+        }
+        return (Certificate("scaled_generator_perturbation", values,
+                            float(margin), margin > 0, perturbed[i]),)
+
+    return _certify(fails, certify)
 
 
 # ---------------------------------------------------------------------------
@@ -244,45 +381,58 @@ def multi_generator_riesz_certificate(cd_w: ContractionData,
     ``sum_{j,n} ||W^n g_j - T^n g_j|| ||S^+ W^n g_j||`` is always
     reported, with its geometric tail bound.
     """
-    w_op = cd_w.operator
-    t_op = cd_t.operator
-    gens = tuple(numkit.as_vector(g) for g in generators)
+    gens = tuple(generators)
     if not gens:
         raise InvalidInput("need at least one generator")
-    for g in gens:
-        _in_subspace(cd_w, g)
-        _in_subspace(cd_t, g)
-    lam = max(cd_w.mu, cd_t.mu)
+    gens = orbit_generators(cd_w.operator, gens, horizon)
+    (cert,) = _one(_multi_kernel, _Stack.one(
+        horizon, t=cd_t.operator, mu=cd_t.mu, basis=cd_t.subspace_basis,
+        w=cd_w.operator, w_mu=cd_w.mu, w_basis=cd_w.subspace_basis,
+        gens=np.stack(gens)))
+    return cert
 
-    w_sys = orbit(w_op, gens, horizon)
-    w_report = frames.frame_bounds(w_sys, ambient=False)
-    if w_report.a_opt <= w_report.tol:
-        raise HypothesisViolated("W-orbit system has no lower bound on its span")
-    s_pinv_norm = 1.0 / w_report.a_opt  # ||S^+|| on the span
-    energy = float(sum(np.linalg.norm(g) ** 2 for g in gens))
-    threshold = (1.0 - lam**2) / (2.0 * s_pinv_norm)
-    margin = threshold - energy
 
-    t_sys = orbit(t_op, gens, horizon)
+def _multi_kernel(st: _Stack, fails: list) -> list:
+    h = st.horizon
+    count = st.gens.shape[1]
+    for j in range(count):
+        _leaves_subspace(fails, st.w_basis, st.gens[:, j])
+        _leaves_subspace(fails, st.basis, st.gens[:, j])
+    w_orbits = _orbits(st.w, st.gens, h, fails)
+    w_spectra = numkit.spectra(w_orbits)
+    w_reports = _bounds(w_spectra, ambient=False)
+    _flag(fails, [r.a_opt <= r.tol for r in w_reports], lambda i:
+          HypothesisViolated("W-orbit system has no lower bound on its span"))
+    gen_norms = np.stack([_norms(st.gens[:, j]) for j in range(count)], axis=1)
+    t_orbits = _orbits(st.t, st.gens, h, fails)
     # S^+ W^n g_j is a column of the canonical dual of the W-system
-    gaps = np.linalg.norm(frames.synthesis(w_sys) - frames.synthesis(t_sys),
-                          axis=0)
-    partial = float(gaps @ _column_norms(frames.canonical_dual(w_sys)))
-    tail = 2.0 * s_pinv_norm * energy * lam ** (2 * horizon) / (1.0 - lam**2)
+    partials = _dots(np.linalg.norm(w_orbits - t_orbits, axis=1),
+                     frames.dual_column_norms(w_spectra))
+    conclusions = _bounds(numkit.spectra(t_orbits), ambient=False)
 
-    conclusion = frames.frame_bounds(t_sys, ambient=False)
-    values = {
-        "lambda": lam,
-        "s_pinv_norm": s_pinv_norm,
-        "generator_energy": energy,
-        "threshold": threshold,
-        "proof_sum": partial,
-        "proof_tail_bound": tail,
-        "proof_sum_total": partial + tail,
-        "base_is_riesz": 1.0 if w_report.classification in _RIESZ else 0.0,
-    }
-    return Certificate("multi_generator_riesz", values, float(margin),
-                       margin > 0, conclusion)
+    def certify(i: int) -> tuple:
+        w_report = w_reports[i]
+        lam = max(float(st.w_mu[i]), float(st.mu[i]))
+        s_pinv_norm = 1.0 / w_report.a_opt  # ||S^+|| on the span
+        energy = float(sum(n ** 2 for n in gen_norms[i]))
+        threshold = (1.0 - lam**2) / (2.0 * s_pinv_norm)
+        margin = threshold - energy
+        partial = float(partials[i])
+        tail = 2.0 * s_pinv_norm * energy * lam ** (2 * h) / (1.0 - lam**2)
+        values = {
+            "lambda": lam,
+            "s_pinv_norm": s_pinv_norm,
+            "generator_energy": energy,
+            "threshold": threshold,
+            "proof_sum": partial,
+            "proof_tail_bound": tail,
+            "proof_sum_total": partial + tail,
+            "base_is_riesz": 1.0 if w_report.classification in _RIESZ else 0.0,
+        }
+        return (Certificate("multi_generator_riesz", values, float(margin),
+                            margin > 0, conclusions[i]),)
+
+    return _certify(fails, certify)
 
 
 def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
@@ -297,63 +447,71 @@ def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
     (``||phi|| < sqrt(A (1 - lambda^2))`` giving {T^n phi + W^n phi}
     Riesz) is reported through the hypothesis values.
     """
-    t_op = cd_t.operator
-    w_op = cd_w.operator
-    phi = numkit.as_vector(phi)
-    _in_subspace(cd_t, phi)
-    _in_subspace(cd_w, phi)
-    lam = max(cd_t.mu, cd_w.mu)
+    (phi,) = orbit_generators(cd_t.operator, (phi,), horizon)
+    return _one(_two_operator_kernel, _Stack.one(
+        horizon, t=cd_t.operator, mu=cd_t.mu, basis=cd_t.subspace_basis,
+        w=cd_w.operator, w_mu=cd_w.mu, w_basis=cd_w.subspace_basis, phi=phi))
 
-    base = orbit(t_op, (phi,), horizon)
-    base_report = frames.frame_bounds(base, ambient=True)
-    if base_report.a_opt <= base_report.tol:
-        raise HypothesisViolated("T-orbit prefix is not a frame")
-    a = base_report.a_opt
-    phi_norm = float(np.linalg.norm(phi))
-    threshold = math.sqrt(a * (1.0 - lam**2))
 
-    w_sys = orbit(w_op, (phi,), horizon)
-    w_report = frames.frame_bounds(w_sys, ambient=True)
+def _two_operator_kernel(st: _Stack, fails: list) -> list:
+    h = st.horizon
+    _leaves_subspace(fails, st.basis, st.phi)
+    _leaves_subspace(fails, st.w_basis, st.phi)
+    t_orbits = _orbits(st.t, st.phi[:, None], h, fails)
+    base = numkit.spectra(t_orbits)
+    reports = _bounds(base, ambient=True)
+    _flag(fails, [r.a_opt <= r.tol for r in reports], lambda i:
+          HypothesisViolated("T-orbit prefix is not a frame"))
+    phi_norms = _norms(st.phi)
+    w_orbits = _orbits(st.w, st.phi[:, None], h, fails)
+    w_reports = _bounds(numkit.spectra(w_orbits), ambient=True)
+    diff_sums = np.sum(np.linalg.norm(t_orbits - w_orbits, axis=1) ** 2, axis=1)
+    spans = _bounds(base, ambient=False)
+    riesz = [i for i, r in enumerate(spans)
+             if fails[i] is None and r.classification in _RIESZ]
+    combined = dict(zip(riesz, _bounds(numkit.spectra(
+        (t_orbits + w_orbits)[riesz]), ambient=False))) if riesz else {}
 
-    frame_margin = threshold - 2.0 * phi_norm
-    frame_cert = Certificate(
-        "two_operator_frame",
-        {
+    def certify(i: int) -> tuple:
+        a = reports[i].a_opt
+        lam = max(float(st.mu[i]), float(st.w_mu[i]))
+        phi_norm = float(phi_norms[i])
+        threshold = math.sqrt(a * (1.0 - lam**2))
+        frame_margin = threshold - 2.0 * phi_norm
+        frame_cert = Certificate(
+            "two_operator_frame",
+            {
+                "lower_bound": a,
+                "lambda": lam,
+                "phi_norm": phi_norm,
+                "threshold": threshold,
+            },
+            float(frame_margin),
+            frame_margin > 0,
+            w_reports[i],
+        )
+        diff_sum = float(diff_sums[i])
+        tail = 4.0 * phi_norm**2 * lam ** (2 * h) / (1.0 - lam**2)
+        sum_margin = a - (diff_sum + tail)
+        values = {
             "lower_bound": a,
             "lambda": lam,
             "phi_norm": phi_norm,
-            "threshold": threshold,
-        },
-        float(frame_margin),
-        frame_margin > 0,
-        w_report,
-    )
+            "difference_sum": diff_sum,
+            "difference_tail_bound": tail,
+            "w_lower_floor": (math.sqrt(a) - math.sqrt(diff_sum + tail)) ** 2
+            if sum_margin > 0 else 0.0,
+        }
+        if i in combined:
+            values["riesz_variant_margin"] = (
+                math.sqrt(spans[i].a_opt * (1.0 - lam**2)) - phi_norm
+            )
+            values["combined_span_lower"] = combined[i].a_opt
+        sum_cert = Certificate("two_operator_riesz_sum", values,
+                               float(sum_margin), sum_margin > 0, w_reports[i])
+        return frame_cert, sum_cert
 
-    t_cols, w_cols = frames.synthesis(base), frames.synthesis(w_sys)
-    diff_sum = float(np.sum(np.linalg.norm(t_cols - w_cols, axis=0) ** 2))
-    tail = 4.0 * phi_norm**2 * lam ** (2 * horizon) / (1.0 - lam**2)
-    sum_margin = a - (diff_sum + tail)
-
-    values = {
-        "lower_bound": a,
-        "lambda": lam,
-        "phi_norm": phi_norm,
-        "difference_sum": diff_sum,
-        "difference_tail_bound": tail,
-        "w_lower_floor": (math.sqrt(a) - math.sqrt(diff_sum + tail)) ** 2
-        if sum_margin > 0 else 0.0,
-    }
-    base_span = frames.frame_bounds(base, ambient=False)
-    if base_span.classification in _RIESZ:
-        combined = VectorSystem(matrix=t_cols + w_cols)
-        combined_report = frames.frame_bounds(combined, ambient=False)
-        values["riesz_variant_margin"] = (
-            math.sqrt(base_span.a_opt * (1.0 - lam**2)) - phi_norm
-        )
-        values["combined_span_lower"] = combined_report.a_opt
-    sum_cert = Certificate("two_operator_riesz_sum", values, float(sum_margin),
-                           sum_margin > 0, w_report)
-    return frame_cert, sum_cert
+    return _certify(fails, certify)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +549,8 @@ class CertificateKind(NamedTuple):
     ``doubled()`` evaluates it again at twice the horizon."""
 
     params: dict  # JSON schema of params["perturbation:<name>"]
-    sample: Callable  # rng -> CertificateInputs of one search instance
+    sample: Callable  # iterable of rngs -> one search instance per rng
+    kernel: Callable  # (stack, fails) -> per instance, Certificates or error
     evaluate: Callable  # (inputs, psi, horizon) -> tuple of Certificates
     concludes: Callable
 
@@ -419,69 +578,112 @@ _ORBIT_PARAMS = ("horizon", "operator", "phi", "subspace_coords",
                  "psi_direction", "psi_scales")
 
 
-def _random_contraction(rng, d, top=0.95):
+def _groups(keys) -> list[list[int]]:
+    """Indices of equal keys, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _draw_contraction(rng, d: int) -> tuple[np.ndarray, float]:
+    """The draws of one random contraction: a complex Gaussian matrix and
+    the norm in [0.2, 0.95) it is scaled to by :func:`_scale_draws`."""
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    target = float(rng.uniform(0.2, top))
-    return (m / numkit.operator_norm(m)) * target
+    return m, float(rng.uniform(0.2, 0.95))
 
 
-def _sample_block(rng, weighted: bool = False) -> CertificateInputs:
+def _matrix_norms(ms: list[np.ndarray]) -> list[float]:
+    """``numkit.operator_norm`` of each matrix, one stacked SVD per shape."""
+    out = [0.0] * len(ms)
+    for idx in _groups([m.shape for m in ms]):
+        for i, n in zip(idx, _operator_norms(np.stack([ms[i] for i in idx]))):
+            out[i] = float(n)
+    return out
+
+
+def _scale_draws(draws: list) -> list[np.ndarray]:
+    """``(m / ||m||) * target`` for each drawn ``(m, target)``."""
+    norms = _matrix_norms([m for m, _ in draws])
+    return [(m / n) * target for (m, target), n in zip(draws, norms)]
+
+
+def _sample_block(rngs, weighted: bool = False) -> list[CertificateInputs]:
     """Shift block plus diagonal contraction block, contraction subspace =
     the trailing coordinates, and a psi of norm at most 1.2 inside it."""
-    m = int(rng.integers(2, 5))
-    k = int(rng.integers(1, 4))
-    d = m + k
-    scale = float(rng.uniform(0.5, 1.5))
-    t = np.zeros((d, d), dtype=complex)
-    t[:m, :m] = scale * nilpotent_shift(m)
-    t[m:, m:] = np.diag(rng.uniform(0.05, 0.9, size=k)).astype(complex)
-    v_basis = np.eye(d, dtype=complex)[:, m:]
-    phi = np.eye(d, dtype=complex)[0]
-    direction = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    direction /= np.linalg.norm(direction)
-    psi = v_basis @ direction * float(rng.uniform(0.0, 1.2))
-    weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3))) \
-        if weighted else None
-    return CertificateInputs(operator=t, horizon=m, subspace_basis=v_basis,
-                             phi=phi, psis=(psi,), weights=weights)
+    out = []
+    for rng in rngs:
+        m = int(rng.integers(2, 5))
+        k = int(rng.integers(1, 4))
+        d = m + k
+        scale = float(rng.uniform(0.5, 1.5))
+        t = np.zeros((d, d), dtype=complex)
+        t[:m, :m] = scale * nilpotent_shift(m)
+        t[m:, m:] = np.diag(rng.uniform(0.05, 0.9, size=k)).astype(complex)
+        v_basis = np.eye(d, dtype=complex)[:, m:]
+        phi = np.eye(d, dtype=complex)[0]
+        direction = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        direction /= np.linalg.norm(direction)
+        psi = v_basis @ direction * float(rng.uniform(0.0, 1.2))
+        weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3))) \
+            if weighted else None
+        out.append(CertificateInputs(operator=t, horizon=m,
+                                     subspace_basis=v_basis, phi=phi,
+                                     psis=(psi,), weights=weights))
+    return out
 
 
-def _sample_scaled(rng) -> CertificateInputs:
-    d = int(rng.integers(2, 6))
-    phi = np.eye(d, dtype=complex)[0]
-    psi = phi * float(rng.uniform(0.0, 0.5))
-    weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3)))
-    return CertificateInputs(operator=nilpotent_shift(d), horizon=d, phi=phi,
-                             psis=(psi,), weights=weights)
+def _sample_scaled(rngs) -> list[CertificateInputs]:
+    out = []
+    for rng in rngs:
+        d = int(rng.integers(2, 6))
+        phi = np.eye(d, dtype=complex)[0]
+        psi = phi * float(rng.uniform(0.0, 0.5))
+        weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3)))
+        out.append(CertificateInputs(operator=nilpotent_shift(d), horizon=d,
+                                     phi=phi, psis=(psi,), weights=weights))
+    return out
 
 
-def _sample_multi(rng) -> CertificateInputs:
-    d = int(rng.integers(1, 9))
-    w_op = _random_contraction(rng, d)
-    t_op = _random_contraction(rng, d)
-    count = int(rng.integers(1, 3))
-    gens = tuple((rng.standard_normal(d) + 1j * rng.standard_normal(d))
-                 * float(rng.uniform(0.1, 2.0)) for _ in range(count))
-    return CertificateInputs(operator=t_op, horizon=4 * d,
-                             subspace_basis=np.eye(d, dtype=complex),
-                             generators=gens, second_operator=w_op)
+def _sample_multi(rngs) -> list[CertificateInputs]:
+    draws = []
+    for rng in rngs:
+        d = int(rng.integers(1, 9))
+        w_draw = _draw_contraction(rng, d)
+        t_draw = _draw_contraction(rng, d)
+        count = int(rng.integers(1, 3))
+        gens = tuple((rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                     * float(rng.uniform(0.1, 2.0)) for _ in range(count))
+        draws.append((w_draw, t_draw, gens))
+    ops = _scale_draws([x for w_draw, t_draw, _ in draws
+                            for x in (w_draw, t_draw)])
+    return [CertificateInputs(operator=t_op, horizon=4 * len(t_op),
+                              subspace_basis=np.eye(len(t_op), dtype=complex),
+                              generators=gens, second_operator=w_op)
+            for w_op, t_op, (_, _, gens) in zip(ops[::2], ops[1::2], draws)]
 
 
-def _sample_two_operator(rng, nearby: bool) -> CertificateInputs:
+def _sample_two_operator(rngs, nearby: bool) -> list[CertificateInputs]:
     """Two random contractions; ``nearby`` draws W within 0.01 of T."""
-    d = int(rng.integers(1, 9))
-    t_op = _random_contraction(rng, d)
+    draws = []
+    for rng in rngs:
+        d = int(rng.integers(1, 9))
+        t_draw = _draw_contraction(rng, d)
+        w_draw = _draw_contraction(rng, d)
+        phi = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) \
+            * float(rng.uniform(0.2, 2.0))
+        draws.append((t_draw, w_draw, phi))
+    ops = _scale_draws([x for t_draw, w_draw, _ in draws
+                            for x in (t_draw, w_draw)])
+    t_ops, w_ops = ops[::2], ops[1::2]
     if nearby:
-        w_op = t_op + 0.01 * _random_contraction(rng, d)
-        if numkit.operator_norm(w_op) >= 1.0:
-            w_op = w_op / (numkit.operator_norm(w_op) + 0.05)
-    else:
-        w_op = _random_contraction(rng, d)
-    phi = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) \
-        * float(rng.uniform(0.2, 2.0))
-    return CertificateInputs(operator=t_op, horizon=4 * d,
-                             subspace_basis=np.eye(d, dtype=complex),
-                             phi=phi, second_operator=w_op)
+        w_ops = [t_op + 0.01 * c for t_op, c in zip(t_ops, w_ops)]
+        w_ops = [w_op / (n + 0.05) if n >= 1.0 else w_op
+                 for w_op, n in zip(w_ops, _matrix_norms(w_ops))]
+    return [CertificateInputs(operator=t_op, horizon=4 * len(t_op),
+                              subspace_basis=np.eye(len(t_op), dtype=complex),
+                              phi=phi, second_operator=w_op)
+            for t_op, w_op, (_, _, phi) in zip(t_ops, w_ops, draws)]
 
 
 def _riesz_concludes(cert: Certificate, doubled) -> bool:
@@ -503,6 +705,7 @@ def _two_operator(nearby: bool) -> CertificateKind:
         _params("horizon", "operator", "phi", "subspace_coords",
                 "second_operator", required=["second_operator"]),
         partial(_sample_two_operator, nearby=nearby),
+        _two_operator_kernel,
         lambda inp, psi, horizon: two_operator_certificates(
             inp.contraction, inp.second_contraction, inp.phi, horizon),
         lambda cert, doubled: cert.conclusion_check.a_opt > 0)
@@ -510,18 +713,18 @@ def _two_operator(nearby: bool) -> CertificateKind:
 
 CERTIFICATES = {
     "riesz_orbit_perturbation": CertificateKind(
-        _params(*_ORBIT_PARAMS), _sample_block,
+        _params(*_ORBIT_PARAMS), _sample_block, _riesz_kernel,
         lambda inp, psi, horizon: (riesz_perturbation_certificate(
             inp.contraction, inp.phi, psi, horizon),),
         _riesz_concludes),
     "weighted_frame_perturbation": CertificateKind(
         _params(*_ORBIT_PARAMS, "weights"),
-        partial(_sample_block, weighted=True),
+        partial(_sample_block, weighted=True), _weighted_kernel,
         lambda inp, psi, horizon: (weighted_frame_perturbation_certificate(
             inp.contraction, inp.phi, psi, inp.weights, horizon),),
         _stable_under_doubling),
     "scaled_generator_perturbation": CertificateKind(
-        _params(*_ORBIT_PARAMS, "weights"), _sample_scaled,
+        _params(*_ORBIT_PARAMS, "weights"), _sample_scaled, _scaled_kernel,
         lambda inp, psi, horizon: (scaled_generator_perturbation_certificate(
             inp.operator, inp.phi, psi, inp.weights, horizon),),
         lambda cert, doubled: cert.conclusion_check.classification
@@ -529,7 +732,7 @@ CERTIFICATES = {
     "multi_generator_riesz": CertificateKind(
         _params("horizon", "operator", "subspace_coords", "w_operator",
                 required=["w_operator"]),
-        _sample_multi,
+        _sample_multi, _multi_kernel,
         lambda inp, psi, horizon: (multi_generator_riesz_certificate(
             inp.second_contraction, inp.contraction, inp.generators, horizon),),
         lambda cert, doubled: cert.conclusion_check.classification in _RIESZ),
@@ -544,11 +747,82 @@ CERTIFICATE_NAMES = tuple(CERTIFICATES)
 # randomized satisfiability search
 # ---------------------------------------------------------------------------
 
+# Trials drawn and evaluated together; memory does not grow with the
+# trial count.
+SEARCH_CHUNK = 512
+
+
 @dataclass
 class SearchReport:
     certificate: str
     tried: int
     satisfying: list[dict] = field(default_factory=list)
+
+
+class Trial(NamedTuple):
+    """One search trial: the certificates its instance gets, none when the
+    instance violates a hard hypothesis."""
+
+    index: int
+    dimension: int
+    certificates: tuple[Certificate, ...]
+
+
+def _stack(insts: list[CertificateInputs], fails: list) -> _Stack:
+    """Instances of one shape, stacked, with the contraction factors of T
+    (and W) on the subspace where one is given."""
+    def stacked(get):
+        values = [get(x) for x in insts]
+        return None if values[0] is None else np.array(values)
+
+    t = stacked(lambda x: x.operator)
+    w = stacked(lambda x: x.second_operator)
+    basis = stacked(lambda x: x.subspace_basis)
+    mu = None if basis is None else _contractions(t, basis, fails)[0]
+    w_mu = None if w is None else _contractions(w, basis, fails)[0]
+    return _Stack(
+        t=t, horizon=insts[0].horizon, mu=mu, basis=basis,
+        phi=stacked(lambda x: x.phi), psi=stacked(lambda x: x.psis[0]),
+        weights=tuple(x.weights for x in insts),
+        gens=stacked(lambda x: x.generators or None),
+        w=w, w_mu=w_mu, w_basis=basis)
+
+
+def search_trials(certificate_name: str, trials: int,
+                  seed: int) -> Iterator[Trial]:
+    """The trials of :func:`satisfiability_search`, in order.
+
+    Trial n draws its instance from ``default_rng([seed, n])``.  Each
+    chunk of trials is drawn first, then evaluated one shape group
+    (dimension, horizon, generator count) at a time by the certificate's
+    stacked kernel.
+    """
+    kind = CERTIFICATES.get(certificate_name)
+    if kind is None:
+        raise InvalidInput(f"unknown certificate {certificate_name!r}")
+    if trials < 1:
+        raise InvalidInput("trials must be >= 1")
+    return _trials(kind, trials, seed)
+
+
+def _trials(kind: CertificateKind, trials: int, seed: int) -> Iterator[Trial]:
+    for start in range(0, trials, SEARCH_CHUNK):
+        numbers = range(start, min(trials, start + SEARCH_CHUNK))
+        insts = kind.sample(np.random.default_rng([seed, n]) for n in numbers)
+        outcomes = [None] * len(insts)
+        for idx in _groups([(x.horizon, x.operator.shape,
+                             np.shape(x.subspace_basis), len(x.generators))
+                            for x in insts]):
+            fails = [None] * len(idx)
+            group = kind.kernel(_stack([insts[i] for i in idx], fails), fails)
+            for i, out in zip(idx, group):
+                outcomes[i] = out
+        for n, inst, out in zip(numbers, insts, outcomes):
+            if isinstance(out, HypothesisViolated):
+                out = ()
+            elif isinstance(out, Exception):
+                raise out
+            yield Trial(n, inst.operator.shape[0], out)
 
 
 def satisfiability_search(certificate_name: str, trials: int,
@@ -560,24 +834,15 @@ def satisfiability_search(certificate_name: str, trials: int,
     is positive.  Instances violating a hard hypothesis count as tried
     and unsatisfying.  Deterministic for a fixed seed.
     """
-    kind = CERTIFICATES.get(certificate_name)
-    if kind is None:
-        raise InvalidInput(f"unknown certificate {certificate_name!r}")
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
     report = SearchReport(certificate=certificate_name, tried=trials)
-    for trial in range(trials):
-        try:
-            inp = kind.sample(np.random.default_rng([seed, trial]))
-            certs = kind.evaluate(inp, inp.psis[0], inp.horizon)
-        except HypothesisViolated:
-            continue
-        cert = next(c for c in certs if c.name == certificate_name)
-        if cert.verdict and math.isfinite(cert.margin):
-            report.satisfying.append({
-                "margin": cert.margin,
-                "dimension": inp.operator.shape[0],
-                "hypothesis_values": dict(cert.hypothesis_values),
-                "trial": trial,
-            })
+    for trial in search_trials(certificate_name, trials, seed):
+        for cert in trial.certificates:
+            if (cert.name == certificate_name and cert.verdict
+                    and math.isfinite(cert.margin)):
+                report.satisfying.append({
+                    "margin": cert.margin,
+                    "dimension": trial.dimension,
+                    "hypothesis_values": dict(cert.hypothesis_values),
+                    "trial": trial.index,
+                })
     return report

@@ -199,6 +199,20 @@ def test_cli_bad_weight_sequence_is_refused_at_load(tmp_path, capsys, weights):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cli_underflowing_geometric_weight_names_n(tmp_path, capsys):
+    # 0.5**1075 rounds to 0 in float64, although the ratio 0.5 is nonzero
+    raw = shift_config(weights={"kind": "geometric", "value": 0.5},
+                       horizon=1100)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: weights: geometric weight r^n underflows to 0 in float64 "
+        "at n = 1075 (|r| = 0.5)\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_overflowing_geometric_weights_load_without_warnings():
     # the sequence is computed at load; its overflow is the orbit's error
     raw = shift_config(weights={"kind": "geometric", "value": 1e30},
