@@ -22,6 +22,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     build_operator,
+    canonical_json,
     config_hash,
     config_to_dict,
     params_schema,
@@ -43,6 +44,9 @@ class CheckContext:
     seed: int
     params: dict | perturb.CertificateInputs  # validated and parsed at load
     orbit: Callable[[], VectorSystem]  # built once, shared by orbit checks
+    # stein(count, tol): the orbit frame operator of the first ``count``
+    # generators, solved once per (count, tol), shared by Stein checks
+    stein: Callable[[int, float], numkit.SteinSolution]
 
     def tol(self, key: str, default: float) -> float:
         tols = self.config.tolerances
@@ -107,10 +111,7 @@ def _stein_series(t: np.ndarray, generators, depth: int) -> np.ndarray:
 
 
 def _check_stein(ctx: CheckContext, name: str):
-    c = np.zeros((ctx.config.dimension,) * 2, dtype=complex)
-    for g in ctx.generators:
-        c += np.outer(g, g.conj())
-    sol = numkit.solve_stein(ctx.operator, c, tol=ctx.tol("stein", 1e-12))
+    sol = ctx.stein(len(ctx.generators), ctx.tol("stein", 1e-12))
     w = np.linalg.eigvalsh(sol.s)
     outputs = {
         "residual": sol.residual,
@@ -122,6 +123,9 @@ def _check_stein(ctx: CheckContext, name: str):
     margins = {}
     passed = True
     opnorm = numkit.operator_norm(ctx.operator)
+    c = np.zeros((ctx.config.dimension,) * 2, dtype=complex)
+    for g in ctx.generators:
+        c += np.outer(g, g.conj())
     c_norm = numkit.frobenius(c)
     if opnorm < 1.0 and c_norm > 0:
         # truncation depth from the geometric tail bound
@@ -143,9 +147,8 @@ def _check_stein(ctx: CheckContext, name: str):
 
 def _check_surjectivity(ctx: CheckContext, name: str):
     phi = ctx.generators[0]
-    sol = dynsamp.orbit_frame_operator_exact(ctx.operator, phi)
     rep = dynsamp.surjectivity_report(
-        ctx.operator, phi, sol.s,
+        ctx.operator, phi, ctx.stein(1, 1e-12).s,
         horizon=ctx.params.get("witness_horizon"),
         tol=ctx.tol("surjectivity", 1e-8),
     )
@@ -487,6 +490,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # an orbit that raises is not cached: each orbit check records the error
     orbit = cache(partial(dynsamp.orbit, operator, generators, cfg.horizon,
                           cfg.weights or WeightSpec.constant(1.0)))
+    stein = cache(lambda count, tol: dynsamp.orbit_frame_operator_exact(
+        operator, generators[:count], tol=tol))
     records = [
         run_single(CheckContext(
             config=cfg,
@@ -495,13 +500,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             seed=cfg.seed + 1000003 * index,
             params=params[name],
             orbit=orbit,
+            stein=stein,
         ), name)
         for index, name in enumerate(cfg.checks)
     ]
     echo = config_to_dict(cfg)
+    echo_json = canonical_json(echo)
     return ExperimentReport(
-        config_hash=config_hash(cfg, echo),
+        config_hash=config_hash(cfg, echo_json),
         seed=cfg.seed,
         config_echo=echo,
         checks=records,
+        echo_json=echo_json,
     )

@@ -39,6 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parse_args leaves it unchanged
+PARSER = _build_parser()
+
+
 def _summarize(report: ExperimentReport, stream=sys.stdout) -> None:
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
@@ -48,7 +52,7 @@ def _summarize(report: ExperimentReport, stream=sys.stdout) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if args.command == "run":
             cfg = load_config(args.config)

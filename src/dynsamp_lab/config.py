@@ -347,11 +347,12 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def config_hash(cfg: ExperimentConfig, echo: dict | None = None) -> str:
-    """sha256 of the canonical echo; pass ``echo`` if it is already built."""
-    if echo is None:
-        echo = config_to_dict(cfg)
-    return hashlib.sha256(canonical_json(echo).encode()).hexdigest()
+def config_hash(cfg: ExperimentConfig, echo_json: str | None = None) -> str:
+    """sha256 of the canonical echo, ``canonical_json(config_to_dict(cfg))``;
+    pass ``echo_json`` if it is already encoded."""
+    if echo_json is None:
+        echo_json = canonical_json(config_to_dict(cfg))
+    return hashlib.sha256(echo_json.encode()).hexdigest()
 
 
 def load_config(path) -> ExperimentConfig:

@@ -171,18 +171,21 @@ def bessel_bound_contractive(t, phi) -> float:
     return float(np.linalg.norm(phi) ** 2 / (1.0 - norm_t**2))
 
 
-def orbit_frame_operator_exact(t, phi) -> SteinSolution:
-    """Frame operator of the full infinite orbit {T^n phi}, n >= 0.
+def orbit_frame_operator_exact(t, generators,
+                               tol: float = 1e-12) -> SteinSolution:
+    """Frame operator of the full infinite orbit {T^n phi}, n >= 0, of the
+    ``generators`` phi.
 
-    Computed as the Stein solution of ``S - T S T* = phi phi*``; positive
-    definite exactly when the reachability matrix
+    Computed as the Stein solution of ``S - T S T* = sum_phi phi phi*``,
+    to ``numkit.solve_stein``'s relative residual ``tol``; for one
+    generator, positive definite exactly when the reachability matrix
     ``[phi, T phi, ..., T^{d-1} phi]`` has full rank.
     """
     t = numkit.as_operator(t)
-    phi = numkit.as_vector(phi)
-    if phi.size != t.shape[0]:
-        raise InvalidInput("generator dimension does not match the operator")
-    return numkit.solve_stein(t, np.outer(phi, phi.conj()))
+    c = np.zeros_like(t)
+    for phi in orbit_generators(t, generators, horizon=1):
+        c += np.outer(phi, phi.conj())
+    return numkit.solve_stein(t, c, tol=tol)
 
 
 def reachability_rank(t, phi) -> int:

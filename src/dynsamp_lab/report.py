@@ -126,6 +126,9 @@ class ExperimentReport:
     config_hash: str
     seed: int
     config_echo: dict
+    # canonical_json(config_echo), encoded once per run and spliced into
+    # the hash basis and the file
+    echo_json: str
     checks: list[CheckRecord] = field(default_factory=list)
 
     @property
@@ -145,13 +148,26 @@ class ExperimentReport:
                             for check in payload["checks"]]
         return stable
 
-    def payload_hash(self, payload: dict | None = None) -> str:
-        """SHA-256 of ``stable_payload(payload)`` in canonical JSON."""
-        return hashlib.sha256(
-            canonical_json(self.stable_payload(payload)).encode()
-        ).hexdigest()
+    def payload_hash(self, payload: dict | None = None,
+                     stable_checks: list[str] | None = None) -> str:
+        """SHA-256 of ``stable_payload(payload)`` in canonical JSON.
+
+        A ``payload`` dict is encoded as it is.  Without one, the basis is
+        this report's, with ``stable_checks`` (its check records without
+        ``wall_time``, in canonical JSON) if they are already encoded.
+        """
+        if payload is not None:
+            text = canonical_json(self.stable_payload(payload))
+        else:
+            if stable_checks is None:
+                stable_checks = [_stable_json(c.to_dict()) for c in self.checks]
+            text = self._document("[" + ",".join(stable_checks) + "]")
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def to_dict(self) -> dict:
+        return self._payload([c.to_dict() for c in self.checks])
+
+    def _payload(self, records: list[dict]) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "metadata": {
@@ -160,15 +176,38 @@ class ExperimentReport:
                 "seed": self.seed,
                 "config": self.config_echo,
             },
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": records,
             "passed": self.passed,
         }
 
     def to_json(self) -> str:
-        payload = self.to_dict()
-        payload["payload_hash"] = self.payload_hash(payload)
-        validate_report(payload)
-        return json.dumps(payload, sort_keys=True, indent=2)
+        """The report file: compact sorted-key JSON with one line per
+        check record; each record is encoded once, for the hash and the
+        file."""
+        records = [c.to_dict() for c in self.checks]
+        stable = [_stable_json(r) for r in records]
+        digest = self.payload_hash(stable_checks=stable)
+        validate_report({**self._payload(records), "payload_hash": digest})
+        # ``wall_time`` sorts last among a record's keys
+        lines = [s[:-1] + ',"wall_time":' + json.dumps(r["wall_time"]) + "}"
+                 for s, r in zip(stable, records)]
+        return self._document("[\n" + ",\n".join(lines) + "\n]", digest)
+
+    def _document(self, checks: str, digest: str | None = None) -> str:
+        """Canonical JSON of this report with the encoded ``checks`` array
+        and the echo string spliced in, plus ``payload_hash`` if given.
+
+        Sorted keys put ``checks`` first, then ``metadata`` (whose first
+        key is ``config``), then the scalar keys.
+        """
+        meta = canonical_json({"config_hash": self.config_hash,
+                               "tool_version": __version__,
+                               "seed": self.seed})
+        rest = {"passed": self.passed, "schema_version": SCHEMA_VERSION}
+        if digest is not None:
+            rest["payload_hash"] = digest
+        return ('{"checks":' + checks + ',"metadata":{"config":'
+                + self.echo_json + "," + meta[1:] + "," + canonical_json(rest)[1:])
 
     def to_csv(self) -> str:
         """Flattened numeric table: one row per (check, key) pair."""
@@ -192,6 +231,11 @@ class ExperimentReport:
             path.write_text(self.to_csv())
         else:
             raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _stable_json(record: dict) -> str:
+    """Canonical JSON of a check record without ``wall_time``."""
+    return canonical_json({k: v for k, v in record.items() if k != "wall_time"})
 
 
 def _flatten(value, prefix=""):

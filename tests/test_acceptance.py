@@ -78,7 +78,7 @@ def test_criterion_3_surjectivity_quadruple():
     for d in range(2, 9):
         t = dynsamp.nilpotent_shift(d)
         phi = delta(d, 0)
-        s = dynsamp.orbit_frame_operator_exact(t, phi).s
+        s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
         rep = dynsamp.surjectivity_report(t, phi, s)
         ok = ok and rep.consistent and not rep.ground_truth_surjective
         ok = ok and rep.criterion_iv <= 1e-10
@@ -89,7 +89,7 @@ def test_criterion_3_surjectivity_quadruple():
         lam = 0.15 + 0.7 * (np.arange(d) + rng.uniform(0.2, 0.8, size=d)) / d
         t = np.diag(lam).astype(complex)
         phi = rng.uniform(0.5, 1.5, size=d).astype(complex)
-        s = dynsamp.orbit_frame_operator_exact(t, phi).s
+        s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
         rep = dynsamp.surjectivity_report(t, phi, s)
         ok = ok and rep.consistent and rep.ground_truth_surjective
     _verdict(3, "surjectivity criteria quadruple", ok)

@@ -236,6 +236,27 @@ def test_cli_unknown_preset():
     assert cli.main(["repro", "nonexistent"]) == 1
 
 
+def test_cli_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    def rebuild():
+        raise AssertionError("parser rebuilt per call")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(shift_config()))
+    out = tmp_path / "run.json"
+    assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+    assert cli.main(["repro", "shift-orbit", "--dim", "4",
+                     "--out", str(tmp_path / "repro.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(cfg_path)])  # --out is required
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    # a bad argv leaves the parser as it was
+    assert cli.main(["repro", "shift-orbit", "--dim", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_cli_repro_writes_report(tmp_path):
     out = tmp_path / "rep.json"
     code = cli.main(["repro", "shift-orbit", "--out", str(out)])

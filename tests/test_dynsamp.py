@@ -90,7 +90,7 @@ def test_bessel_bound_half():
     bound = dynsamp.bessel_bound_contractive(0.5 * np.eye(2), delta(2, 0))
     assert bound == pytest.approx(4.0 / 3.0, abs=1e-13)
     # oracle: largest eigenvalue of the exact orbit frame operator
-    sol = dynsamp.orbit_frame_operator_exact(0.5 * np.eye(2), delta(2, 0))
+    sol = dynsamp.orbit_frame_operator_exact(0.5 * np.eye(2), (delta(2, 0),))
     assert np.linalg.eigvalsh(sol.s)[-1] <= bound + 1e-12
 
 
@@ -106,7 +106,7 @@ def test_bessel_bound_diagonal_dominates_exact_upper():
     bound = dynsamp.bessel_bound_contractive(t, phi)
     # ||phi||^2 = 19/16, 1 - ||T||^2 = 7/16
     assert bound == pytest.approx(19.0 / 7.0, abs=1e-12)
-    top = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(t, phi).s)[-1]
+    top = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(t, (phi,)).s)[-1]
     assert top == pytest.approx(1.0 + np.sqrt(21) / 5.0, abs=1e-12)
     assert top <= bound
 
@@ -118,14 +118,14 @@ def test_bessel_bound_rejects_expansive():
 
 def test_exact_orbit_operator_zero_t():
     phi = np.array([1.0, 2.0])
-    sol = dynsamp.orbit_frame_operator_exact(np.zeros((2, 2)), phi)
+    sol = dynsamp.orbit_frame_operator_exact(np.zeros((2, 2)), (phi,))
     np.testing.assert_allclose(sol.s, np.outer(phi, phi), atol=1e-14)
 
 
 def test_exact_orbit_operator_closed_form_bounds():
     t = np.diag([0.5, 0.75]).astype(complex)
     phi = np.array([np.sqrt(3) / 2.0, np.sqrt(7) / 4.0])
-    sol = dynsamp.orbit_frame_operator_exact(t, phi)
+    sol = dynsamp.orbit_frame_operator_exact(t, (phi,))
     closed = np.outer(phi, phi) / (1.0 - np.outer([0.5, 0.75], [0.5, 0.75]))
     np.testing.assert_allclose(sol.s, closed, atol=1e-12)
     w = np.linalg.eigvalsh(sol.s)
@@ -134,7 +134,7 @@ def test_exact_orbit_operator_closed_form_bounds():
 
 
 def test_exact_orbit_operator_rank_deficient_axis():
-    sol = dynsamp.orbit_frame_operator_exact(np.diag([0.5, 0.75]), delta(2, 0))
+    sol = dynsamp.orbit_frame_operator_exact(np.diag([0.5, 0.75]), (delta(2, 0),))
     np.testing.assert_allclose(sol.s, np.diag([4.0 / 3.0, 0.0]), atol=1e-13)
     assert dynsamp.reachability_rank(np.diag([0.5, 0.75]), delta(2, 0)) == 1
 
@@ -148,7 +148,7 @@ def test_positive_definite_iff_reachable():
         phi = rng.uniform(0.5, 1.5, size=d).astype(complex)
         if trial % 2 == 0:
             phi[int(rng.integers(0, d))] = 0.0  # orbit misses one eigenline
-        sol = dynsamp.orbit_frame_operator_exact(t, phi)
+        sol = dynsamp.orbit_frame_operator_exact(t, (phi,))
         reachable = dynsamp.reachability_rank(t, phi) == d
         posdef = np.linalg.eigvalsh(sol.s)[0] > 1e-12
         assert posdef == reachable
@@ -161,7 +161,7 @@ def test_positive_definite_iff_reachable():
 def test_surjectivity_nilpotent_shift():
     t = dynsamp.nilpotent_shift(3)
     phi = delta(3, 0)
-    s = dynsamp.orbit_frame_operator_exact(t, phi).s
+    s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
     np.testing.assert_allclose(s, np.eye(3), atol=1e-12)
     rep = dynsamp.surjectivity_report(t, phi, s)
     assert rep.criterion_i == pytest.approx(0.0, abs=1e-12)
@@ -177,7 +177,7 @@ def test_surjectivity_diagonal_closed_form_oracle():
     lam = np.array([0.5, 0.75])
     phi = np.array([np.sqrt(3) / 2.0, np.sqrt(7) / 4.0])
     t = np.diag(lam).astype(complex)
-    s = dynsamp.orbit_frame_operator_exact(t, phi).s
+    s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
     rep = dynsamp.surjectivity_report(t, phi, s)
     assert rep.ground_truth_surjective and rep.consistent
     # oracle: closed-form S and explicit 2x2 inversion give
@@ -194,7 +194,7 @@ def test_surjectivity_diagonal_closed_form_oracle():
 def test_surjectivity_scalar_half():
     t = np.array([[0.5]])
     phi = np.array([1.0])
-    s = dynsamp.orbit_frame_operator_exact(t, phi).s
+    s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
     rep = dynsamp.surjectivity_report(t, phi, s)
     # ||S^{-1/2} phi|| = sqrt(3)/2 for S = 4/3
     assert rep.criterion_iv == pytest.approx(1.0 - math.sqrt(3.0) / 2.0,
@@ -216,7 +216,7 @@ def test_surjectivity_consistency_randomized():
         lam = 0.15 + 0.7 * (np.arange(d) + rng.uniform(0.2, 0.8, size=d)) / d
         t = np.diag(lam).astype(complex)
         phi = rng.uniform(0.5, 1.5, size=d).astype(complex)
-        s = dynsamp.orbit_frame_operator_exact(t, phi).s
+        s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
         rep = dynsamp.surjectivity_report(t, phi, s)
         assert rep.ground_truth_surjective
         assert rep.consistent
@@ -686,7 +686,7 @@ def test_truncated_frame_operator_approaches_stein_solution():
         horizon = int(rng.integers(5, 40))
         sys = orbit_of(t, phi, horizon)
         truncated = frames.frame_operator(sys)
-        exact = dynsamp.orbit_frame_operator_exact(t, phi).s
+        exact = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
         q = numkit.operator_norm(t) ** 2
         tail_bound = q**horizon * np.linalg.norm(phi) ** 2 / (1.0 - q)
         assert numkit.frobenius(exact - truncated) <= tail_bound + 1e-10

@@ -277,7 +277,7 @@ def test_surjectivity_tail_matches_two_walks(seed, nilpotent_part):
     if nilpotent_part:
         t = t @ np.diag(np.r_[np.ones(d - 1), 0.0])  # T loses rank
     phi = random_vectors(rng, d, 1)[0]
-    s = dynsamp.orbit_frame_operator_exact(t, phi).s
+    s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
     w = np.linalg.eigvalsh(s)
     if w[0] <= 1e-8 * w[-1]:
         return  # the report refuses a singular S; nothing to compare
