@@ -227,15 +227,121 @@ def lower_riesz_profile(sys: VectorSystem) -> np.ndarray:
     measured on coefficient space; it is exactly zero once n exceeds the
     ambient dimension.  One QR of the first ``min(d, N)`` columns gives
     every prefix at once: ``U[:, :k] = Q[:, :k] R[:k, :k]``, so the prefix
-    shares its singular values with the leading k x k triangular block.
+    shares its singular values with the leading k x k block R_k.
+
+    The blocks are not factored one by one, so a profile whose prefixes
+    are all certified costs O(d^3).  ``X = R^-1`` is upper triangular, so ``X[:k, :k] = R_k^-1``
+    and ``sigma_min(R_k)^2 = 1 / lambda_max(H_k)`` with
+    ``H_k = X_k* X_k``.  From the previous prefix's top vector w, a 2 x 2
+    Rayleigh-Ritz step on span{[w; 0], e_k} (incremental condition
+    estimation) and power steps, each a 2 x 2 Rayleigh-Ritz on
+    span{v, H_k v}, give a Rayleigh pair (rho, r).  H_k borders H_{k-1},
+    so by Cauchy interlacing every eigenvalue but the largest is at most
+    ``lambda_max(H_{k-1}) <= ub``.  Once ``rho - ||r|| > ub`` the pair
+    belongs to lambda_max, and Kato-Temple bounds
+    ``lambda_max - rho <= ||r||^2 / (rho - ub)``.  A prefix is accepted
+    when that bound is at most ``k * eps * rho``; it reports
+    ``1 / (rho + bound)`` and ``rho + bound`` becomes the next ``ub``.  A
+    prefix not certified within a few steps (a flat or clustered profile)
+    takes an exact SVD of X_k, the matrix the next ``ub`` must bound.
+    Early stops without the certificate are unsafe: ``rho <= lambda_max``
+    always, so they overstate the lower Riesz bound.
+
+    An exact zero pivot ``r_jj = 0`` makes every prefix from j on singular;
+    those entries are exactly zero and only the block before j is
+    inverted.  R is inverted scaled to ``max |R| = 1``; should a column of
+    the inverse still overflow, its prefixes take the SVD of R_k.
     """
     u = synthesis(sys)
     d, n = u.shape
     r = np.linalg.qr(u[:, :min(d, n)], mode="r")
     out = np.zeros(n)
-    for k in range(1, r.shape[1] + 1):
+    zero = np.flatnonzero(np.diagonal(r) == 0.0)
+    m = int(zero[0]) if zero.size else r.shape[1]
+    if m == 0:
+        return out
+    scale = float(np.max(np.abs(r[:m, :m])))
+    x = np.linalg.inv(r[:m, :m] / scale)
+    col_max = np.max(np.abs(x), axis=0)
+    overflow = np.flatnonzero(~np.isfinite(col_max))
+    k_fin = int(overflow[0]) if overflow.size else m
+    out[:k_fin] = np.square(
+        scale * _inverse_sigma_min(x, np.maximum.accumulate(col_max[:k_fin])))
+    for k in range(k_fin + 1, m + 1):
         out[k - 1] = np.linalg.svd(r[:k, :k], compute_uv=False)[-1] ** 2
     return out
+
+
+_EPS = float(np.finfo(float).eps)
+# Rayleigh pairs tried per prefix before its exact SVD
+_PROFILE_STEPS = 12
+
+
+def _inverse_sigma_min(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``1 / ||X[:k, :k]||_2``, the smallest singular value of the leading
+    block of ``X^-1``, for an upper triangular X and k = 1..len(s), given
+    ``s[k-1] = max |X[:k, :k]|``.  Block k is worked on as
+    ``Y = X_k / s_k``, entries at most 1, so large blocks do not overflow
+    and small ones do not underflow; see :func:`lower_riesz_profile`."""
+    out = np.empty(s.size)
+    out[0] = 1.0 / s[0]
+    w = np.ones(1, dtype=complex)  # top eigenvector of the previous H
+    z = x[:1, 0] / s[0]  # its image under the previous Y
+    ub = 1.0  # upper bound on the previous lambda_max, in the previous scale
+    for k in range(2, s.size + 1):
+        sk = s[k - 1]
+        shrink = s[k - 2] / sk
+        ub *= shrink * shrink
+        xk = x[:k, :k]
+        a = np.append(z * shrink, 0.0)  # Y [w; 0]
+        b = xk[:, -1] / sk  # Y e_k
+        al, be = _top_ritz(np.vdot(a, a).real, np.vdot(a, b),
+                           np.vdot(b, b).real)
+        v = np.append(al * w, be)
+        z = al * a + be * b
+        lam = None
+        last = np.inf
+        for step in range(_PROFILE_STEPS):
+            hv = np.conj(np.conj(z / sk) @ xk)  # H v = Y* Y v
+            rho = float(np.vdot(z, z).real)
+            rvec = hv - rho * v
+            res = float(np.linalg.norm(rvec))
+            if rho - res > ub and res * res <= k * _EPS * rho * (rho - ub):
+                lam = rho + res * res / (rho - ub)
+                break
+            # no certificate in reach: stalled, flat, or out of steps
+            if res > 0.5 * last or res <= _EPS * rho \
+                    or step + 1 == _PROFILE_STEPS:
+                break
+            last = res
+            rvec /= res
+            y = xk @ (rvec / sk)
+            al, be = _top_ritz(rho, res, np.vdot(y, y).real)
+            v = al * v + be * rvec
+            z = al * z + be * y
+            norm = np.linalg.norm(v)
+            v /= norm
+            z /= norm
+        if lam is None:
+            lam = float(np.linalg.svd(xk / sk, compute_uv=False)[0]) ** 2
+        w = v
+        ub = lam * (1.0 + k * _EPS)
+        out[k - 1] = 1.0 / sk / np.sqrt(lam)
+    return out
+
+
+def _top_ritz(p: float, q: complex, t: float) -> tuple[complex, complex]:
+    """Unit top eigenvector ``(alpha, beta)`` of the Hermitian 2 x 2 matrix
+    ``[[p, q], [conj(q), t]]``."""
+    mu = 0.5 * (p + t) + np.hypot(0.5 * (p - t), abs(q))
+    # two formulas for the same vector; the longer one has no cancellation
+    a1, b1, a2, b2 = q, mu - p, mu - t, np.conj(q)
+    n1, n2 = np.hypot(abs(a1), abs(b1)), np.hypot(abs(a2), abs(b2))
+    if n1 < n2:
+        a1, b1, n1 = a2, b2, n2
+    if n1 == 0.0:
+        return 1.0, 0.0
+    return a1 / n1, b1 / n1
 
 
 def bessel_from_operator(t, basis: VectorSystem) -> VectorSystem:

@@ -279,6 +279,18 @@ def test_repro_dim_override():
     assert rep.passed
 
 
+def test_repro_aldroubi_dim_54_keeps_divergent_series_text(tmp_path):
+    # 1 - 2^-54 rounds to 1 in float64: ||T||_2 = 1, so the Stein solve
+    # still runs the eigensolve and refuses with rho(T) = 1
+    out = tmp_path / "report.json"
+    assert cli.main(["repro", "aldroubi-diagonal", "--dim", "54",
+                     "--out", str(out)]) == 2
+    errors = [(c["name"], c["error"])
+              for c in json.loads(out.read_text())["checks"] if c["error"]]
+    assert errors == [("stein", "DivergentSeries: spectral radius 1 >= 1; "
+                                "orbit series diverges")]
+
+
 def test_all_presets_run_clean():
     for name in presets.PRESET_NAMES:
         rep = checks.run_experiment(presets.preset_config(name))

@@ -40,8 +40,17 @@ def loop_riesz_profile(sys):
     return out
 
 
+def kahan(n, theta):
+    """Kahan's upper triangular matrix: diag(s^i) (I - c * strict upper
+    ones), s = sin(theta), c = cos(theta); its smallest singular value is
+    far below what its diagonal suggests."""
+    s, c = np.sin(theta), np.cos(theta)
+    strict_upper = np.triu(np.ones((n, n)), 1)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * strict_upper)
+
+
 def profile_system(rng, shape, family):
-    d = int(rng.integers(2, 12))
+    d = int(rng.integers(2, 33))
     n = {"wide": d + int(rng.integers(1, 3 * d)), "square": d,
          "tall": int(rng.integers(1, d))}[shape]
     vecs = random_vectors(rng, d, n)
@@ -52,28 +61,135 @@ def profile_system(rng, shape, family):
         # a repeated direction makes later prefixes singular
         k = int(rng.integers(0, n))
         vecs[int(rng.integers(0, n))] = vecs[k] * rng.uniform(0.5, 2.0)
+    elif family == "near-orthonormal":
+        # a flat profile: orthonormal leading columns plus noise of size
+        # 1e-1 .. 1e-9, where the top eigenvalues of the prefix inverse
+        # Gram nearly tie
+        q, _ = np.linalg.qr(random_vectors(rng, d, d))
+        m = min(d, n)
+        vecs[:m] = q.T[:m] + 10.0 ** -rng.uniform(1, 9) * vecs[:m]
+    elif family == "kahan":
+        q, _ = np.linalg.qr(random_vectors(rng, d, d))
+        vecs = (q @ kahan(max(d, n), rng.uniform(0.05, 1.2))[:d, :n]).T
+    elif family == "zero-column":
+        vecs[int(rng.integers(0, n))] = 0.0
     elif family == "orbit":
         t = 0.9 * dynsamp.cyclic_shift(d) + 0.05 * random_vectors(rng, d, d)
         return dynsamp.orbit(t, (vecs[0],), n)
     return frames.vector_system(list(vecs))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000),
-       st.sampled_from(["wide", "square", "tall"]),
-       st.sampled_from(["plain", "graded", "deficient", "orbit"]))
-def test_riesz_profile_matches_prefix_svd_loop(seed, shape, family):
-    rng = np.random.default_rng(seed)
-    sys = profile_system(rng, shape, family)
-    new = frames.lower_riesz_profile(sys)
+def assert_profile_gate(sys, profile):
+    """The parity gate: every sqrt-entry within 50 N eps sigma_max of the
+    per-prefix SVD loop."""
     old = loop_riesz_profile(sys)
     n = len(sys)
     sigma_max = float(np.linalg.svd(frames.synthesis(sys),
                                     compute_uv=False)[0])
-    assert new.shape == old.shape
-    np.testing.assert_array_equal(new[sys.dim:], 0.0)
-    assert np.max(np.abs(np.sqrt(new) - np.sqrt(old))) \
+    assert profile.shape == old.shape
+    np.testing.assert_array_equal(profile[sys.dim:], 0.0)
+    assert np.max(np.abs(np.sqrt(profile) - np.sqrt(old))) \
         <= 50 * n * EPS * sigma_max
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from(["wide", "square", "tall"]),
+       st.sampled_from(["plain", "graded", "deficient", "orbit",
+                        "near-orthonormal", "kahan", "zero-column"]))
+def test_riesz_profile_matches_prefix_svd_loop(seed, shape, family):
+    rng = np.random.default_rng(seed)
+    sys = profile_system(rng, shape, family)
+    assert_profile_gate(sys, frames.lower_riesz_profile(sys))
+
+
+def ladder_orbit(rng, d, kind):
+    """The orbit-ladder rungs: 0.95 x the cyclic shift with weights 0.99^n
+    and a flat-spectrum generator, or a dense operator of norm 0.9 with a
+    Gaussian generator; horizon 4d."""
+    if kind == "circulant":
+        g = np.fft.ifft(np.exp(2j * np.pi * rng.random(d))) * np.sqrt(d)
+        return dynsamp.orbit(0.95 * dynsamp.cyclic_shift(d), (g,), 4 * d,
+                             dynsamp.WeightSpec.geometric(0.99))
+    m = random_vectors(rng, d, d)
+    t = 0.9 * m / np.linalg.svd(m, compute_uv=False)[0]
+    return dynsamp.orbit(t, (random_vectors(rng, d, 1)[0],), 4 * d)
+
+
+def count_svd_calls(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["circulant", "dense"])
+def test_riesz_profile_of_ladder_orbits_is_certified(kind, seed, monkeypatch):
+    sys = ladder_orbit(np.random.default_rng([seed, 64]), 64, kind)
+    calls = count_svd_calls(monkeypatch)
+    profile = frames.lower_riesz_profile(sys)
+    assert calls == []  # every prefix certified, no fallback
+    monkeypatch.undo()
+    assert_profile_gate(sys, profile)
+
+
+def test_riesz_profile_flat_profile_takes_the_fallback(monkeypatch):
+    # orthonormal columns: every H_k is the identity, so no prefix can be
+    # certified and each one takes the exact SVD
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(random_vectors(rng, 16, 16))
+    sys = frames.vector_system(list(q.T) + list(random_vectors(rng, 16, 8)))
+    calls = count_svd_calls(monkeypatch)
+    profile = frames.lower_riesz_profile(sys)
+    assert len(calls) == 15  # prefixes 2..16
+    monkeypatch.undo()
+    assert_profile_gate(sys, profile)
+    np.testing.assert_allclose(profile[:16], 1.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("j", [0, 3, 7])
+def test_riesz_profile_exact_zero_pivot(j):
+    rng = np.random.default_rng(j)
+    vecs = random_vectors(rng, 8, 12)
+    vecs[j] = 0.0
+    profile = frames.lower_riesz_profile(frames.vector_system(list(vecs)))
+    np.testing.assert_array_equal(profile[j:], 0.0)
+    assert np.all(profile[:j] > 0.0)
+
+
+def test_riesz_profile_overflowing_inverse_falls_back_to_r_blocks(
+        monkeypatch):
+    # pivots 1e-200 next to entries 1: column 3 of R^-1 overflows, so
+    # prefixes 3 and 4 take the SVD of R_k without a warning
+    u = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1e-200, 1.0, 0.5],
+                  [0.0, 0.0, 1e-200, 0.3], [0.0, 0.0, 0.0, 1.0]])
+    sys = frames.vector_system(list(u.T))
+    calls = count_svd_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = frames.lower_riesz_profile(sys)
+    assert calls == [(3, 3), (4, 4)]
+    monkeypatch.undo()
+    assert_profile_gate(sys, profile)
+
+
+def test_riesz_profile_tiny_column_is_finite_without_warning():
+    rng = np.random.default_rng(11)
+    vecs = random_vectors(rng, 12, 20)
+    vecs[4] *= 1e-200
+    sys = frames.vector_system(list(vecs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = frames.lower_riesz_profile(sys)
+    assert np.all(np.isfinite(profile))
+    assert np.all(np.diff(profile) <= 1e-12 * profile[0])
+    assert profile[3] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +265,7 @@ def test_iterated_overflow_raises_before_any_svd(seed, monkeypatch):
 
     report = frames.frame_bounds(sys, ambient=True)
     monkeypatch.setattr(frames, "frame_bounds", lambda *a, **k: report)
-    calls = []
-    real_svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real_svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = count_svd_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError, match=f"n = {expected}$"):

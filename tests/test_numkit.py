@@ -291,6 +291,39 @@ def test_stein_near_one_spectrum_closed_form(d):
     assert sol.iterations <= 64
 
 
+def test_stein_contraction_skips_the_eigensolve(monkeypatch):
+    # ||T||_2 < 1 already shows rho(T) < 1
+    calls = []
+    real_eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda m: calls.append(m.shape) or real_eigvals(m))
+    rng = np.random.default_rng(8)
+    t = random_matrix(rng, 6, top=0.95)
+    phi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    c = np.outer(phi, phi.conj())
+    sol = numkit.solve_stein(t, c)
+    assert calls == []
+    np.testing.assert_allclose(sol.s, brute_stein_series(t, c), atol=1e-10)
+    with pytest.raises(DivergentSeries, match="spectral radius 1 >= 1"):
+        numkit.solve_stein(np.eye(2), np.eye(2))
+    assert calls == [(2, 2)]
+
+
+def test_stein_non_normal_norm_above_one_matches_term_loop():
+    # ||T||_2 is about 10 but rho(T) = 0.5: the eigensolve decides, and the
+    # series converges although no single step contracts
+    t = np.array([[0.5, 10.0], [0.0, 0.5]], dtype=complex)
+    c = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+    assert numkit.operator_norm(t) > 1.0
+    brute = np.zeros_like(c)
+    term = c
+    for _ in range(400):  # ||T^n|| <= (1 + 20 n) 0.5^n: far below eps here
+        brute += term
+        term = t @ term @ numkit.adjoint(t)
+    sol = numkit.solve_stein(t, c)
+    assert numkit.frobenius(sol.s - brute) <= 1e-12 * numkit.frobenius(brute)
+
+
 def test_stein_divergent_series():
     with pytest.raises(DivergentSeries):
         numkit.solve_stein(np.eye(2), np.eye(2))
