@@ -3,7 +3,8 @@
 Configs are versioned JSON documents; complex scalars serialize as
 two-element ``[re, im]`` arrays (plain numbers are accepted on input).
 The schema states the structure and is compiled once, at import;
-``parse_complex`` alone owns the scalar rule and walks every scalar leaf.
+``parse_complex`` alone owns the scalar rule, and ``parse_scalars`` applies
+it to every leaf of a scalar array (in bulk when all are float pairs).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -146,8 +148,23 @@ class OperatorSpec:
     blocks: tuple["OperatorSpec", ...] | None = None
 
 
-def _parse_scalars(raw: dict, key: str) -> tuple[complex, ...] | None:
-    return tuple(map(parse_complex, raw[key])) if key in raw else None
+def parse_scalars(items) -> tuple[complex, ...]:
+    """``parse_complex`` of every item.  A list whose every item is a pair
+    of ``float`` is parsed in bulk, by one type scan, one array and one
+    finiteness test; anything else, or a value that is not finite, goes
+    through ``parse_complex`` item by item, with its refusal message."""
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+        flat = list(chain.from_iterable(items))
+        if set(map(type, flat)) <= {float}:
+            parts = np.array(flat, dtype=float)
+            if np.isfinite(parts).all():
+                return tuple(parts.view(complex).tolist())
+    return tuple(map(parse_complex, items))
+
+
+def encode_scalars(values) -> list[list[float]]:
+    """``encode_complex`` of every value, from one array."""
+    return np.array(values, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def parse_operator_spec(raw: dict) -> OperatorSpec:
@@ -155,7 +172,8 @@ def parse_operator_spec(raw: dict) -> OperatorSpec:
     # the schema does not look at scalar leaves, so every scalar field is
     # parsed here, also the ones this kind ignores
     values, first_row, entries = (
-        _parse_scalars(raw, key) for key in ("values", "first_row", "entries"))
+        parse_scalars(raw[key]) if key in raw else None
+        for key in ("values", "first_row", "entries"))
     if kind == "block_diag":
         blocks = tuple(parse_operator_spec(b) for b in raw.get("blocks", ()))
         if not blocks:
@@ -199,8 +217,10 @@ def build_operator(spec: OperatorSpec) -> np.ndarray:
     if spec.kind == "nilpotent_shift":
         return nilpotent_shift(d)
     if spec.kind == "circulant":
+        # row k is the first row rolled by k: entry (k, j) is row[j - k]
         row = np.array(spec.first_row, dtype=complex)
-        return np.stack([np.roll(row, k) for k in range(d)], axis=0)
+        k = np.arange(d)
+        return row[(k[None, :] - k[:, None]) % d]
     if spec.kind == "dense":
         return np.array(spec.entries, dtype=complex).reshape(d, d)
     if spec.kind == "block_diag":
@@ -222,11 +242,11 @@ def operator_spec_to_dict(spec: OperatorSpec) -> dict:
     if spec.dimension is not None:
         out["dimension"] = spec.dimension
     if spec.values is not None:
-        out["values"] = [encode_complex(v) for v in spec.values]
+        out["values"] = encode_scalars(spec.values)
     if spec.first_row is not None:
-        out["first_row"] = [encode_complex(v) for v in spec.first_row]
+        out["first_row"] = encode_scalars(spec.first_row)
     if spec.entries is not None:
-        out["entries"] = [encode_complex(v) for v in spec.entries]
+        out["entries"] = encode_scalars(spec.entries)
     return out
 
 
@@ -236,7 +256,7 @@ def parse_weight_spec(raw: dict | None) -> WeightSpec | None:
     kind = raw.get("kind")
     # parsed even where the kind ignores it; see parse_operator_spec
     value = parse_complex(raw["value"]) if "value" in raw else None
-    values = [parse_complex(v) for v in raw.get("values", ())]
+    values = parse_scalars(raw.get("values", []))
     try:
         if kind == "constant":
             return WeightSpec.constant(1.0 if value is None else value)
@@ -262,7 +282,7 @@ def weight_spec_to_dict(spec: WeightSpec | None) -> dict | None:
     if spec.value is not None:
         out["value"] = encode_complex(spec.value)
     if spec.values is not None:
-        out["values"] = [encode_complex(v) for v in spec.values]
+        out["values"] = encode_scalars(spec.values)
     return out
 
 
@@ -300,7 +320,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"operator dimension {op_dim} does not match configured {dim}"
         )
-    generators = tuple(tuple(map(parse_complex, g)) for g in raw["generators"])
+    generators = tuple(map(parse_scalars, raw["generators"]))
     for g in generators:
         if len(g) != dim:
             raise ConfigError(f"generator length {len(g)} != dimension {dim}")
@@ -330,7 +350,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "dimension": cfg.dimension,
         "operator": operator_spec_to_dict(cfg.operator),
-        "generators": [[encode_complex(v) for v in g] for g in cfg.generators],
+        "generators": [encode_scalars(g) for g in cfg.generators],
         "horizon": cfg.horizon,
         "checks": list(cfg.checks),
         "tolerances": dict(cfg.tolerances),

@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernel.
 
-The spectrum of a synthesis matrix (one thin SVD, one rank cut), eps-rank
-pseudo-inverse and rank, PSD square root, spectral radius, and a discrete
-Stein-equation solver (one squaring iteration at every dimension,
-guarded by its residual).  Operators and vectors are plain complex
+The spectrum of a synthesis matrix (one thin SVD, one rank cut; a long
+matrix is first reduced by a QR of its long side), eps-rank pseudo-inverse
+and rank, PSD square root, spectral radius, and a discrete Stein-equation
+solver (one squaring iteration at every dimension, guarded by its
+residual).  Operators and vectors are plain complex
 ``numpy`` arrays; every public function validates its inputs and never
 mutates them.
 """
@@ -77,7 +78,8 @@ def operator_norm(m) -> float:
 class Spectrum:
     """Thin SVD ``m = u @ diag(s) @ vh`` of a synthesis matrix and its one
     rank decision: ``rank`` squared singular values above ``cut = 1e-10 *
-    sigma_max^2``."""
+    sigma_max^2``.  Long matrices take the SVD through a QR of the long
+    side (see :func:`_thin_svd`)."""
 
     u: np.ndarray  # d x min(d, N), orthonormal columns
     s: np.ndarray  # min(d, N) singular values, descending
@@ -92,19 +94,52 @@ class Spectrum:
 
 def spectrum(m) -> Spectrum:
     """The :class:`Spectrum` of a (possibly rectangular) matrix."""
-    u, s, vh = np.linalg.svd(as_matrix(m), full_matrices=False)
+    u, s, vh = _thin_svd(as_matrix(m))
     cut, rank = _rank_cut(s)
     return Spectrum(u=u, s=s, vh=vh, cut=float(cut), rank=int(rank))
 
 
 def spectra(stack: np.ndarray) -> list[Spectrum]:
     """The :class:`Spectrum` of each matrix of a ``(B, d, N)`` stack, from
-    one stacked SVD (LAPACK runs per matrix, so each equals
-    :func:`spectrum` of that matrix bit for bit)."""
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    one stacked factorisation (LAPACK and BLAS run per matrix, so each
+    equals :func:`spectrum` of that matrix bit for bit)."""
+    u, s, vh = _thin_svd(stack)
     cut, rank = _rank_cut(s)
     return [Spectrum(u=u[i], s=s[i], vh=vh[i], cut=float(cut[i]),
                      rank=int(rank[i])) for i in range(len(s))]
+
+
+# Where Chan's R-SVD (ACM TOMS 8, 1982) replaces the plain thin SVD.  On
+# 2 cores with OpenBLAS (BENCH_dense_factorisations.json) it is 2.0x
+# faster at 64 x 256 and 2.5x at 128 x 512, but 0.65x at 8 x 16, 1.0x at
+# 16 x 64 and 0.84x at 128 x 160, whose aspect is below 2.  Shapes with a
+# short side below 32 save under 0.1 ms at best, and keeping them on the
+# plain SVD keeps the small-d reports the same bits.
+_RSVD_MIN_SHORT = 32
+_RSVD_MIN_ASPECT = 2
+
+
+def _thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``u, s, vh`` of a matrix or of each matrix of a stack.
+
+    A long matrix is first reduced to its square triangular factor: for a
+    wide m, ``m^T = Q R`` gives ``m = R^T Q^T``, so the SVD
+    ``R^T = u diag(s) W`` yields ``vh = W Q^T``; a tall ``m = Q R`` with
+    ``R = W diag(s) vh`` yields ``u = Q W``.  Plain transposes, not
+    adjoints, so no conjugated copy is made.  Other shapes take
+    ``np.linalg.svd`` directly.
+    """
+    d, n = m.shape[-2:]
+    short = min(d, n)
+    if short < _RSVD_MIN_SHORT or max(d, n) < _RSVD_MIN_ASPECT * short:
+        return np.linalg.svd(m, full_matrices=False)
+    if d < n:
+        q, r = np.linalg.qr(np.swapaxes(m, -1, -2))
+        u, s, w = np.linalg.svd(np.swapaxes(r, -1, -2))
+        return u, s, w @ np.swapaxes(q, -1, -2)
+    q, r = np.linalg.qr(m)
+    w, s, vh = np.linalg.svd(r)
+    return q @ w, s, vh
 
 
 def _rank_cut(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,6 +222,7 @@ class SteinSolution:
     residual: float
     method: str  # always "doubling-iteration"
     iterations: int
+    operator_norm: float  # ||T||_2, computed once for the rho(T) < 1 test
 
 
 def solve_stein(t, c, tol: float = 1e-12) -> SteinSolution:
@@ -220,7 +256,8 @@ def solve_stein(t, c, tol: float = 1e-12) -> SteinSolution:
     if w.size and w[0] < -1e-10 * scale:
         raise NotPositiveSemidefinite("C must be positive semidefinite")
 
-    if operator_norm(t) >= 1.0 - STEIN_NORM_MARGIN:
+    norm_t = operator_norm(t)
+    if norm_t >= 1.0 - STEIN_NORM_MARGIN:
         rho = spectral_radius(t)
         if rho >= 1.0:
             raise DivergentSeries(
@@ -248,4 +285,4 @@ def solve_stein(t, c, tol: float = 1e-12) -> SteinSolution:
             f"Stein residual {residual:.3e} exceeds tolerance {target:.3e}"
         )
     return SteinSolution(s=s, residual=residual, method="doubling-iteration",
-                         iterations=iterations)
+                         iterations=iterations, operator_norm=norm_t)

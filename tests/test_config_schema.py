@@ -6,6 +6,7 @@ scalar leaf had to match a two-branch ``oneOf`` schema, and then the fields a
 kind reads went through the earlier ``parse_complex``.
 """
 
+import hashlib
 import json
 import math
 
@@ -290,3 +291,121 @@ def test_cli_refuses_integers_that_float64_rounds(tmp_path, capsys, raw):
     assert code == 1
     assert len(err) == 1 and "9007199254740993" in err[0] \
         and "float64 cannot hold exactly" in err[0]
+
+
+# ---------------------------------------------------------------------------
+# bulk scalar arrays: the same refusals, the same echo, the same operator
+# ---------------------------------------------------------------------------
+
+def dense_d128(bad=None, at=16000):
+    """A d = 128 dense config, all float pairs, with ``bad`` at ``entries[at]``."""
+    rng = np.random.default_rng(128)
+    t = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    entries = [[z.real, z.imag] for z in t.reshape(-1) / 300.0]
+    # signed zeros and subnormals
+    entries[:3] = [[-0.0, 0.0], [5e-324, -0.0], [-0.0, 1e-310]]
+    if bad is not None:
+        entries[at] = bad
+    g = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    return {"schema_version": 1, "dimension": 128, "horizon": 512,
+            "operator": {"kind": "dense", "entries": entries},
+            "generators": [[[z.real, z.imag] for z in g]],
+            "checks": ["orbit-bounds"]}
+
+
+@pytest.mark.parametrize("bad,message", [
+    ([True, 0.0], "cannot parse complex scalar from [True, 0.0]"),
+    ([2**53 + 1, 0.0], "complex scalar [9007199254740993, 0.0] is an "
+                       "integer that float64 cannot hold exactly"),
+    (json.loads("[Infinity, 0.0]"), "complex scalar [inf, 0.0] is not finite"),
+    ([0.0, math.nan], "complex scalar [0.0, nan] is not finite"),
+    ([0.5], "cannot parse complex scalar from [0.5]"),
+    ([0.5, 0.0, 0.0], "cannot parse complex scalar from [0.5, 0.0, 0.0]"),
+    ("x", "cannot parse complex scalar from 'x'"),
+])
+def test_a_bad_scalar_deep_in_a_bulk_array_keeps_its_message(bad, message):
+    with pytest.raises(ConfigError) as exc:
+        config.parse_config(dense_d128(bad))
+    assert str(exc.value) == message
+    raw = dense_d128()
+    raw["generators"][0][100] = bad
+    with pytest.raises(ConfigError) as exc:
+        config.parse_config(raw)
+    assert str(exc.value) == message
+
+
+def test_bulk_scalars_equal_per_scalar_parsing():
+    raw = dense_d128()
+    cfg = config.parse_config(raw)
+    old = tuple(config.parse_complex(v) for v in raw["operator"]["entries"])
+    assert all(type(z) is complex for z in cfg.operator.entries)
+    # bit for bit, signed zeros and subnormals included
+    assert np.array_equal(np.array(cfg.operator.entries).view(float),
+                          np.array(old).view(float))
+    assert [math.copysign(1.0, z.real) for z in cfg.operator.entries[:3]] \
+        == [-1.0, 1.0, -1.0]
+
+
+def per_scalar_echo(cfg):
+    """``config_to_dict`` as it was: one ``encode_complex`` per scalar."""
+    def operator(spec):
+        out = {"kind": spec.kind}
+        if spec.kind == "block_diag":
+            out["blocks"] = [operator(b) for b in spec.blocks]
+            return out
+        if spec.dimension is not None:
+            out["dimension"] = spec.dimension
+        for key in ("values", "first_row", "entries"):
+            if getattr(spec, key) is not None:
+                out[key] = [config.encode_complex(v)
+                            for v in getattr(spec, key)]
+        return out
+
+    out = {
+        "schema_version": config.SCHEMA_VERSION,
+        "dimension": cfg.dimension,
+        "operator": operator(cfg.operator),
+        "generators": [[config.encode_complex(v) for v in g]
+                       for g in cfg.generators],
+        "horizon": cfg.horizon,
+        "checks": list(cfg.checks),
+        "tolerances": dict(cfg.tolerances),
+        "seed": cfg.seed,
+        "params": cfg.params,
+    }
+    if cfg.weights is not None:
+        w = {"kind": cfg.weights.kind}
+        if cfg.weights.value is not None:
+            w["value"] = config.encode_complex(cfg.weights.value)
+        if cfg.weights.values is not None:
+            w["values"] = [config.encode_complex(v) for v in cfg.weights.values]
+        out["weights"] = w
+    return out
+
+
+@pytest.mark.parametrize("raw", [
+    dense_d128(),
+    base(operator={"kind": "circulant", "first_row": [0.5, [0.0, -0.0]]},
+         weights={"kind": "explicit", "values": [1.0, [0.5, 2.0]]}),
+    base(operator={"kind": "block_diag", "blocks": [
+        {"kind": "diagonal", "values": [[0.5, -0.0]]},
+        {"kind": "nilpotent_shift", "dimension": 1}]},
+        weights={"kind": "geometric", "value": 0.9}),
+    base(generators=[[1, [0.5, 1e-310]], [[0.25, 0.0], [-0.0, 0.0]]]),
+])
+def test_the_echo_and_config_hash_equal_the_per_scalar_encoders(raw):
+    cfg = config.parse_config(raw)
+    echo = config.canonical_json(config.config_to_dict(cfg))
+    old = config.canonical_json(per_scalar_echo(cfg))
+    assert echo == old
+    assert config.config_hash(cfg) == hashlib.sha256(old.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 128])
+def test_the_circulant_is_the_stack_of_rolled_rows(d):
+    rng = np.random.default_rng(d)
+    row = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    spec = config.OperatorSpec(kind="circulant", first_row=tuple(row))
+    old = np.stack([np.roll(row, k) for k in range(d)], axis=0)
+    assert np.array_equal(config.build_operator(spec).view(float),
+                          old.view(float))

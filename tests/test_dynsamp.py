@@ -116,6 +116,22 @@ def test_bessel_bound_rejects_expansive():
         dynsamp.bessel_bound_contractive(np.eye(2), delta(2, 0))
 
 
+def test_bessel_bound_sums_generators_with_one_norm(monkeypatch):
+    rng = np.random.default_rng(3)
+    t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    t *= 0.9 / numkit.operator_norm(t)
+    g1, g2 = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
+              for _ in range(2))
+    singles = dynsamp.bessel_bound_contractive(t, g1) \
+        + dynsamp.bessel_bound_contractive(t, g2)
+    calls = []
+    norm = numkit.operator_norm
+    monkeypatch.setattr(numkit, "operator_norm",
+                        lambda m: calls.append(m) or norm(m))
+    assert dynsamp.bessel_bound_contractive(t, g1, g2) == singles
+    assert len(calls) == 1
+
+
 def test_exact_orbit_operator_zero_t():
     phi = np.array([1.0, 2.0])
     sol = dynsamp.orbit_frame_operator_exact(np.zeros((2, 2)), (phi,))

@@ -309,6 +309,16 @@ def test_stein_contraction_skips_the_eigensolve(monkeypatch):
     assert calls == [(2, 2)]
 
 
+@pytest.mark.parametrize("top", [0.5, 0.95, 3.0])
+def test_stein_solution_records_the_operator_norm(top):
+    rng = np.random.default_rng(9)
+    t = random_matrix(rng, 5, top=top)
+    if top > 1.0:  # a nilpotent T: the eigensolve runs, and converges
+        t = np.triu(t, 1)
+    sol = numkit.solve_stein(t, np.eye(5))
+    assert sol.operator_norm == numkit.operator_norm(t)
+
+
 def test_stein_non_normal_norm_above_one_matches_term_loop():
     # ||T||_2 is about 10 but rho(T) = 0.5: the eigensolve decides, and the
     # series converges although no single step contracts

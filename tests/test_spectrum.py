@@ -209,19 +209,93 @@ def dense_rung(d, seed=1, checks_=LADDER_CHECKS):
 
 
 def test_one_svd_of_the_synthesis_matrix_per_run(monkeypatch):
-    shapes = []
-    svd = np.linalg.svd
+    # the 128 x 512 orbit's thin SVD is one QR of its transpose and an SVD
+    # of the 128 x 128 factor; kernel-invariance's complete QR is 512 x 15
+    shapes = {"svd": [], "qr": []}
 
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def counting(name):
+        kernel = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+        def counted(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return kernel(a, *args, **kwargs)
+        return counted
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     rep = checks.run_experiment(dense_rung(128))
-    assert shapes.count((128, 512)) == 1
+    assert (128, 512) not in shapes["svd"]
+    assert shapes["qr"].count((512, 128)) == 1
+    assert (512, 15) in shapes["qr"]
     assert [c.name for c in rep.checks] == LADDER_CHECKS
     representation = rep.checks[LADDER_CHECKS.index("representation")]
     assert representation.error is None
+
+
+# ---------------------------------------------------------------------------
+# the thin SVD on both sides of the QR-first (R-SVD) crossover
+# ---------------------------------------------------------------------------
+
+def ladder_orbit(d):
+    cfg = dense_rung(d)
+    return frames.synthesis(dynsamp.orbit(
+        cfg.operator_array(), cfg.generator_arrays(), cfg.horizon))
+
+
+CROSSOVER = {
+    # name -> (matrix from a seeded generator, takes the QR path)
+    "31x124": (lambda rng: random_vectors(rng, 124, 31).T, False),
+    "32x63": (lambda rng: random_vectors(rng, 63, 32).T, False),
+    "32x64": (lambda rng: random_vectors(rng, 64, 32).T, True),
+    "64x256": (lambda rng: random_vectors(rng, 256, 64).T, True),
+    "128x512": (lambda rng: random_vectors(rng, 512, 128).T, True),
+    "tall 512x128": (lambda rng: random_vectors(rng, 128, 512), True),
+    "dense rung d=128, rank 15": (lambda rng: ladder_orbit(128), True),
+    "zero 64x256": (lambda rng: np.zeros((64, 256), dtype=complex), True),
+}
+
+
+@pytest.mark.parametrize("name", list(CROSSOVER))
+def test_spectrum_is_a_thin_svd_across_the_crossover(name, monkeypatch):
+    make, qr_path = CROSSOVER[name]
+    m = np.ascontiguousarray(make(np.random.default_rng(11)))
+    qr_shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a, *args: qr_shapes.append(a.shape)
+                        or qr(a, *args))
+    sp = numkit.spectrum(m)
+    d, n = m.shape
+    k = min(d, n)
+    assert qr_shapes == ([(max(d, n), k)] if qr_path else [])
+    assert sp.u.shape == (d, k) and sp.s.shape == (k,) \
+        and sp.vh.shape == (k, n)
+
+    sigma = np.linalg.svd(m, compute_uv=False)
+    gate = 10 * max(d, n) * EPS
+    assert np.linalg.norm((sp.u * sp.s) @ sp.vh - m, 2) <= gate * sigma[0]
+    assert np.linalg.norm(numkit.adjoint(sp.u) @ sp.u - np.eye(k), 2) <= gate
+    assert np.linalg.norm(sp.vh @ numkit.adjoint(sp.vh) - np.eye(k), 2) \
+        <= gate
+    assert np.max(np.abs(sp.s - sigma)) <= 1e-13 * sigma[0]
+    assert np.all(np.diff(sp.s) <= 0)
+    assert sp.rank == old_frame_bounds(m)[0]
+    if not qr_path:  # below the crossover: the plain thin SVD, bit for bit
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        assert all(np.array_equal(a, b)
+                   for a, b in ((sp.u, u), (sp.s, s), (sp.vh, vh)))
+
+
+@pytest.mark.parametrize("shape", [(3, 64, 256), (3, 256, 64), (3, 8, 24)])
+def test_spectra_of_a_stack_equal_each_spectrum_bit_for_bit(shape):
+    rng = np.random.default_rng(list(shape))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack[1, :, 1] = stack[1, :, 0]  # one rank-deficient matrix
+    for sp, m in zip(numkit.spectra(stack), stack):
+        one = numkit.spectrum(m)
+        assert (sp.cut, sp.rank) == (one.cut, one.rank)
+        assert all(np.array_equal(getattr(sp, f), getattr(one, f))
+                   for f in ("u", "s", "vh"))
 
 
 # d = 8, seed 7: the helpers agreed on the rank, but pinv(S) U was too
