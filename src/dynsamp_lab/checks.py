@@ -356,7 +356,7 @@ def _check_repro_aldroubi(ctx: CheckContext, name: str):
             })
             monotone = monotone and float(w[0]) <= prev_min + 1e-10
             prev_min = float(w[0])
-            passed = passed and w[0] > 0 \
+            passed = passed and numkit.rank_cut(w)[1] == d \
                 and abs(t_norm - (1.0 - 2.0 ** -d)) <= 1e-12
         outputs["sweep"] = rows
         passed = passed and monotone

@@ -193,7 +193,11 @@ def orbit_frame_operator_exact(t, generators,
 def reachability_rank(t, phi) -> int:
     """Rank of ``[phi, T phi, ..., T^{d-1} phi]``, the orbit at horizon d."""
     t = numkit.as_operator(t)
-    return numkit.matrix_rank(frames.synthesis(orbit(t, (phi,), t.shape[0])))
+    # numpy's max(shape) * eps * sigma_max rule, not the Spectrum cut: Krylov
+    # singular values decay exponentially (Beckermann 2000), to sigma^2 ratios
+    # of 5.9e-15 on reachable d <= 6 pairs; orbit-bounds needs a cut >= 1e-14.
+    return int(np.linalg.matrix_rank(
+        frames.synthesis(orbit(t, (phi,), t.shape[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +238,8 @@ def surjectivity_report(t, phi, s, horizon: int | None = None,
     Criteria: (i) some inner product ``<T^n phi, S^{-1} phi>`` with n >= 1
     is nonzero; (ii) phi lies in the range of T; (iii) ``S^{-1} phi`` is
     not in the kernel of T*; (iv) ``||S^{-1/2} phi|| != 1``.  Ground truth
-    is full numerical rank of T.  ``S`` must be positive definite (the
-    orbit a frame).
+    is full rank of T, and ``S`` must be positive definite (the orbit a
+    frame), both at ``numkit.rank_cut``; ``tol`` only compares criteria.
     """
     t = numkit.as_operator(t)
     phi = numkit.as_vector(phi)
@@ -244,7 +248,7 @@ def surjectivity_report(t, phi, s, horizon: int | None = None,
     if horizon is None:
         horizon = 4 * d
     w = np.linalg.eigvalsh((s + numkit.adjoint(s)) / 2.0)
-    if w[0] <= tol * max(w[-1], 0.0):
+    if numkit.rank_cut(w)[1] < d:
         raise NotAFrame("frame operator is not positive definite within tolerance")
 
     s_inv_phi = np.linalg.solve(s, phi)
@@ -346,12 +350,11 @@ def range_span_check(t, sys: VectorSystem) -> RangeSpanResult:
 def frame_from_positive_operator(t, basis: VectorSystem) -> VectorSystem:
     """System {T^{1/2} e_k} over an ONB; its frame operator equals T.
 
-    Requires T Hermitian positive definite: all eigenvalues above
-    ``1e-10 * lambda_max``.
+    Requires T Hermitian positive definite at ``numkit.rank_cut``.
     """
     t = numkit.as_operator(t)
     w, _ = numkit.eig_hermitian(t)
-    if w[0] <= 1e-10 * float(w[-1]):
+    if numkit.rank_cut(w)[1] < w.size:
         raise InvalidInput(
             f"operator is not positive definite: min eigenvalue {w[0]:.3e}"
         )

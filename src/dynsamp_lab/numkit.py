@@ -1,12 +1,11 @@
 """Dense complex linear-algebra kernel.
 
-The spectrum of a synthesis matrix (one thin SVD, one rank cut; a long
-matrix is first reduced by a QR of its long side), eps-rank pseudo-inverse
-and rank, PSD square root, spectral radius, and a discrete Stein-equation
-solver (one squaring iteration at every dimension, guarded by its
-residual).  Operators and vectors are plain complex
-``numpy`` arrays; every public function validates its inputs and never
-mutates them.
+The one rank cut; at that cut the spectrum of a synthesis matrix (one thin
+SVD, a long matrix first reduced by a QR of its long side), pseudo-inverse,
+rank and range basis; PSD square root, spectral radius, and a discrete
+Stein-equation solver (one squaring iteration at every dimension, guarded
+by its residual).  Operators and vectors are plain complex ``numpy``
+arrays; every public function validates its inputs and never mutates them.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ def operator_norm(m) -> float:
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Thin SVD ``m = u @ diag(s) @ vh`` of a synthesis matrix and its one
-    rank decision: ``rank`` squared singular values above ``cut = 1e-10 *
-    sigma_max^2``.  Long matrices take the SVD through a QR of the long
-    side (see :func:`_thin_svd`)."""
+    rank decision, :func:`rank_cut` of the squared singular values.  Long
+    matrices take the SVD through a QR of the long side (:func:`_thin_svd`).
+    """
 
     u: np.ndarray  # d x min(d, N), orthonormal columns
     s: np.ndarray  # min(d, N) singular values, descending
@@ -95,7 +94,7 @@ class Spectrum:
 def spectrum(m) -> Spectrum:
     """The :class:`Spectrum` of a (possibly rectangular) matrix."""
     u, s, vh = _thin_svd(as_matrix(m))
-    cut, rank = _rank_cut(s)
+    cut, rank = rank_cut(s**2)
     return Spectrum(u=u, s=s, vh=vh, cut=float(cut), rank=int(rank))
 
 
@@ -104,7 +103,7 @@ def spectra(stack: np.ndarray) -> list[Spectrum]:
     one stacked factorisation (LAPACK and BLAS run per matrix, so each
     equals :func:`spectrum` of that matrix bit for bit)."""
     u, s, vh = _thin_svd(stack)
-    cut, rank = _rank_cut(s)
+    cut, rank = rank_cut(s**2)
     return [Spectrum(u=u[i], s=s[i], vh=vh[i], cut=float(cut[i]),
                      rank=int(rank[i])) for i in range(len(s))]
 
@@ -142,11 +141,11 @@ def _thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q @ w, s, vh
 
 
-def _rank_cut(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cut ``1e-10 * sigma_max^2`` and the rank above it, over the
-    last axis of descending singular values."""
-    sq = s**2
-    cut = 1e-10 * sq[..., 0]
+def rank_cut(sq) -> tuple[np.ndarray, np.ndarray]:
+    """The one rank rule: the cut ``1e-10 * max(sq)`` and the number of
+    values above it, over the last axis of squared singular values of a
+    synthesis matrix or eigenvalues of a PSD operator, in any order."""
+    cut = 1e-10 * np.maximum(np.max(sq, axis=-1), 0.0)
     return cut, np.sum(sq > cut[..., None], axis=-1)
 
 
@@ -165,30 +164,22 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     return w.astype(float), v
 
 
-def _eps_rank(m: np.ndarray, s: np.ndarray) -> int:
-    """Numerical rank of an operator or Krylov matrix: its singular values
-    ``s`` (descending) above ``max(shape) * eps * sigma_max``."""
-    return int(np.sum(s > max(m.shape) * np.finfo(float).eps * s[0]))
-
-
 def pinv(m) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD, at the eps rank."""
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = _eps_rank(m, s)
-    return adjoint(vh[:r]) @ (adjoint(u[:, :r]) / s[:r, None])
+    """Pseudo-inverse ``V_r Sigma_r^{-1} U_r*`` at the :class:`Spectrum`
+    rank r."""
+    sp = spectrum(m)
+    r = sp.rank
+    return adjoint(sp.vh[:r]) @ (adjoint(sp.u[:, :r]) / sp.s[:r, None])
 
 
 def matrix_rank(m) -> int:
-    m = as_matrix(m)
-    return _eps_rank(m, np.linalg.svd(m, compute_uv=False))
+    return int(rank_cut(np.linalg.svd(as_matrix(m), compute_uv=False)**2)[1])
 
 
 def range_basis(m) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of ``m``."""
-    m = as_matrix(m)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :_eps_rank(m, s)]
+    """Orthonormal basis (columns) of the column space of ``m`` at the
+    :class:`Spectrum` rank."""
+    return spectrum(m).range_basis
 
 
 def sqrt_psd(m) -> np.ndarray:
@@ -225,6 +216,11 @@ class SteinSolution:
     operator_norm: float  # ||T||_2, computed once for the rho(T) < 1 test
 
 
+def _divergent(rho: float) -> DivergentSeries:
+    return DivergentSeries(
+        f"spectral radius {rho:.8g} >= 1; orbit series diverges")
+
+
 def solve_stein(t, c, tol: float = 1e-12) -> SteinSolution:
     """Solve the discrete Stein equation ``S - T S T* = C``.
 
@@ -257,12 +253,9 @@ def solve_stein(t, c, tol: float = 1e-12) -> SteinSolution:
         raise NotPositiveSemidefinite("C must be positive semidefinite")
 
     norm_t = operator_norm(t)
-    if norm_t >= 1.0 - STEIN_NORM_MARGIN:
-        rho = spectral_radius(t)
-        if rho >= 1.0:
-            raise DivergentSeries(
-                f"spectral radius {rho:.8g} >= 1; orbit series diverges"
-            )
+    rho = spectral_radius(t) if norm_t >= 1.0 - STEIN_NORM_MARGIN else norm_t
+    if rho >= 1.0:
+        raise _divergent(rho)
 
     target = tol * (1.0 + c_fro)
     s = c.astype(complex, copy=True)
@@ -274,6 +267,10 @@ def solve_stein(t, c, tol: float = 1e-12) -> SteinSolution:
             break
         tk = tk @ tk
     else:
+        # a unitary's computed rho can fall just below 1 (0.9999999999999999
+        # for the d = 2 cyclic shift); rho is ||T||_2 if no eigensolve ran
+        if rho >= 1.0 - STEIN_NORM_MARGIN:
+            raise _divergent(rho)
         raise NoConvergence(
             f"doubling iteration did not converge in {STEIN_MAX_DOUBLINGS} steps"
         )

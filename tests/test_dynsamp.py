@@ -170,6 +170,31 @@ def test_positive_definite_iff_reachable():
         assert posdef == reachable
 
 
+def reachability_pair(trial):
+    """Trial ``trial`` of the family above."""
+    rng = np.random.default_rng(31)
+    for k in range(trial + 1):
+        d = int(rng.integers(2, 7))
+        lam = rng.uniform(0.1, 0.85, size=d)
+        phi = rng.uniform(0.5, 1.5, size=d).astype(complex)
+        if k % 2 == 0:
+            phi[int(rng.integers(0, d))] = 0.0
+    return np.diag(lam).astype(complex), phi
+
+
+# Krylov singular values decay exponentially, so the reachability rank keeps
+# numpy's eps rule: the Spectrum cut would call these pairs unreachable
+@pytest.mark.parametrize("trial", [55, 77])
+def test_reachability_rank_is_the_krylov_exception(trial):
+    t, phi = reachability_pair(trial)
+    d = t.shape[0]
+    w = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(t, (phi,)).s)
+    assert w[0] > 1e-12
+    assert dynsamp.reachability_rank(t, phi) == d
+    krylov = frames.synthesis(dynsamp.orbit(t, (phi,), d))
+    assert numkit.spectrum(krylov).rank < d
+
+
 # ---------------------------------------------------------------------------
 # surjectivity criteria
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsamp_lab import numkit
+from dynsamp_lab import dynsamp, numkit
 from dynsamp_lab.errors import (
     DivergentSeries,
     InvalidInput,
@@ -337,6 +337,25 @@ def test_stein_non_normal_norm_above_one_matches_term_loop():
 def test_stein_divergent_series():
     with pytest.raises(DivergentSeries):
         numkit.solve_stein(np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_stein_refuses_every_unitary_cyclic_shift(d):
+    # eigvals puts the d = 2 shift's eigenvalues at modulus
+    # 0.9999999999999999, so only the doubling cap can see the divergence
+    with pytest.raises(DivergentSeries,
+                       match="^spectral radius 1 >= 1; orbit series diverges$"):
+        numkit.solve_stein(dynsamp.cyclic_shift(d), np.eye(d))
+
+
+def test_rank_cut_reads_psd_eigenvalues_in_any_order():
+    w = np.array([2e-11, 1.0, 0.5, -1e-16])
+    cut, rank = numkit.rank_cut(w)
+    assert (cut, rank) == (1e-10, 2)
+    assert numkit.rank_cut(w[::-1])[1] == 2
+    assert numkit.rank_cut(np.zeros(3))[1] == 0
+    # a singular value sigma counts when sigma^2 clears the cut
+    assert numkit.matrix_rank(np.diag([1.0, 2e-5, 5e-6])) == 2
 
 
 def test_stein_rejects_non_hermitian_c():

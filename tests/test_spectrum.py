@@ -103,12 +103,30 @@ def ill_conditioned_system(rng, family):
 # one decision: every helper sees the rank of frame_bounds
 # ---------------------------------------------------------------------------
 
+def assert_helpers_read_the_spectrum(m, sp):
+    """numkit's pinv, matrix_rank and range_basis make the rank decision
+    of the spectrum ``sp`` of ``m``."""
+    r = sp.rank
+    assert numkit.matrix_rank(m) == r
+    v_r = numkit.adjoint(sp.vh[:r])
+    want = (v_r / sp.s[:r]) @ numkit.adjoint(sp.u[:, :r])
+    got = numkit.pinv(m)
+    assert got.shape == want.shape
+    assert numkit.frobenius(got - want) <= 1e-12 * max(1.0, numkit.frobenius(want))
+    q = numkit.range_basis(m)
+    assert q.shape[1] == r
+    if r:
+        p_range = sp.range_basis @ numkit.adjoint(sp.range_basis)
+        assert numkit.operator_norm(q @ numkit.adjoint(q) - p_range) <= 1e-12
+
+
 def assert_one_rank(sys):
     rank = frames.frame_bounds(sys).rank
     dual = frames.canonical_dual(sys)
     assert np.linalg.matrix_rank(frames.synthesis(dual)) == rank
     assert len(sys) - frames.kernel_synthesis(sys).dimension == rank
     assert sys.spectrum.range_basis.shape[1] == rank
+    assert_helpers_read_the_spectrum(frames.synthesis(sys), sys.spectrum)
     # a range projector of another rank would put the pair >= 1 apart
     dynsamp.representation_residual(sys, dual, np.ones(len(sys)))
 
@@ -154,6 +172,7 @@ def parity_system(rng, family):
 def test_spectrum_helpers_match_the_earlier_helpers(seed, family):
     sys = parity_system(np.random.default_rng(seed), family)
     u = frames.synthesis(sys)
+    assert_helpers_read_the_spectrum(u, sys.spectrum)
     ranks = old_ranks(u)
     if len(set(ranks)) > 1:
         return  # the earlier helpers disagree; nothing to compare against
@@ -284,6 +303,7 @@ def test_spectrum_is_a_thin_svd_across_the_crossover(name, monkeypatch):
         u, s, vh = np.linalg.svd(m, full_matrices=False)
         assert all(np.array_equal(a, b)
                    for a, b in ((sp.u, u), (sp.s, s), (sp.vh, vh)))
+    assert_helpers_read_the_spectrum(m, sp)
 
 
 @pytest.mark.parametrize("shape", [(3, 64, 256), (3, 256, 64), (3, 8, 24)])
@@ -307,6 +327,25 @@ def test_representation_accepts_the_library_dual_on_dense_rungs(d, seed):
         dense_rung(d, seed=seed, checks_=["representation"]))
     assert rep.checks[0].error is None
     assert "residual" in rep.checks[0].outputs
+
+
+# seed 7, d = 8: a frame of rank 8, whose S_inf the earlier 1e-8 * lambda_max
+# test called not positive definite; seed 1, d = 32: rank 14
+@pytest.mark.parametrize("d,seed,rank", [(8, 7, 8), (32, 1, 14)])
+def test_orbit_bounds_stein_and_krylov_ranks_agree_on_dense_rungs(d, seed,
+                                                                 rank):
+    cfg = dense_rung(d, seed=seed, checks_=["orbit-bounds", "surjectivity"])
+    bounds, surj = checks.run_experiment(cfg).checks
+    t, gens = cfg.operator_array(), cfg.generator_arrays()
+    w = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(t, gens).s)
+    krylov = frames.synthesis(dynsamp.orbit(t, gens, d))
+    assert bounds.outputs["rank"] == rank
+    assert numkit.rank_cut(w)[1] == rank
+    assert numkit.spectrum(krylov).rank == rank
+    if rank == d:
+        assert surj.error is None and "consistent" in surj.outputs
+    else:
+        assert surj.error.startswith("NotAFrame:")
 
 
 def test_an_orbit_error_is_each_orbit_check_record(monkeypatch):
