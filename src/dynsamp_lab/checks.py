@@ -21,13 +21,12 @@ from . import dynsamp, frames, numkit, perturb
 from .config import (
     ConfigError,
     ExperimentConfig,
-    build_operator,
     canonical_json,
     config_hash,
     config_to_dict,
     params_schema,
     parse_complex,
-    parse_operator_spec,
+    parse_operator,
     parse_scalars,
     parse_weight_spec,
 )
@@ -57,7 +56,7 @@ class CheckContext:
         return {
             "dimension": self.config.dimension,
             "horizon": self.config.horizon,
-            "operator_kind": self.config.operator.kind,
+            "operator_kind": self.config.operator_echo["kind"],
             "generators": len(self.generators),
             "params": dict(self.config.params.get(name, {})),
         }
@@ -132,10 +131,11 @@ def _check_stein(ctx: CheckContext, name: str):
         c += np.outer(g, g.conj())
     c_norm = numkit.frobenius(c)
     if opnorm < 1.0 and c_norm > 0:
-        # truncation depth from the geometric tail bound
+        # truncation depth from the geometric tail bound; at q = 0 (also
+        # where ||T||^2 underflows) every term past n = 0 is 0 in float64
         q = opnorm**2
-        depth = max(1, math.ceil(math.log(1e-12 * (1.0 - q) / c_norm)
-                                 / math.log(q)))
+        depth = 1 if q == 0 else max(1, math.ceil(
+            math.log(1e-12 * (1.0 - q) / c_norm) / math.log(q)))
         if depth <= 5000:
             brute = _stein_series(ctx.operator, ctx.generators, depth)
             err = numkit.frobenius(sol.s - brute)
@@ -364,7 +364,7 @@ def _check_repro_aldroubi(ctx: CheckContext, name: str):
 
 
 def _params_operator(p: dict, key: str, dim: int | None = None) -> np.ndarray:
-    op = build_operator(parse_operator_spec(p[key]))
+    op, _ = parse_operator(p[key])
     if dim is not None and op.shape[0] != dim:
         raise ConfigError(f"{key} dimension {op.shape[0]} != {dim}")
     return op
@@ -373,7 +373,7 @@ def _params_operator(p: dict, key: str, dim: int | None = None) -> np.ndarray:
 def _params_vector(p: dict, key: str, dim: int) -> np.ndarray:
     if len(p[key]) != dim:
         raise ConfigError(f"{key} length {len(p[key])} != dimension {dim}")
-    return np.array(parse_scalars(p[key]))
+    return parse_scalars(p[key])
 
 
 def _certificate_inputs(cfg: ExperimentConfig, operator, generators,
@@ -488,8 +488,7 @@ def run_single(ctx: CheckContext, name: str) -> CheckRecord:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Validate every check and its params, then run them in declared order."""
-    operator = cfg.operator_array()
-    generators = cfg.generator_arrays()
+    operator, generators = cfg.operator, cfg.generators
     params = _parse_params(cfg, operator, generators)
     # an orbit that raises is not cached: each orbit check records the error
     orbit = cache(partial(dynsamp.orbit, operator, generators, cfg.horizon,

@@ -4,7 +4,11 @@ Configs are versioned JSON documents; complex scalars serialize as
 two-element ``[re, im]`` arrays (plain numbers are accepted on input).
 The schema states the structure and is compiled once, at import;
 ``parse_complex`` alone owns the scalar rule, and ``parse_scalars`` applies
-it to every leaf of a scalar array (in bulk when all are float pairs).
+it to every leaf of a scalar array (in bulk when all are float pairs) and
+returns a complex array.  ``parse_operator`` is the one place that knows
+the operator kinds: it turns a spec, at any nesting depth, into its matrix
+and its echo.  A loaded ``ExperimentConfig`` holds the operator and the
+generators as read-only arrays, built once.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ CONFIG_SCHEMA = {
         "checks": {"type": "array", "items": {"type": "string"}, "minItems": 1},
         "tolerances": {"type": "object",
                        "additionalProperties": {"type": "number"}},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "params": {"type": "object"},
     },
     "required": ["dimension", "operator", "generators", "horizon", "checks"],
@@ -138,123 +142,95 @@ def encode_complex(value: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    kind: str
-    dimension: int | None = None
-    values: tuple[complex, ...] | None = None
-    first_row: tuple[complex, ...] | None = None
-    entries: tuple[complex, ...] | None = None
-    blocks: tuple["OperatorSpec", ...] | None = None
-
-
-def parse_scalars(items) -> tuple[complex, ...]:
-    """``parse_complex`` of every item.  A list whose every item is a pair
-    of ``float`` is parsed in bulk, by one type scan, one array and one
-    finiteness test; anything else, or a value that is not finite, goes
-    through ``parse_complex`` item by item, with its refusal message."""
+def parse_scalars(items) -> np.ndarray:
+    """``parse_complex`` of every item, as a complex array.  A list whose
+    every item is a pair of ``float`` is parsed in bulk, by one type scan,
+    one array and one finiteness test; anything else, or a value that is
+    not finite, goes through ``parse_complex`` item by item, with its
+    refusal message."""
     if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
         flat = list(chain.from_iterable(items))
         if set(map(type, flat)) <= {float}:
             parts = np.array(flat, dtype=float)
             if np.isfinite(parts).all():
-                return tuple(parts.view(complex).tolist())
-    return tuple(map(parse_complex, items))
+                return parts.view(complex)
+    return np.array(list(map(parse_complex, items)), dtype=complex)
 
 
 def encode_scalars(values) -> list[list[float]]:
     """``encode_complex`` of every value, from one array."""
-    return np.array(values, dtype=complex).view(float).reshape(-1, 2).tolist()
+    return np.asarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
-def parse_operator_spec(raw: dict) -> OperatorSpec:
-    kind = raw.get("kind")
-    # the schema does not look at scalar leaves, so every scalar field is
-    # parsed here, also the ones this kind ignores
-    values, first_row, entries = (
-        parse_scalars(raw[key]) if key in raw else None
-        for key in ("values", "first_row", "entries"))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def parse_operator(raw: dict) -> tuple[np.ndarray, dict]:
+    """A schema-valid operator spec as its read-only matrix and its echo.
+
+    Every scalar field is parsed, also the ones the kind ignores (the
+    schema does not look at scalar leaves).  A ``block_diag`` is assembled
+    from its blocks' matrices and echoes only its kind and blocks; any
+    other kind echoes its ``dimension`` and scalar fields as given.  A
+    ``dimension`` that disagrees with the data is refused.
+    """
+    kind = raw["kind"]
+    scalars = {key: parse_scalars(raw[key])
+               for key in ("values", "first_row", "entries") if key in raw}
+
+    def data(key: str, what: str) -> np.ndarray:
+        if key not in scalars or not len(scalars[key]):
+            raise ConfigError(f"{kind} operator needs {what}")
+        return scalars[key]
+
+    echo = {"kind": kind}
     if kind == "block_diag":
-        blocks = tuple(parse_operator_spec(b) for b in raw.get("blocks", ()))
+        blocks = [parse_operator(b) for b in raw.get("blocks", ())]
         if not blocks:
             raise ConfigError("block_diag operator needs at least one block")
-        return OperatorSpec(kind=kind, blocks=blocks,
-                            dimension=raw.get("dimension"))
-    return OperatorSpec(kind=kind, dimension=raw.get("dimension"),
-                        values=values, first_row=first_row, entries=entries)
-
-
-def operator_dimension(spec: OperatorSpec) -> int:
-    if spec.kind == "diagonal":
-        if not spec.values:
-            raise ConfigError("diagonal operator needs 'values'")
-        return len(spec.values)
-    if spec.kind == "nilpotent_shift":
-        if not spec.dimension:
-            raise ConfigError("nilpotent_shift operator needs 'dimension'")
-        return spec.dimension
-    if spec.kind == "circulant":
-        if not spec.first_row:
-            raise ConfigError("circulant operator needs 'first_row'")
-        return len(spec.first_row)
-    if spec.kind == "dense":
-        if not spec.entries:
-            raise ConfigError("dense operator needs row-major 'entries'")
-        n = len(spec.entries)
-        d = int(round(n**0.5))
-        if d * d != n:
-            raise ConfigError(f"dense entries length {n} is not a perfect square")
-        return d
-    if spec.kind == "block_diag":
-        return sum(operator_dimension(b) for b in spec.blocks)
-    raise ConfigError(f"unknown operator kind {spec.kind!r}")
-
-
-def build_operator(spec: OperatorSpec) -> np.ndarray:
-    d = operator_dimension(spec)
-    if spec.kind == "diagonal":
-        return np.diag(np.array(spec.values, dtype=complex))
-    if spec.kind == "nilpotent_shift":
-        return nilpotent_shift(d)
-    if spec.kind == "circulant":
-        # row k is the first row rolled by k: entry (k, j) is row[j - k]
-        row = np.array(spec.first_row, dtype=complex)
-        k = np.arange(d)
-        return row[(k[None, :] - k[:, None]) % d]
-    if spec.kind == "dense":
-        return np.array(spec.entries, dtype=complex).reshape(d, d)
-    if spec.kind == "block_diag":
-        out = np.zeros((d, d), dtype=complex)
+        d = sum(len(m) for m, _ in blocks)
+        t = np.zeros((d, d), dtype=complex)
         at = 0
-        for block in spec.blocks:
-            bd = operator_dimension(block)
-            out[at:at + bd, at:at + bd] = build_operator(block)
-            at += bd
-        return out
-    raise ConfigError(f"unknown operator kind {spec.kind!r}")
-
-
-def operator_spec_to_dict(spec: OperatorSpec) -> dict:
-    out: dict = {"kind": spec.kind}
-    if spec.kind == "block_diag":
-        out["blocks"] = [operator_spec_to_dict(b) for b in spec.blocks]
-        return out
-    if spec.dimension is not None:
-        out["dimension"] = spec.dimension
-    if spec.values is not None:
-        out["values"] = encode_scalars(spec.values)
-    if spec.first_row is not None:
-        out["first_row"] = encode_scalars(spec.first_row)
-    if spec.entries is not None:
-        out["entries"] = encode_scalars(spec.entries)
-    return out
+        for m, _ in blocks:
+            t[at:at + len(m), at:at + len(m)] = m
+            at += len(m)
+        echo["blocks"] = [block_echo for _, block_echo in blocks]
+    else:
+        if kind == "diagonal":
+            t = np.diag(data("values", "'values'"))
+        elif kind == "nilpotent_shift":
+            if "dimension" not in raw:
+                raise ConfigError("nilpotent_shift operator needs 'dimension'")
+            t = nilpotent_shift(raw["dimension"])
+        elif kind == "circulant":
+            # row k is the first row rolled by k: entry (k, j) is row[j - k]
+            row = data("first_row", "'first_row'")
+            k = np.arange(len(row))
+            t = row[(k[None, :] - k[:, None]) % len(row)]
+        else:  # dense; the schema refuses any other kind
+            entries = data("entries", "row-major 'entries'")
+            n = len(entries)
+            d = int(round(n**0.5))
+            if d * d != n:
+                raise ConfigError(
+                    f"dense entries length {n} is not a perfect square")
+            t = entries.reshape(d, d)
+        if "dimension" in raw:
+            echo["dimension"] = raw["dimension"]
+        echo.update((key, encode_scalars(a)) for key, a in scalars.items())
+    if raw.get("dimension", len(t)) != len(t):
+        raise ConfigError(f"{kind} operator dimension {raw['dimension']} "
+                          f"does not match its data, of dimension {len(t)}")
+    return _read_only(t), echo
 
 
 def parse_weight_spec(raw: dict | None) -> WeightSpec | None:
     if raw is None:
         return None
     kind = raw.get("kind")
-    # parsed even where the kind ignores it; see parse_operator_spec
+    # parsed even where the kind ignores it; see parse_operator
     value = parse_complex(raw["value"]) if "value" in raw else None
     values = parse_scalars(raw.get("values", []))
     try:
@@ -265,9 +241,9 @@ def parse_weight_spec(raw: dict | None) -> WeightSpec | None:
                 raise ConfigError("geometric weights need 'value'")
             return WeightSpec.geometric(value)
         if kind == "explicit":
-            if not values:
+            if not len(values):
                 raise ConfigError("explicit weights need 'values'")
-            if any(abs(v) == 0.0 for v in values):
+            if (values == 0).any():
                 raise ConfigError("weights must be nonzero scalars")
             return WeightSpec.explicit(values)
     except InvalidInput as exc:
@@ -289,20 +265,15 @@ def weight_spec_to_dict(spec: WeightSpec | None) -> dict | None:
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     dimension: int
-    operator: OperatorSpec
-    generators: tuple[tuple[complex, ...], ...]
+    operator: np.ndarray  # read-only, built once at load
+    operator_echo: dict  # the operator spec as config_to_dict writes it
+    generators: tuple[np.ndarray, ...]  # read-only
     horizon: int
     checks: tuple[str, ...]
     weights: WeightSpec | None = None
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
     params: dict = field(default_factory=dict)
-
-    def generator_arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.array(g, dtype=complex) for g in self.generators)
-
-    def operator_array(self) -> np.ndarray:
-        return build_operator(self.operator)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -313,14 +284,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
 
-    operator = parse_operator_spec(raw["operator"])
+    operator, operator_echo = parse_operator(raw["operator"])
     dim = raw["dimension"]
-    op_dim = operator_dimension(operator)
-    if op_dim != dim:
+    if len(operator) != dim:
         raise ConfigError(
-            f"operator dimension {op_dim} does not match configured {dim}"
+            f"operator dimension {len(operator)} does not match configured {dim}"
         )
-    generators = tuple(map(parse_scalars, raw["generators"]))
+    generators = tuple(_read_only(parse_scalars(g)) for g in raw["generators"])
     for g in generators:
         if len(g) != dim:
             raise ConfigError(f"generator length {len(g)} != dimension {dim}")
@@ -334,6 +304,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         dimension=dim,
         operator=operator,
+        operator_echo=operator_echo,
         generators=generators,
         horizon=raw["horizon"],
         checks=checks,
@@ -345,11 +316,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical dict echo; re-parsing yields an equivalent config."""
+    """Canonical dict echo; re-parsing yields an equivalent config.  The
+    operator echo is the config's own, shared by every echo: not mutated."""
     out = {
         "schema_version": SCHEMA_VERSION,
         "dimension": cfg.dimension,
-        "operator": operator_spec_to_dict(cfg.operator),
+        "operator": cfg.operator_echo,
         "generators": [encode_scalars(g) for g in cfg.generators],
         "horizon": cfg.horizon,
         "checks": list(cfg.checks),

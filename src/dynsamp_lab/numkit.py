@@ -173,6 +173,10 @@ def pinv(m) -> np.ndarray:
 
 
 def matrix_rank(m) -> int:
+    """Rank of a synthesis matrix ``m``: its squared singular values above
+    ``rank_cut``.  On a PSD operator S that cuts sigma(S)^2 = lambda^2, so
+    it keeps lambda > 1e-5 * lambda_max, not 1e-10 * lambda_max; rank S by
+    ``rank_cut`` of its eigenvalues instead."""
     return int(rank_cut(np.linalg.svd(as_matrix(m), compute_uv=False)**2)[1])
 
 

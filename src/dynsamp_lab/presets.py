@@ -160,5 +160,9 @@ def preset_config(name: str, dim: int | None = None,
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
         )
     builder, default_dim = _BUILDERS[name]
-    raw = builder(dim or default_dim, 7 if seed is None else int(seed))
+    if dim is None:
+        dim = default_dim
+    elif dim < 1:
+        raise InvalidInput(f"preset dimension must be >= 1, got {dim}")
+    raw = builder(dim, 7 if seed is None else int(seed))
     return parse_config(raw)

@@ -49,9 +49,9 @@ def test_config_complex_entries():
         checks=["orbit-bounds"],
     )
     cfg = config.parse_config(raw)
-    op = cfg.operator_array()
+    op = cfg.operator
     assert op[0, 0] == 0.5j
-    gen = cfg.generator_arrays()[0]
+    gen = cfg.generators[0]
     assert gen[1] == 1.0j
 
 
@@ -87,7 +87,7 @@ def test_block_diag_operator():
         ]},
         checks=["orbit-bounds"],
     )
-    op = config.parse_config(raw).operator_array()
+    op = config.parse_config(raw).operator
     assert op[1, 0] == 1.0 and op[2, 2] == 0.5
     assert op[2, 0] == 0.0
 
@@ -114,6 +114,48 @@ def test_report_deterministic_for_same_seed():
     h1 = checks.run_experiment(cfg).payload_hash()
     h2 = checks.run_experiment(cfg).payload_hash()
     assert h1 == h2
+
+
+@pytest.mark.parametrize("operator", [
+    {"kind": "dense", "entries": [[0.5, -0.0], 0.0, 0.25, [0.0, 0.5],
+                                  0.0, 0.0, 0.0, 0.0, 0.1],
+     "values": [1.0]},
+    {"kind": "block_diag", "blocks": [
+        {"kind": "circulant", "first_row": [0.0, [0.5, 0.1]]},
+        {"kind": "diagonal", "dimension": 1, "values": [0.25]}]},
+])
+def test_one_config_run_twice_gives_equal_payloads_from_read_only_arrays(
+        operator):
+    cfg = config.parse_config(shift_config(
+        operator=operator, generators=[[1.0, 0.5, [0.0, 0.25]], [0.0, 1.0, 0.0]],
+        checks=["orbit-bounds", "stein", "kernel-invariance",
+                "perturbation:riesz_orbit_perturbation"]))
+    arrays = (cfg.operator, *cfg.generators)
+    before = [a.copy() for a in arrays]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    first, second = (checks.run_experiment(cfg) for _ in range(2))
+    assert first.payload_hash() == second.payload_hash()
+    assert first.to_dict()["metadata"] == second.to_dict()["metadata"]
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+@pytest.mark.parametrize("values", [[0.0, 0.0], [1e-170, 0.0]])
+def test_stein_check_on_an_operator_whose_squared_norm_is_zero(tmp_path,
+                                                               values):
+    # ||T||^2 is 0 in float64 (1e-170 squared underflows): every term of
+    # the series past n = 0 is 0, so the brute-force depth is 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(shift_config(
+        dimension=2, operator={"kind": "diagonal", "values": values},
+        generators=[[1.0, 0.5]], checks=["stein"])))
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+    [record] = json.loads(out.read_text())["checks"]
+    assert record["outputs"]["truncation_depth"] == 1
+    assert record["margins"]["brute_force_error"] <= 1e-10
 
 
 def test_hypothesis_violation_becomes_check_failure():
@@ -234,6 +276,21 @@ def test_cli_check_failure_exit_code(tmp_path):
 
 def test_cli_unknown_preset():
     assert cli.main(["repro", "nonexistent"]) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["circulant-zmodel", "--seed", "-5"],
+     "config does not match schema: -5 is less than the minimum of 0"),
+    (["vacuity-search", "--seed", "-2"],
+     "config does not match schema: -2 is less than the minimum of 0"),
+    (["shift-orbit", "--dim", "-3"], "preset dimension must be >= 1, got -3"),
+] + [([name, "--dim", "0"], "preset dimension must be >= 1, got 0")
+     for name in presets.PRESET_NAMES])
+def test_cli_repro_refuses_a_negative_seed_and_a_dim_below_one(capsys, argv,
+                                                              message):
+    assert cli.main(["repro", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_cli_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
@@ -426,6 +483,11 @@ MALFORMED_PARAMS = {
         "'w_operator' is a required property"),
     "misspelt key": (
         misspelt_gallery(), "'subspace_coord' was unexpected"),
+    "operator dimension that disagrees with its values": (
+        gallery_with(RIESZ, operator={"kind": "diagonal", "dimension": 7,
+                                      "values": [0.5, 0.1, 0.2]}),
+        "diagonal operator dimension 7 does not match its data, "
+        "of dimension 3"),
 }
 
 
@@ -446,6 +508,37 @@ BAD_BLOCKS = {
     "a block that is a number": ([5], "5 is not of type 'object'"),
     "a block whose values are a number": (
         [{"kind": "diagonal", "values": 5}], "5 is not of type 'array'"),
+    "no blocks": ([], "block_diag operator needs at least one block"),
+    "a diagonal block without values": (
+        [{"kind": "diagonal", "first_row": [0.5]}],
+        "diagonal operator needs 'values'"),
+    "a diagonal block with empty values": (
+        [{"kind": "diagonal", "values": []}],
+        "diagonal operator needs 'values'"),
+    "a shift block without dimension": (
+        [{"kind": "nilpotent_shift", "values": [0.5]}],
+        "nilpotent_shift operator needs 'dimension'"),
+    "a circulant block without first_row": (
+        [{"kind": "circulant"}], "circulant operator needs 'first_row'"),
+    "a dense block without entries": (
+        [{"kind": "dense", "values": [0.5]}],
+        "dense operator needs row-major 'entries'"),
+    "a dense block of three entries": (
+        [{"kind": "dense", "entries": [0.5, 0.0, 0.5]}],
+        "dense entries length 3 is not a perfect square"),
+    "a non-finite scalar in an ignored field": (
+        [{"kind": "nilpotent_shift", "dimension": 3,
+          "entries": [[0.0, float("inf")]]}],
+        "complex scalar [0.0, inf] is not finite"),
+    "a block whose dimension disagrees with its values": (
+        [{"kind": "diagonal", "dimension": 7, "values": [0.5, 0.1]}],
+        "diagonal operator dimension 7 does not match its data, "
+        "of dimension 2"),
+    "a nested block_diag whose dimension disagrees with its blocks": (
+        [{"kind": "block_diag", "dimension": 2, "blocks": [
+            {"kind": "nilpotent_shift", "dimension": 3}]}],
+        "block_diag operator dimension 2 does not match its data, "
+        "of dimension 3"),
 }
 
 

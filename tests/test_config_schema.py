@@ -168,6 +168,7 @@ def test_parse_complex_refuses_integers_that_float64_rounds():
     base(weights={"kind": "explicit", "values": 1.0}),
     base(tolerances={"default": "abc"}),
     base(checks=[]),
+    base(seed=-1),
     {"dimension": 2},
 ])
 def test_schema_error_is_the_one_jsonschema_validate_picks(raw):
@@ -217,7 +218,7 @@ def test_validation_does_not_recheck_the_schemas(monkeypatch):
     monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
                         refuse)
     cfg = config.parse_config(dense_config(128, np.random.default_rng(3)))
-    assert cfg.operator_array().shape == (128, 128)
+    assert cfg.operator.shape == (128, 128)
     rep = checks.run_experiment(cfg)
     payload = json.loads(rep.to_json())
     report.validate_report(payload)
@@ -271,6 +272,34 @@ def test_cli_refuses_bad_tolerances(tmp_path, capsys, tolerances):
     code, err = run_cli(tmp_path, capsys, base(tolerances=tolerances))
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# an operator spec whose dimension disagrees: exit 1, one line naming it
+# (tests/test_cli.py has the other faults, in nested blocks and params)
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "circulant", "first_row": [0.5, 0.25, 0.0]},
+     "operator dimension 3 does not match configured 2"),
+    ({"kind": "diagonal", "dimension": 7, "values": [0.5, 0.1]},
+     "diagonal operator dimension 7 does not match its data, of dimension 2"),
+    ({"kind": "block_diag", "dimension": 3, "blocks": [
+        {"kind": "diagonal", "values": [0.5, 0.1]}]},
+     "block_diag operator dimension 3 does not match its data, "
+     "of dimension 2"),
+])
+def test_cli_refuses_an_operator_whose_dimension_disagrees(tmp_path, capsys,
+                                                           spec, message):
+    code, err = run_cli(tmp_path, capsys, base(operator=spec))
+    assert code == 1 and err == [f"error: {message}"]
+
+
+def test_a_block_diag_names_its_first_faulty_block_first():
+    # each block is parsed whole before the next: the first block's missing
+    # field is named, not the later block's non-finite scalar
+    raw = base(operator={"kind": "block_diag", "blocks": [
+        {"kind": "diagonal"}, {"kind": "diagonal", "values": [math.nan]}]})
+    with pytest.raises(ConfigError) as exc:
+        config.parse_config(raw)
+    assert str(exc.value) == "diagonal operator needs 'values'"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
@@ -337,38 +366,41 @@ def test_a_bad_scalar_deep_in_a_bulk_array_keeps_its_message(bad, message):
 def test_bulk_scalars_equal_per_scalar_parsing():
     raw = dense_d128()
     cfg = config.parse_config(raw)
-    old = tuple(config.parse_complex(v) for v in raw["operator"]["entries"])
-    assert all(type(z) is complex for z in cfg.operator.entries)
-    # bit for bit, signed zeros and subnormals included
-    assert np.array_equal(np.array(cfg.operator.entries).view(float),
-                          np.array(old).view(float))
-    assert [math.copysign(1.0, z.real) for z in cfg.operator.entries[:3]] \
+    for got, items in ((cfg.operator.reshape(-1), raw["operator"]["entries"]),
+                       (cfg.generators[0], raw["generators"][0])):
+        old = np.array([config.parse_complex(v) for v in items])
+        assert got.dtype == complex and got.shape == old.shape
+        # bit for bit, signed zeros and subnormals included
+        assert got.tobytes() == old.tobytes()
+    assert [math.copysign(1.0, z.real) for z in cfg.operator.reshape(-1)[:3]] \
         == [-1.0, 1.0, -1.0]
 
 
-def per_scalar_echo(cfg):
-    """``config_to_dict`` as it was: one ``encode_complex`` per scalar."""
+def per_scalar_echo(raw, cfg):
+    """``config_to_dict`` as it was: one ``parse_complex`` and one
+    ``encode_complex`` per scalar of the raw operator and generators."""
+    def scalars(items):
+        return [config.encode_complex(config.parse_complex(v)) for v in items]
+
     def operator(spec):
-        out = {"kind": spec.kind}
-        if spec.kind == "block_diag":
-            out["blocks"] = [operator(b) for b in spec.blocks]
+        out = {"kind": spec["kind"]}
+        if spec["kind"] == "block_diag":
+            out["blocks"] = [operator(b) for b in spec["blocks"]]
             return out
-        if spec.dimension is not None:
-            out["dimension"] = spec.dimension
+        if "dimension" in spec:
+            out["dimension"] = spec["dimension"]
         for key in ("values", "first_row", "entries"):
-            if getattr(spec, key) is not None:
-                out[key] = [config.encode_complex(v)
-                            for v in getattr(spec, key)]
+            if key in spec:
+                out[key] = scalars(spec[key])
         return out
 
     out = {
         "schema_version": config.SCHEMA_VERSION,
-        "dimension": cfg.dimension,
-        "operator": operator(cfg.operator),
-        "generators": [[config.encode_complex(v) for v in g]
-                       for g in cfg.generators],
-        "horizon": cfg.horizon,
-        "checks": list(cfg.checks),
+        "dimension": raw["dimension"],
+        "operator": operator(raw["operator"]),
+        "generators": [scalars(g) for g in raw["generators"]],
+        "horizon": raw["horizon"],
+        "checks": list(raw["checks"]),
         "tolerances": dict(cfg.tolerances),
         "seed": cfg.seed,
         "params": cfg.params,
@@ -392,11 +424,24 @@ def per_scalar_echo(cfg):
         {"kind": "nilpotent_shift", "dimension": 1}]},
         weights={"kind": "geometric", "value": 0.9}),
     base(generators=[[1, [0.5, 1e-310]], [[0.25, 0.0], [-0.0, 0.0]]]),
+    # fields the kind ignores, and a non-block dimension, are echoed
+    base(operator={"kind": "diagonal", "dimension": 2,
+                   "values": [0.5, [0.25, -0.0]], "first_row": [1, [0.5, 1e-310]],
+                   "entries": [[-0.0, 0.0]]}),
+    base(operator={"kind": "nilpotent_shift", "dimension": 2,
+                   "values": [[0.5, 1.0], 2]}),
+    # a nested block_diag echoes only kinds and blocks at each level
+    base(dimension=3, generators=[[1.0, 0.5, 0.25]], operator={
+        "kind": "block_diag", "dimension": 3, "values": [0.5], "blocks": [
+            {"kind": "block_diag", "entries": [[0.5, -0.0]], "blocks": [
+                {"kind": "circulant", "first_row": [0.5, [0.0, 0.25]]}]},
+            {"kind": "dense", "dimension": 1, "entries": [[0.25, -0.0]],
+             "values": [1, 2, 3]}]}),
 ])
 def test_the_echo_and_config_hash_equal_the_per_scalar_encoders(raw):
     cfg = config.parse_config(raw)
     echo = config.canonical_json(config.config_to_dict(cfg))
-    old = config.canonical_json(per_scalar_echo(cfg))
+    old = config.canonical_json(per_scalar_echo(raw, cfg))
     assert echo == old
     assert config.config_hash(cfg) == hashlib.sha256(old.encode()).hexdigest()
 
@@ -405,7 +450,8 @@ def test_the_echo_and_config_hash_equal_the_per_scalar_encoders(raw):
 def test_the_circulant_is_the_stack_of_rolled_rows(d):
     rng = np.random.default_rng(d)
     row = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    spec = config.OperatorSpec(kind="circulant", first_row=tuple(row))
+    t, echo = config.parse_operator(
+        {"kind": "circulant", "first_row": config.encode_scalars(row)})
     old = np.stack([np.roll(row, k) for k in range(d)], axis=0)
-    assert np.array_equal(config.build_operator(spec).view(float),
-                          old.view(float))
+    assert t.tobytes() == old.tobytes()
+    assert echo == {"kind": "circulant", "first_row": config.encode_scalars(row)}

@@ -258,7 +258,7 @@ def test_one_svd_of_the_synthesis_matrix_per_run(monkeypatch):
 def ladder_orbit(d):
     cfg = dense_rung(d)
     return frames.synthesis(dynsamp.orbit(
-        cfg.operator_array(), cfg.generator_arrays(), cfg.horizon))
+        cfg.operator, cfg.generators, cfg.horizon))
 
 
 CROSSOVER = {
@@ -336,7 +336,7 @@ def test_orbit_bounds_stein_and_krylov_ranks_agree_on_dense_rungs(d, seed,
                                                                  rank):
     cfg = dense_rung(d, seed=seed, checks_=["orbit-bounds", "surjectivity"])
     bounds, surj = checks.run_experiment(cfg).checks
-    t, gens = cfg.operator_array(), cfg.generator_arrays()
+    t, gens = cfg.operator, cfg.generators
     w = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(t, gens).s)
     krylov = frames.synthesis(dynsamp.orbit(t, gens, d))
     assert bounds.outputs["rank"] == rank
