@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 PARSER = _build_parser()
 
 
-def _summarize(report: ExperimentReport, stream=sys.stdout) -> None:
+def _summarize(report: ExperimentReport, stream) -> None:
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         extra = f"  [{check.error}]" if check.error else ""
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
                     {**cfg.tolerances, "default": args.tol}))
             report = run_experiment(cfg)
             report.write(args.out, fmt=args.format)
-            _summarize(report)
+            _summarize(report, sys.stdout)
         else:
             cfg = preset_config(args.preset, dim=args.dim, seed=args.seed)
             report = run_experiment(cfg)

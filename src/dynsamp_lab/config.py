@@ -245,7 +245,7 @@ def parse_weight_spec(raw: dict | None) -> WeightSpec | None:
                 raise ConfigError("explicit weights need 'values'")
             if (values == 0).any():
                 raise ConfigError("weights must be nonzero scalars")
-            return WeightSpec.explicit(values)
+            return WeightSpec.explicit(_read_only(values))
     except InvalidInput as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown weight kind {kind!r}")

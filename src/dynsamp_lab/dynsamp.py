@@ -3,8 +3,8 @@
 Operator orbits and their truncations, exact infinite-orbit frame
 operators through the Stein equation, surjectivity criteria, periodic
 (two-sided) orbit models, commutant transport, weighted coefficient
-shifts, and divergence proxies for the statements that have no finite
-counterpart.
+shifts, iterated frame operators {S^n g} decided from the spectrum of S,
+and divergence proxies for the statements with no finite counterpart.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from .numkit import SteinSolution
 # weight sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSpec:
     """Scalar weight sequence: constant, geometric, or an explicit list."""
 
     kind: str  # "constant" | "geometric" | "explicit"
     value: complex | None = None
-    values: tuple[complex, ...] | None = None
+    values: np.ndarray | None = None
 
     @classmethod
     def constant(cls, c: complex = 1.0) -> "WeightSpec":
@@ -42,7 +42,11 @@ class WeightSpec:
 
     @classmethod
     def explicit(cls, seq) -> "WeightSpec":
-        return cls(kind="explicit", values=tuple(complex(x) for x in seq))
+        return cls(kind="explicit", values=np.asarray(seq, dtype=complex).reshape(-1))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WeightSpec) and (self.kind, self.value) == (
+            other.kind, other.value) and np.array_equal(self.values, other.values)
 
     def sequence(self, count: int) -> np.ndarray:
         if count < 1:
@@ -54,12 +58,10 @@ class WeightSpec:
             with np.errstate(over="ignore", invalid="ignore"):
                 out = np.asarray(self.value, dtype=complex) ** np.arange(count)
         elif self.kind == "explicit":
-            if self.values is None or len(self.values) < count:
-                raise InvalidInput(
-                    f"explicit weights provide {0 if self.values is None else len(self.values)}"
-                    f" values, {count} needed"
-                )
-            out = np.array(self.values[:count], dtype=complex)
+            if len(self.values) < count:
+                raise InvalidInput(f"explicit weights provide {len(self.values)}"
+                                   f" values, {count} needed")
+            out = self.values[:count]
         else:
             raise InvalidInput(f"unknown weight kind {self.kind!r}")
         zero = np.abs(out) == 0.0
@@ -369,68 +371,77 @@ def frame_from_positive_operator(t, basis: VectorSystem) -> VectorSystem:
 @dataclass(frozen=True)
 class IteratedFrameOperatorResult:
     lower_bound_a: float
-    prefix_upper_bounds: np.ndarray
-    verdict: str  # "cannot-be-frame" | "bounded" | "inconclusive"
-
-
-# Sustained-growth threshold on the upper bounds over the last doubling
-# window; geometric blow-up and linear growth both exceed it, a convergent
-# tail does not.
-_GROWTH_RATIO = 1.5
+    verdict: str  # "cannot-be-frame" | "not-bessel" | "bessel" | "inconclusive"
+    unbounded_norm: float  # ||G||_F on lambda >= 1 - delta
+    upper_bound: float  # of the whole family; inf unless "bessel"
+    horizons: tuple[int, ...]  # 1, 2, 4, ..., horizon
+    log10_upper_bounds: np.ndarray  # of the prefixes n < m, m in horizons
 
 
 def iterated_frame_operator_check(sys: VectorSystem, generators,
                                   horizon: int) -> IteratedFrameOperatorResult:
-    """Track upper bounds of {S^n g} prefixes, S the frame operator of sys.
-
-    A frame with lower bound >= 1 forces ``||S^n g||`` to stay bounded away
-    from zero, so prefix upper bounds grow without stabilizing; the verdict
-    "cannot-be-frame" records that divergence.  Otherwise the verdict is
-    "bounded" when the growth ratio over the last doubling window stays
-    below the threshold, else "inconclusive".
-
-    The iterates are stored n-major (column ``n r + j`` holds ``S^n g_j``
-    for r generators), so prefix m is the first ``m r`` columns.  An
-    iterate that overflows float64 raises ``LinAlgError`` before any prefix
-    is measured; an upper bound whose square overflows is ``inf``.
+    """Decide whether {S^n g_j}, n >= 0, is Bessel from the spectrum
+    ``S = U diag(lambda) U*`` of sys (a frame, so U is square).  With
+    ``c = U* G``, prefix n < m has upper bound ``lambda_max(K_m o c c*)``,
+    ``(K_m)_ij = sum_{n<m} (lambda_i lambda_j)^n``; the family is Bessel
+    exactly when G has no component on lambda >= 1, with the bound at m = inf.
+    Rounding floors: ``delta = 2 max(d, N) eps lambda_max`` on lambda and
+    ``max(d, N) eps ||G||_F`` on G.  Verdict: "cannot-be-frame" if sys has
+    lower bound >= 1; "not-bessel" if G has an above-floor component on
+    lambda > 1 + delta; "bessel" if its component on lambda >= 1 - delta is
+    within the floor (and dropped from the bound); else "inconclusive".
     """
     report = frames.frame_bounds(sys, ambient=True)
     if report.a_opt <= report.tol:
         raise NotAFrame("base system is not a frame of the ambient space")
-    if horizon < 2:
-        raise InvalidInput("horizon must be >= 2")
-    iterates = [numkit.as_vector(g) for g in generators]
-    s = frames.frame_operator(sys)
-    r = len(iterates)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        runs = np.empty((s.shape[0], horizon * r), dtype=complex)
-        runs[:, :r] = np.column_stack(iterates)
-        for n in range(1, horizon):
-            for j in range(r):
-                iterates[j] = s @ iterates[j]
-                if not np.all(np.isfinite(iterates[j])):
-                    raise np.linalg.LinAlgError(
-                        f"iterate S^n g is not finite in float64 at n = {n}")
-                runs[:, n * r + j] = iterates[j]
-
-        uppers = np.empty(horizon)
-        for m in range(1, horizon + 1):
-            sv = np.linalg.svd(runs[:, :m * r], compute_uv=False)
-            uppers[m - 1] = sv[0] ** 2
-
-        half = max(1, horizon // 2)
-        ratio = uppers[-1] / uppers[half - 1] if uppers[half - 1] > 0 else math.inf
-    growing = ratio >= _GROWTH_RATIO
-    if report.a_opt >= 1.0 and growing:
-        verdict = "cannot-be-frame"
-    elif not growing:
-        verdict = "bounded"
-    else:
-        verdict = "inconclusive"
+    sp = sys.spectrum
+    c = numkit.adjoint(sp.u) @ np.column_stack(  # {S^n g}: orbits under S
+        orbit_generators(sp.u, generators, horizon))
+    lam = sp.s**2
+    size = max(sys.dim, len(sys)) * np.finfo(float).eps
+    delta, floor = 2.0 * size * lam[0], size * numkit.frobenius(c)
+    unbounded_norm = numkit.frobenius(c[lam >= 1.0 - delta])
+    verdict = ("cannot-be-frame" if report.a_opt >= 1.0
+               else "not-bessel" if numkit.frobenius(c[lam > 1.0 + delta]) > floor
+               else "bessel" if unbounded_norm <= floor else "inconclusive")
+    keep = lam < 1.0 - delta
+    upper_bound = math.exp(_log_prefix_bounds(sp.s[keep], c[keep], [math.inf])[0]) \
+        if verdict == "bessel" else math.inf
+    horizons = tuple(1 << k for k in range(int(horizon).bit_length())
+                     if 1 << k < horizon) + (horizon,)
     return IteratedFrameOperatorResult(
-        lower_bound_a=report.a_opt, prefix_upper_bounds=uppers, verdict=verdict
-    )
+        report.a_opt, verdict, unbounded_norm, upper_bound, horizons,
+        _log_prefix_bounds(sp.s, c, horizons) / math.log(10.0))
+
+
+def _log_prefix_bounds(s: np.ndarray, c: np.ndarray, horizons) -> np.ndarray:
+    """ln ``lambda_max(K_m o c c*)`` at each m, ``lambda = s^2``, from entries
+    ``u_i u_j* exp(a_ij)``: unit rows ``u_i = c_i / rho_i``, ``a_ij = ln
+    rho_i + ln rho_j + ln (K_m)_ij``.  Divided by its largest diagonal entry,
+    the matrix has lambda_max in [1, d]: nothing overflows or underflows."""
+    rho = np.linalg.norm(c, axis=1)
+    live = rho > 0
+    if not live.any():
+        return np.full(len(horizons), -math.inf)
+    unit = c[live] / rho[live, None]
+    log_s, log_rho = np.log(s[live]), np.log(rho[live])
+    y = 2.0 * np.add.outer(log_s, log_s)  # ln(lambda_i lambda_j)
+    base, ay = np.add.outer(log_rho, log_rho), np.abs(y)
+    # entries below 1e-150 of the largest are zeroed, which keeps eigvalsh off
+    # subnormals; by Weyl, lambda_max moves by at most d * 1e-150
+    gram = unit @ numkit.adjoint(unit)
+    gram[np.abs(gram) < 1e-150] = 0.0
+    out = []
+    for m in horizons:
+        # sum_{n<m} e^{ny} = e^{(m-1) max(y, 0)} (1 - e^{-m|y|}) / (1 - e^{-|y|})
+        with np.errstate(invalid="ignore"):  # 0 / 0 at y = 0, where it is m
+            a = base + np.maximum((m - 1) * y, 0.0) + np.log(np.where(
+                ay > 0.0, np.expm1(-m * ay) / np.expm1(-ay), m))
+        sigma = np.max(np.diagonal(a))
+        e = a - sigma
+        e[e < math.log(1e-150)] = -np.inf
+        out.append(sigma + math.log(np.linalg.eigvalsh(gram * np.exp(e))[-1]))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Tests for configs, reports, the check runner, and the CLI."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +190,18 @@ def test_jsonify_complex_and_inf():
 # ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------
+
+def test_cli_run_summary_follows_redirected_stdout(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(shift_config()))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["run", str(cfg_path), "--out",
+                         str(tmp_path / "report.json")])
+    assert code == 0
+    assert buf.getvalue().splitlines() == [
+        "  orbit-bounds: pass", "  surjectivity: pass", "overall: pass"]
+
 
 def test_cli_run_writes_report(tmp_path):
     cfg_path = tmp_path / "cfg.json"
@@ -483,6 +498,10 @@ MALFORMED_PARAMS = {
         "'w_operator' is a required property"),
     "misspelt key": (
         misspelt_gallery(), "'subspace_coord' was unexpected"),
+    "iterated horizon past 2^53": (
+        shift_config(checks=["iterated-frame-operator"],
+                     params={"iterated-frame-operator": {"horizon": 10**400}}),
+        "is greater than the maximum of 9007199254740992"),
     "operator dimension that disagrees with its values": (
         gallery_with(RIESZ, operator={"kind": "diagonal", "dimension": 7,
                                       "values": [0.5, 0.1, 0.2]}),
@@ -567,7 +586,7 @@ def test_params_for_unconfigured_check_refused():
 
 
 # ---------------------------------------------------------------------------
-# overflowing iterated frame operators: report, not warnings
+# iterated frame operators past float64: report in log10, no warnings
 # ---------------------------------------------------------------------------
 
 def run_subprocess(tmp_path, raw):
@@ -601,24 +620,49 @@ def iterated_config(weight, horizon):
     }
 
 
-def test_cli_overflowing_iterate_is_an_error_record_without_warnings(tmp_path):
-    proc, record = run_subprocess(tmp_path, iterated_config(1e30, 8))
-    assert proc.returncode == 2
-    assert proc.stderr == ""
-    assert record["error"] == ("LinAlgError: iterate S^n g is not finite "
-                               "in float64 at n = 6")
-    assert record["outputs"] == {}
-
-
-def test_cli_overflowing_squared_bound_is_inf_without_warnings(tmp_path):
-    proc, record = run_subprocess(tmp_path, iterated_config(1e45, 4))
+def assert_finite_log10_record(proc, record, horizons):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert record["error"] is None
-    bounds = record["outputs"]["prefix_upper_bounds"]
-    assert bounds[2:] == ["inf", "inf"]
-    assert all(isinstance(b, float) for b in bounds[:2])
-    assert record["outputs"]["verdict"] == "cannot-be-frame"
+    out = record["outputs"]
+    assert out["verdict"] == "cannot-be-frame"
+    assert out["horizons"] == horizons
+    assert all(isinstance(b, float) for b in out["log10_upper_bounds"])
+
+
+def test_cli_iterate_past_float64_is_a_log10_record_without_warnings(tmp_path):
+    # S^6 g overflows float64 here; the check never forms it
+    proc, record = run_subprocess(tmp_path, iterated_config(1e30, 8))
+    assert_finite_log10_record(proc, record, [1, 2, 4, 8])
+    assert record["outputs"]["log10_upper_bounds"][-1] > 308
+
+
+def test_cli_squared_bound_past_float64_is_a_log10_record_without_warnings(
+        tmp_path):
+    proc, record = run_subprocess(tmp_path, iterated_config(1e45, 4))
+    assert_finite_log10_record(proc, record, [1, 2, 4])
+    assert record["outputs"]["log10_upper_bounds"][-1] > 308
+
+
+def test_cli_iterated_horizon_of_a_billion_runs_in_a_second():
+    raw = {
+        "schema_version": 1,
+        "dimension": 2,
+        "operator": {"kind": "diagonal", "values": [0.5, 0.25]},
+        "generators": [[0.5, 0.5]],
+        "horizon": 8,
+        "checks": ["iterated-frame-operator"],
+        "params": {"iterated-frame-operator": {"horizon": 10**9}},
+    }
+    start = time.perf_counter()
+    rep = checks.run_experiment(config.parse_config(raw))
+    assert time.perf_counter() - start < 1.0
+    out = rep.checks[0].outputs
+    assert rep.checks[0].error is None
+    assert out["verdict"] == "bessel"
+    assert out["horizons"][-1] == 10**9
+    assert 10.0**out["log10_upper_bounds"][-1] == pytest.approx(
+        out["upper_bound"], rel=1e-12)
 
 
 def test_cli_overflowing_orbit_is_an_error_record_without_warnings(tmp_path):

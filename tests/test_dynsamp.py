@@ -1,6 +1,7 @@
 """Tests for orbit constructions and property checkers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -327,6 +328,11 @@ def test_frame_from_rejects_indefinite():
 # iterated frame operators
 # ---------------------------------------------------------------------------
 
+def doubling(horizon):
+    """The horizons the iterated check reports: 1, 2, 4, ..., horizon."""
+    return sorted({2**k for k in range(horizon.bit_length())} | {horizon})
+
+
 def test_iterated_tight_frame_bound_two():
     sys = frames.vector_system([delta(2, 0), delta(2, 0),
                                 delta(2, 1), delta(2, 1)])
@@ -334,18 +340,33 @@ def test_iterated_tight_frame_bound_two():
     assert res.lower_bound_a == pytest.approx(2.0, abs=1e-12)
     # oracle: S = 2I so S^n g = 2^n g and the m-th prefix upper bound is
     # sum of 4^n, n < m
-    expected = np.cumsum(4.0 ** np.arange(8))
-    np.testing.assert_allclose(res.prefix_upper_bounds, expected, rtol=1e-12)
+    m = np.array(doubling(8))
+    assert res.horizons == tuple(m) == (1, 2, 4, 8)
+    np.testing.assert_allclose(10.0**res.log10_upper_bounds,
+                               (4.0**m - 1.0) / 3.0, rtol=1e-12)
     assert res.verdict == "cannot-be-frame"
+    assert res.upper_bound == math.inf
 
 
 def test_iterated_small_tight_frame_converges():
     sys = frames.vector_system([delta(1, 0)], weights=[1.0 / math.sqrt(2.0)])
     res = dynsamp.iterated_frame_operator_check(sys, [delta(1, 0)], horizon=24)
     assert res.lower_bound_a == pytest.approx(0.5, abs=1e-12)
-    # {2^-n} stays a frame of C^1: bounds stabilize at sum of 4^-n = 4/3
-    assert res.verdict == "bounded"
-    assert res.prefix_upper_bounds[-1] == pytest.approx(4.0 / 3.0, rel=1e-6)
+    # {2^-n} is Bessel in C^1: the bound is the sum of 4^-n = 4/3
+    assert res.verdict == "bessel"
+    assert res.unbounded_norm == 0.0
+    assert res.upper_bound == pytest.approx(4.0 / 3.0, rel=1e-12)
+    m = np.array(doubling(24))
+    np.testing.assert_allclose(10.0**res.log10_upper_bounds,
+                               (1.0 - 0.25**m) * 4.0 / 3.0, rtol=1e-12)
+
+
+def test_iterated_half_identity_at_a_million_terms():
+    sys = frames.vector_system([delta(1, 0)], weights=[1.0 / math.sqrt(2.0)])
+    res = dynsamp.iterated_frame_operator_check(sys, [delta(1, 0)], 10**6)
+    assert res.horizons[-1] == 10**6
+    assert abs(10.0**res.log10_upper_bounds[-1] - 4.0 / 3.0) \
+        <= math.ulp(4.0 / 3.0)
 
 
 def test_iterated_onb_linear_growth():
@@ -353,9 +374,103 @@ def test_iterated_onb_linear_growth():
     res = dynsamp.iterated_frame_operator_check(sys, [delta(3, 0)], horizon=16)
     assert res.lower_bound_a == pytest.approx(1.0, abs=1e-12)
     # S = I: prefix bounds grow linearly (m copies of one unit vector)
-    np.testing.assert_allclose(res.prefix_upper_bounds,
-                               np.arange(1, 17, dtype=float), rtol=1e-12)
+    np.testing.assert_allclose(10.0**res.log10_upper_bounds,
+                               np.array(doubling(16), dtype=float), rtol=1e-12)
     assert res.verdict == "cannot-be-frame"
+
+
+def test_iterated_horizon_one_is_the_generators_alone():
+    sys = frames.standard_basis(2)
+    res = dynsamp.iterated_frame_operator_check(sys, [[3.0, 4.0]], horizon=1)
+    assert res.horizons == (1,)
+    assert res.log10_upper_bounds[0] == pytest.approx(math.log10(25.0),
+                                                      rel=1e-14)
+    with pytest.raises(InvalidInput, match="horizon"):
+        dynsamp.iterated_frame_operator_check(sys, [[3.0, 4.0]], horizon=0)
+
+
+def diagonal_frame(lam):
+    """The system {sqrt(lambda_k) e_k}: its frame operator is diag(lambda)."""
+    lam = [float(x) for x in lam]
+    return frames.vector_system(list(np.eye(len(lam))), weights=np.sqrt(lam))
+
+
+@pytest.mark.parametrize("lam, coords, verdict", [
+    ((Fraction(1, 2), Fraction(3, 4)), (0, 1), "bessel"),
+    ((Fraction(1, 4), 2, Fraction(9, 16)), (0, 2), "bessel"),
+    ((Fraction(5, 4), Fraction(1, 4), Fraction(1, 16), Fraction(3, 4)),
+     (1, 2, 3), "bessel"),
+    ((Fraction(1, 2), 2, Fraction(3, 4)), (0, 1), "not-bessel"),
+    ((Fraction(3, 2), 2, 4), (1,), "cannot-be-frame"),
+])
+def test_iterated_diagonal_against_exact_geometric_sums(lam, coords, verdict):
+    # generator j sits on coordinate coords[j] with amplitude j + 1, so C is
+    # diagonal and lambda_max(K_m o C) = max_k (j+1)^2 sum_{n<m} lambda_k^{2n}
+    lam = [Fraction(x) for x in lam]
+    d = len(lam)
+    gens = [(j + 1) * delta(d, k) for j, k in enumerate(coords)]
+    amp = {k: (j + 1)**2 for j, k in enumerate(coords)}
+    horizon = 1000
+    res = dynsamp.iterated_frame_operator_check(diagonal_frame(lam), gens,
+                                                horizon)
+    assert res.verdict == verdict
+    for m, got in zip(res.horizons, res.log10_upper_bounds):
+        exact = max(a * sum(lam[k]**(2 * n) for n in range(m))
+                    for k, a in amp.items())
+        # log10 of the exact fraction, through its numerator and denominator
+        want = (math.log10(exact.numerator) - math.log10(exact.denominator))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-13), m
+    if verdict == "bessel":
+        exact = max(a / (1 - lam[k]**2) for k, a in amp.items())
+        assert res.upper_bound == pytest.approx(float(exact), rel=1e-12)
+        assert res.unbounded_norm == 0.0
+    else:
+        assert res.upper_bound == math.inf
+
+
+def test_iterated_pick_bound_against_brute_force_series():
+    # K o C against sum_{n<M} Lambda^n C Lambda^n in the eigenbasis of S
+    rng = np.random.default_rng(5)
+    d = 5
+    u = rng.standard_normal((d, 2 * d)) + 1j * rng.standard_normal((d, 2 * d))
+    u *= 0.9 / np.linalg.svd(u, compute_uv=False)[0]
+    sys = frames.VectorSystem(matrix=u)
+    gens = list(rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d)))
+    res = dynsamp.iterated_frame_operator_check(sys, gens, horizon=64)
+    assert res.verdict == "bessel"
+    sp = sys.spectrum
+    lam = sp.s**2
+    c = numkit.adjoint(sp.u) @ np.column_stack(gens)
+    cc = c @ numkit.adjoint(c)
+    brute = np.zeros_like(cc)
+    prefix = {}
+    for n in range(400):  # lambda_max^(2 n) = 0.81^400 < 1e-36
+        brute += (lam**n)[:, None] * cc * (lam**n)[None, :]
+        prefix[n + 1] = np.linalg.eigvalsh(brute)[-1]
+    assert res.upper_bound == pytest.approx(prefix[400], rel=1e-12)
+    np.testing.assert_allclose(10.0**res.log10_upper_bounds,
+                               [prefix[m] for m in res.horizons], rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_iterated_prefix_bounds_climb_to_the_pick_bound(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    n = d + int(rng.integers(0, 2 * d))
+    u = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    # lambda_max = 0.99 at most: its 2^21-th power is below 1e-9000
+    u *= math.sqrt(rng.uniform(0.05, 0.99)) / np.linalg.svd(
+        u, compute_uv=False)[0]
+    sys = frames.VectorSystem(matrix=u)
+    r = int(rng.integers(1, 4))
+    gens = list(rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d)))
+    res = dynsamp.iterated_frame_operator_check(sys, gens, horizon=2**20)
+    assert res.verdict == "bessel"
+    bounds = 10.0**res.log10_upper_bounds
+    assert np.all(np.diff(bounds) >= -1e-13 * bounds[1:])
+    assert np.all(bounds <= res.upper_bound * (1.0 + 1e-12))
+    assert bounds[-1] == pytest.approx(res.upper_bound, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
