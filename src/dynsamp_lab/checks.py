@@ -14,7 +14,6 @@ from functools import cache, partial
 from time import perf_counter
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from . import dynsamp, frames, numkit, perturb
@@ -29,6 +28,7 @@ from .config import (
     parse_operator,
     parse_scalars,
     parse_weight_spec,
+    schema_error,
 )
 from .dynsamp import WeightSpec
 from .errors import DynsampLabError, HypothesisViolated, InvalidInput
@@ -126,7 +126,7 @@ def _check_stein(ctx: CheckContext, name: str):
     margins = {}
     passed = True
     opnorm = sol.operator_norm
-    c = np.zeros((ctx.config.dimension,) * 2, dtype=complex)
+    c = np.zeros(ctx.operator.shape, dtype=complex)
     for g in ctx.generators:
         c += np.outer(g, g.conj())
     c_norm = numkit.frobenius(c)
@@ -151,9 +151,11 @@ def _check_stein(ctx: CheckContext, name: str):
 
 def _check_surjectivity(ctx: CheckContext, name: str):
     phi = ctx.generators[0]
+    # an integral float is an integer to the schema
+    witness = ctx.params.get("witness_horizon")
     rep = dynsamp.surjectivity_report(
         ctx.operator, phi, ctx.stein(1, 1e-12).s,
-        horizon=ctx.params.get("witness_horizon"),
+        horizon=None if witness is None else int(witness),
         tol=ctx.tol("surjectivity", 1e-8),
     )
     outputs = {
@@ -425,9 +427,6 @@ for _cert, _kind in perturb.CERTIFICATES.items():
     REGISTRY[f"satisfiability:{_cert}"] = (_check_satisfiability,
                                            _SEARCH_PARAMS)
 
-_VALIDATORS = {name: jsonschema.Draft202012Validator(schema)
-               for name, (_, schema) in REGISTRY.items()}
-
 
 def _parse_params(cfg: ExperimentConfig, operator, generators) -> dict:
     """Every check name and ``params`` block validated, and parsed, before
@@ -440,7 +439,7 @@ def _parse_params(cfg: ExperimentConfig, operator, generators) -> dict:
         if name not in REGISTRY:
             raise ConfigError(f"unknown check {name!r}")
         p = cfg.params.get(name, {})
-        err = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(p))
+        err = schema_error(p, REGISTRY[name][1])
         if err is not None:
             raise ConfigError(
                 f"params[{name!r}]{err.json_path[1:]}: {err.message}")
@@ -479,7 +478,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     operator, generators = cfg.operator, cfg.generators
     params = _parse_params(cfg, operator, generators)
     # an orbit that raises is not cached: each orbit check records the error
-    orbit = cache(partial(dynsamp.orbit, operator, generators, cfg.horizon,
+    orbit = cache(partial(dynsamp.orbit, operator, generators,
+                          int(cfg.horizon),
                           cfg.weights or WeightSpec.constant(1.0)))
     stein = cache(lambda count, tol: dynsamp.orbit_frame_operator_exact(
         operator, generators[:count], tol=tol))

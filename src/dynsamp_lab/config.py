@@ -2,7 +2,9 @@
 
 Configs are versioned JSON documents; complex scalars serialize as
 two-element ``[re, im]`` arrays (plain numbers are accepted on input).
-The schema states the structure and is compiled once, at import;
+The schemas (this one, the report's and each check's params) are plain
+dicts that state the structure; ``schema_error`` checks an instance against
+one of them, covering exactly the JSON Schema keywords they use.
 ``parse_complex`` alone owns the scalar rule, and ``parse_scalars`` applies
 it to every leaf of a scalar array (in bulk when all are float pairs) and
 returns a complex array.  ``parse_operator`` is the one place that knows
@@ -17,11 +19,12 @@ import hashlib
 import json
 import math
 import numbers
+import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .dynsamp import WeightSpec, nilpotent_shift
@@ -80,8 +83,6 @@ CONFIG_SCHEMA = {
     "required": ["dimension", "operator", "generators", "horizon", "checks"],
 }
 
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-
 
 def params_schema(properties: dict, required=()) -> dict:
     """Schema of one ``params[<check>]`` block: these keys and no others."""
@@ -92,6 +93,173 @@ def params_schema(properties: dict, required=()) -> dict:
 
 class ConfigError(InvalidInput):
     """Configuration failed to parse or validate (CLI exit code 1)."""
+
+
+# ---------------------------------------------------------------------------
+# schema validation: the JSON Schema 2020-12 keywords the schemas use
+# ---------------------------------------------------------------------------
+
+class SchemaError(ValueError):
+    """An instance that does not match its schema: ``message`` and
+    ``json_path`` as ``jsonschema`` states them."""
+
+    def __init__(self, message: str, path: tuple):
+        super().__init__(message)
+        self.message = message
+        self.path = path
+
+    @property
+    def json_path(self) -> str:
+        out = "$"
+        for elem in self.path:
+            if isinstance(elem, int):
+                out += f"[{elem}]"
+            elif _PLAIN_KEY.match(elem):
+                out += "." + elem
+            else:
+                escaped = elem.replace("\\", "\\\\").replace("'", "\\'")
+                out += f"['{escaped}']"
+        return out
+
+
+_PLAIN_KEY = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*$")
+_TRUE, _FALSE = object(), object()
+
+
+def _is_type(instance, name: str) -> bool:
+    """JSON Schema's types; an integral float is an integer, a bool is not."""
+    if name == "object":
+        return isinstance(instance, dict)
+    if name == "array":
+        return isinstance(instance, list)
+    if name == "string":
+        return isinstance(instance, str)
+    if name == "boolean":
+        return isinstance(instance, bool)
+    if name == "null":
+        return instance is None
+    if isinstance(instance, bool):
+        return False
+    if name == "integer":
+        return isinstance(instance, int) or (isinstance(instance, float)
+                                             and instance.is_integer())
+    if name == "number":
+        return isinstance(instance, numbers.Number)
+    raise ValueError(f"unknown schema type {name!r}")
+
+
+def _unbool(x):
+    return _TRUE if x is True else _FALSE if x is False else x
+
+
+def _equal(one, two) -> bool:
+    """JSON equality: ``True`` is not ``1``, at any depth."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, Sequence) and isinstance(two, Sequence):
+        return len(one) == len(two) and all(map(_equal, one, two))
+    if isinstance(one, Mapping) and isinstance(two, Mapping):
+        return len(one) == len(two) and all(
+            key in two and _equal(value, two[key])
+            for key, value in one.items())
+    return _unbool(one) == _unbool(two)
+
+
+def _unique(items: list) -> bool:
+    """``uniqueItems`` as ``jsonschema`` decides it: adjacent items of the
+    sorted list, or every pair where the items do not sort."""
+    try:
+        ordered = sorted(map(_unbool, items))
+        return not any(map(_equal, ordered, islice(ordered, 1, None)))
+    except (NotImplementedError, TypeError):
+        seen = []
+        for item in map(_unbool, items):
+            if any(_equal(other, item) for other in seen):
+                return False
+            seen.append(item)
+    return True
+
+
+def _errors(instance, schema: dict, root: dict, path: tuple) -> list:
+    """Every error of ``instance`` against ``schema``, in ``jsonschema``'s
+    order, as (path, message)."""
+    found = []
+    for key, value in schema.items():
+        if key == "type":
+            names = [value] if isinstance(value, str) else value
+            if not any(_is_type(instance, name) for name in names):
+                found.append((path, f"{instance!r} is not of type "
+                                    f"{', '.join(map(repr, names))}"))
+        elif key == "enum":
+            if not any(_equal(each, instance) for each in value):
+                found.append((path, f"{instance!r} is not one of {value!r}"))
+        elif key == "minimum":
+            if _is_type(instance, "number") and instance < value:
+                found.append((path, f"{instance!r} is less than the minimum "
+                                    f"of {value!r}"))
+        elif key == "maximum":
+            if _is_type(instance, "number") and instance > value:
+                found.append((path, f"{instance!r} is greater than the "
+                                    f"maximum of {value!r}"))
+        elif key == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                found.append((path, f"{instance!r} " + (
+                    "should be non-empty" if value == 1 else "is too short")))
+        elif key == "uniqueItems":
+            if value and isinstance(instance, list) and not _unique(instance):
+                found.append((path, f"{instance!r} has non-unique elements"))
+        elif key == "required":
+            if isinstance(instance, dict):
+                found += [(path, f"{name!r} is a required property")
+                          for name in value if name not in instance]
+        elif key == "properties":
+            if isinstance(instance, dict):
+                for name, sub in value.items():
+                    if name in instance:
+                        found += _errors(instance[name], sub, root,
+                                         path + (name,))
+        elif key == "additionalProperties":
+            if isinstance(instance, dict):
+                known = schema.get("properties", {})
+                extras = [name for name in instance if name not in known]
+                if isinstance(value, dict):
+                    for name in extras:
+                        found += _errors(instance[name], value, root,
+                                         path + (name,))
+                elif not value and extras:
+                    names = ", ".join(map(repr, sorted(extras, key=str)))
+                    verb = "was" if len(extras) == 1 else "were"
+                    found.append((path, "Additional properties are not "
+                                  f"allowed ({names} {verb} unexpected)"))
+        elif key == "items":
+            if isinstance(instance, list):
+                for index, item in enumerate(instance):
+                    found += _errors(item, value, root, path + (index,))
+        elif key == "$ref" and len(schema) == 1:
+            name = value.removeprefix("#/$defs/")
+            found += _errors(instance, root["$defs"][name], root, path)
+        elif key not in ("$schema", "$defs"):
+            raise ValueError(f"schema keyword {key!r} is not supported")
+    return found
+
+
+def schema_error(instance, schema: dict) -> SchemaError | None:
+    """The error of ``instance`` against ``schema`` that
+    ``jsonschema.exceptions.best_match`` picks, or ``None`` if it matches:
+    the first of the errors nearest the root with the greatest path.
+
+    ``best_match`` also prefers, at one path, an error whose schema names a
+    type the instance lacks.  Here every error at one path comes from one
+    schema (a ``$ref`` stands alone in its schema), so that rule never
+    decides.
+    """
+    errors = _errors(instance, schema, schema, ())
+    if not errors:
+        return None
+    path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+    return SchemaError(message, path)
 
 
 def _real(x, value) -> float:
@@ -203,7 +371,7 @@ def parse_operator(raw: dict) -> tuple[np.ndarray, dict]:
         elif kind == "nilpotent_shift":
             if "dimension" not in raw:
                 raise ConfigError("nilpotent_shift operator needs 'dimension'")
-            t = nilpotent_shift(raw["dimension"])
+            t = nilpotent_shift(int(raw["dimension"]))
         elif kind == "circulant":
             # row k is the first row rolled by k: entry (k, j) is row[j - k]
             row = data("first_row", "'first_row'")
@@ -264,6 +432,9 @@ def weight_spec_to_dict(spec: WeightSpec | None) -> dict | None:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    # dimension and horizon hold the value as given, which the echo and
+    # the hash read; the schema takes an integral float (2.0) for an
+    # integer, so code that counts with them converts it with int()
     dimension: int
     operator: np.ndarray  # read-only, built once at load
     operator_echo: dict  # the operator spec as config_to_dict writes it
@@ -277,7 +448,7 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    err = schema_error(raw, CONFIG_SCHEMA)
     if err is not None:
         raise ConfigError(f"config does not match schema: {err.message}")
     version = raw.get("schema_version", SCHEMA_VERSION)
@@ -297,7 +468,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     weights = parse_weight_spec(raw.get("weights"))
     if weights is not None:
         try:
-            weights.sequence(raw["horizon"])
+            weights.sequence(int(raw["horizon"]))
         except InvalidInput as exc:
             raise ConfigError(f"weights: {exc}") from None
     checks = tuple(raw["checks"])

@@ -16,11 +16,10 @@ import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
-from .config import SCHEMA_VERSION, canonical_json
+from .config import SCHEMA_VERSION, canonical_json, schema_error
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -60,8 +59,6 @@ REPORT_SCHEMA = {
     "required": ["schema_version", "metadata", "checks", "passed",
                  "payload_hash"],
 }
-
-_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
 
 def jsonify(value):
@@ -250,7 +247,9 @@ def _flatten(value, prefix=""):
 
 
 def validate_report(payload: dict) -> None:
-    """Raise the best-matching ``jsonschema.ValidationError``, if any."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(payload))
+    """Raise the ``config.SchemaError`` that ``jsonschema`` would pick
+    against ``REPORT_SCHEMA``, if any; ``to_json`` checks every report
+    it writes."""
+    error = schema_error(payload, REPORT_SCHEMA)
     if error is not None:
         raise error

@@ -683,3 +683,56 @@ def test_cli_overflowing_orbit_is_an_error_record_without_warnings(tmp_path):
         assert rec["error"] == ("LinAlgError: orbit vector a_n T^n phi is "
                                 "not finite in float64 at n = 31")
         assert rec["outputs"] == {}
+
+
+# ---------------------------------------------------------------------------
+# the runtime needs numpy alone: jsonschema is the tests' schema oracle
+# ---------------------------------------------------------------------------
+
+def run_python(code, *argv):
+    """``python -c code argv...`` with this package on the path."""
+    src = str(Path(dynsamp_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+WITHOUT_JSONSCHEMA = """
+import sys
+sys.modules["jsonschema"] = None  # any import of it raises ImportError
+from dynsamp_lab import cli
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_commands_run_where_jsonschema_cannot_be_imported(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(shift_config()))
+    proc = run_python(WITHOUT_JSONSCHEMA, "run", str(cfg_path),
+                      "--out", str(tmp_path / "r.json"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads((tmp_path / "r.json").read_text())["passed"]
+
+    proc = run_python(WITHOUT_JSONSCHEMA, "repro", "shift-orbit", "--dim", "4")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["passed"]
+
+    cfg_path.write_text(json.dumps(shift_config(horizon="3")))
+    proc = run_python(WITHOUT_JSONSCHEMA, "run", str(cfg_path),
+                      "--out", str(tmp_path / "bad.json"))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: config does not match schema: '3' is not of type 'integer'"]
+
+
+def test_the_cli_does_not_import_jsonschema(tmp_path):
+    proc = run_python(
+        "import sys\n"
+        "from dynsamp_lab import cli\n"
+        "cli.main(['repro', 'shift-orbit', '--out', sys.argv[1]])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))",
+        str(tmp_path / "r.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -189,7 +189,7 @@ def test_tolerances_must_be_finite_numbers():
 
 
 # ---------------------------------------------------------------------------
-# compiled validators
+# the schemas, and the report self-check on every write
 # ---------------------------------------------------------------------------
 
 def test_schemas_match_the_meta_schema():
@@ -223,7 +223,7 @@ def test_validation_does_not_recheck_the_schemas(monkeypatch):
     payload = json.loads(rep.to_json())
     report.validate_report(payload)
     del payload["payload_hash"]
-    with pytest.raises(jsonschema.ValidationError, match="payload_hash"):
+    with pytest.raises(config.SchemaError, match="payload_hash"):
         report.validate_report(payload)
 
 
@@ -455,3 +455,37 @@ def test_the_circulant_is_the_stack_of_rolled_rows(d):
     old = np.stack([np.roll(row, k) for k in range(d)], axis=0)
     assert t.tobytes() == old.tobytes()
     assert echo == {"kind": "circulant", "first_row": config.encode_scalars(row)}
+
+
+# ---------------------------------------------------------------------------
+# integral floats: the schema takes 2.0 for an integer, so the run does too
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("raw", [
+    base(dimension=2.0, checks=["stein"]),
+    base(horizon=4.0),
+    base(dimension=3, generators=[[1.0, 0.0, 0.0]],
+         operator={"kind": "nilpotent_shift", "dimension": 3.0}),
+    base(checks=["surjectivity"],
+         params={"surjectivity": {"witness_horizon": 3.0}}),
+], ids=["dimension", "horizon", "nilpotent_shift dimension",
+        "witness_horizon"])
+def test_cli_runs_a_config_with_an_integral_float_count(tmp_path, capsys, raw):
+    code, err = run_cli(tmp_path, capsys, raw)
+    assert (code, err) == (0, [])
+
+
+@pytest.mark.parametrize("raw,digest", [
+    (base(dimension=2.0),
+     "3905db771b3c1ea7d98e74d7d5fdb3d7acbb1ea6ea7a32e72f6d3295390bab41"),
+    (base(horizon=4.0, checks=["stein"]),
+     "f8148ca5040952f130cea48b69bf16b6d38526dc6fa22e62e6681461c256b741"),
+    (base(operator={"kind": "diagonal", "dimension": 2.0,
+                    "values": [0.5, 0.25]}),
+     "e14f2ad8acaab67107d127ae82ac7cc1f7e07db71a7e0b44cbb1fc9ebd3f74b3"),
+])
+def test_integral_floats_are_echoed_as_given(raw, digest):
+    # configs that ran before integral floats were converted keep their hash
+    cfg = config.parse_config(raw)
+    assert checks.run_experiment(cfg).passed
+    assert config.config_hash(cfg) == digest
