@@ -465,10 +465,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for g in generators:
         if len(g) != dim:
             raise ConfigError(f"generator length {len(g)} != dimension {dim}")
+    horizon = int(raw["horizon"])
+    if int(dim) * len(generators) * horizon * 16 > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"horizon {raw['horizon']} is too long: an orbit of {dim} x "
+            f"{len(generators)} x {horizon} complex entries is larger than "
+            "any array can be")
     weights = parse_weight_spec(raw.get("weights"))
     if weights is not None:
         try:
-            weights.sequence(int(raw["horizon"]))
+            weights.sequence(horizon)
         except InvalidInput as exc:
             raise ConfigError(f"weights: {exc}") from None
     checks = tuple(raw["checks"])

@@ -670,26 +670,34 @@ class KernelInvarianceResult:
 def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvarianceResult:
     """Is the synthesis kernel invariant under the weighted right shift?
 
-    For each orthonormal kernel basis vector the component of its shifted
-    image (the shift of ``shift_weighted``) orthogonal to the kernel is
-    measured; the defect is the largest such norm.  That component is the
-    projection onto the row space, ``(I - B B*) x = V_r V_r* x``, whose
-    norm is that of the short vector ``V_r* x``: the shift is folded into
-    V_r*, and no N x (N - rank) array is formed.
+    For each vector of the orthonormal kernel basis ``Q[:, r:]`` of
+    :func:`frames.kernel_synthesis`, the component of its shifted image
+    (the shift of ``shift_weighted``) orthogonal to the kernel is measured;
+    the defect is the largest such norm.  That component is the projection
+    onto the row space, ``(I - B B*) x = V_r V_r* x``, whose norm is that
+    of the short vector ``V_r* x``.  With the shift folded into
+    ``M = V_r* L``, the defects are the column norms of
+    ``M Q[:, r:] = M[:, r:] - (M V) T V[r:]*``, from the kernel's
+    compact-WY factors: no array larger than r x N is formed.
     """
     if sys.weights is None:
         raise InvalidInput("system must carry weights")
     kernel = frames.kernel_synthesis(sys)
-    basis = kernel.basis
-    if basis.shape[1] == 0:
+    if kernel.dimension == 0:
         return KernelInvarianceResult(invariant=True, defect=0.0, kernel_dim=0)
     a = np.asarray(sys.weights, dtype=complex)
-    # V_r* (shift x) = sum_{k >= 1} conj(V_r[k]) (a_{k-1} / a_k) x[k-1]
-    rows_shifted = numkit.adjoint(kernel.complement[1:]) * (a[:-1] / a[1:])
-    off = rows_shifted @ basis[:-1]
+    ratio = a[:-1] / a[1:]
+    rows, v, t = kernel.rows, kernel.reflectors, kernel.factor
+    r = rows.shape[0]
+    # M[:, k] = V_r*[:, k + 1] (a_k / a_{k+1}) for k < N - 1, M[:, N - 1] = 0
+    w = rows[:, 1:] @ (v[:-1] * ratio[:, None]) @ t  # (M V) T
+    # W V[r:]* as the conjugate of conj(W) V[r:]^T: V is not copied
+    off = np.conj(w) @ v[r:].T
+    np.conj(off, out=off)
+    off[:, :-1] -= rows[:, r + 1:] * ratio[r:]  # minus M[:, r:]
     defect = float(np.max(np.linalg.norm(off, axis=0)))
     return KernelInvarianceResult(invariant=defect <= tol, defect=defect,
-                                  kernel_dim=basis.shape[1])
+                                  kernel_dim=kernel.dimension)
 
 
 # ---------------------------------------------------------------------------

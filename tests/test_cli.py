@@ -256,6 +256,26 @@ def test_cli_bad_weight_sequence_is_refused_at_load(tmp_path, capsys, weights):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("weights", [
+    None, {"kind": "geometric", "value": 0.99},
+], ids=["unweighted", "weighted"])
+def test_cli_horizon_no_array_can_hold_is_refused_at_load(tmp_path, capsys,
+                                                          weights):
+    # 3 x 1 x 10^20 complex entries: past np.intp, refused before the weight
+    # sequence or the orbit is allocated
+    raw = shift_config(horizon=10**20)
+    if weights is not None:
+        raw["weights"] = weights
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon 100000000000000000000 is too long")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_underflowing_geometric_weight_names_n(tmp_path, capsys):
     # 0.5**1075 rounds to 0 in float64, although the ratio 0.5 is nonzero
     raw = shift_config(weights={"kind": "geometric", "value": 0.5},

@@ -2,11 +2,12 @@
 
 Each oracle below is the earlier implementation, kept here as a loop: the
 per-prefix SVD Riesz profile, the S^n loop of iterated prefix bounds,
-the kernel-basis defect formula, the term-by-term Stein series and the
-two-walk surjectivity tail.  The per-column canonical dual is an oracle in
+the kernel-basis defect formula and the complete-QR kernel basis, the
+term-by-term Stein series and the two-walk surjectivity tail.  The per-column canonical dual is an oracle in
 ``test_spectrum.py``.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -328,6 +329,90 @@ def test_kernel_defect_matches_kernel_basis_formula(seed, orbit_family):
     assert res.kernel_dim == kernel.dimension
     assert kernel.complement.shape == (n, n - kernel.dimension)
     assert res.defect == pytest.approx(kernel_basis_defect(sys), abs=1e-12)
+
+
+def complete_qr_defect(sys):
+    """Oracle: the complete N x N unitary of a QR of V_r, its last N - r
+    columns shifted as one block; independent of the compact-WY factors."""
+    sp = sys.spectrum
+    rows = numkit.adjoint(sp.vh[:sp.rank])
+    q, _ = np.linalg.qr(rows, mode="complete")
+    basis = q[:, sp.rank:]
+    if basis.shape[1] == 0:
+        return 0, 0.0
+    a = sys.weights
+    off = (numkit.adjoint(rows[1:]) * (a[:-1] / a[1:])) @ basis[:-1]
+    return basis.shape[1], float(np.max(np.linalg.norm(off, axis=0)))
+
+
+def kernel_parity_system(rng, family):
+    d = int(rng.integers(1, 9))
+    n = int(rng.integers(1, 65))
+    weights = rng.uniform(0.3, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n))
+    if family == "shift":  # reflectors of unit vectors: tau = 0
+        e0 = np.eye(d)[0]
+        return dynsamp.orbit(dynsamp.nilpotent_shift(d), (e0,), n,
+                             dynsamp.WeightSpec.constant(1.0))
+    vecs = random_vectors(rng, d, n)
+    if family == "deficient":
+        k = int(rng.integers(1, d + 1))
+        vecs = vecs[:, :k] @ random_vectors(rng, d, k)
+    elif family == "zero":
+        vecs = np.zeros((n, d))
+    return frames.vector_system(list(vecs), weights=weights)
+
+
+def assert_matches_complete_qr(sys):
+    kernel_dim, defect = complete_qr_defect(sys)
+    res = dynsamp.kernel_invariance_check(sys)
+    assert res.kernel_dim == kernel_dim
+    assert res.invariant == (defect <= 1e-8)
+    assert abs(res.defect - defect) <= max(1e-12 * defect, 1e-15)
+    return res
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from(["full", "deficient", "zero", "shift"]))
+def test_kernel_defect_matches_complete_qr(seed, family):
+    sys = kernel_parity_system(np.random.default_rng(seed), family)
+    res = assert_matches_complete_qr(sys)
+    if family == "shift":
+        assert res.defect == 0.0
+
+
+def test_kernel_defect_matches_complete_qr_at_rank_zero_rank_n_and_tau_zero():
+    rng = np.random.default_rng(5)
+    zero = kernel_parity_system(rng, "zero")
+    assert zero.spectrum.rank == 0
+    assert_matches_complete_qr(zero)
+    riesz = frames.vector_system(list(random_vectors(rng, 6, 4)),
+                                 weights=np.exp(1j * rng.uniform(0, 6.28, 4)))
+    assert riesz.spectrum.rank == len(riesz)
+    assert_matches_complete_qr(riesz)
+    shift = kernel_parity_system(rng, "shift")
+    assert np.any(np.diagonal(frames.kernel_synthesis(shift).factor) == 0.0)
+    assert assert_matches_complete_qr(shift).defect == 0.0
+
+
+def test_kernel_invariance_holds_no_n_by_n_array():
+    """The check's traced peak stays below one N x N complex array: it
+    works from r x N arrays only."""
+    d = 128
+    rng = np.random.default_rng([1, d])
+    g = np.fft.ifft(np.exp(2j * np.pi * rng.random(d))) * np.sqrt(d)
+    sys = dynsamp.orbit(0.95 * dynsamp.cyclic_shift(d), (g,), 4 * d,
+                        dynsamp.WeightSpec.geometric(0.99))
+    n = len(sys)
+    assert sys.spectrum.rank == d  # warm: the SVD is not traced
+    tracemalloc.start()
+    try:
+        res = dynsamp.kernel_invariance_check(sys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.kernel_dim == n - d
+    assert peak < n * n * 16
 
 
 # ---------------------------------------------------------------------------
