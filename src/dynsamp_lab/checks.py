@@ -226,9 +226,7 @@ def _check_kernel_invariance(ctx: CheckContext, name: str):
 def _check_representation(ctx: CheckContext, name: str):
     if len(ctx.generators) != 1:
         raise InvalidInput("representation check needs a single generator")
-    sys = ctx.orbit()
-    dual = frames.canonical_dual(sys)
-    residual = dynsamp.representation_residual(sys, dual, sys.weights)
+    residual = dynsamp.representation_residual(ctx.orbit())
     tol = ctx.tol("representation", 1e-8)
     return {"residual": residual}, {"slack": tol - residual}, residual <= tol
 

@@ -735,41 +735,32 @@ def ratio_bound_check(sys: VectorSystem) -> RatioBoundResult:
 # orbit representation residual
 # ---------------------------------------------------------------------------
 
-def representation_residual(f_sys: VectorSystem, g_sys: VectorSystem,
-                            weights) -> float:
-    """Residual of the weighted-orbit recursion under a dual pair.
+def representation_residual(sys: VectorSystem) -> float:
+    """Residual of the weighted-orbit recursion under the canonical dual.
 
-    With f_k the effective system vectors, g_k a dual family and a_n the
-    representation weights, measures the largest deviation in
+    With f_k the effective system vectors, g_k the canonical dual and a_n
+    the system's weights, measures the largest deviation in
 
         f_{j+1} = (a_j / a_{j-1}) * sum_k <f_j, g_k> (a_{k-1} / a_k) f_{k+1}
 
-    over 1 <= j <= N-1, the k-sum (the mixed frame operator of {(a_{k-1} /
-    a_k) f_{k+1}} and {g_k}, applied to f_j) truncated at N-1.  The pair
-    must satisfy the reconstruction identity on the span within 1e-8.
+    over 1 <= j <= N-1, the k-sum truncated at N-1.  From the spectrum
+    F = U Sigma V*, with L the weighted right shift (L e_k = (a_k /
+    a_{k+1}) e_{k+1}, L e_{N-1} = 0) and P = V_r V_r* (so G* F = P), the
+    deviation at j is F L (I - P) e_j / (a_j / a_{j+1}); U has orthonormal
+    columns, so its norm is that of Sigma D e_j, D = V* L (I - P).
     """
-    if f_sys.dim != g_sys.dim or len(f_sys) != len(g_sys):
-        raise InvalidInput("dual pair must match in dimension and length")
-    a = np.array(weights, dtype=complex).reshape(-1)
-    n = len(f_sys)
-    if a.size < n:
-        raise InvalidInput("need one weight per system vector")
-    if np.any(np.abs(a[:n]) == 0.0):
-        raise InvalidInput("weights must be nonzero scalars")
-
-    fu = frames.synthesis(f_sys)
-    q = f_sys.spectrum.range_basis
-    mixed = frames.mixed_frame_operator(f_sys, g_sys)
-    # ||.||_2 <= ||.||_F, so the SVD runs only when the cheap norm misses
-    defect = mixed - q @ numkit.adjoint(q)
-    if numkit.frobenius(defect) > 1e-8 and numkit.operator_norm(defect) > 1e-8:
-        raise InvalidInput("second system is not a dual of the first")
-
-    if n < 2:
+    if sys.weights is None:
+        raise InvalidInput("system must carry weights")
+    sp = sys.spectrum
+    if sp.rank == 0:
+        raise NotAFrame("system has no positive lower frame bound on its span")
+    if len(sys) < 2:
         return 0.0
-    ratio = a[:n - 1] / a[1:n]
-    m = frames.mixed_frame_operator(
-        VectorSystem(matrix=fu[:, 1:n] * ratio),
-        VectorSystem(matrix=frames.synthesis(g_sys)[:, :n - 1]))
-    rhs = (m @ fu[:, :n - 1]) / ratio
-    return float(np.max(np.linalg.norm(fu[:, 1:n] - rhs, axis=0)))
+    a = sys.weights
+    ratio = a[:-1] / a[1:]
+    rows = sp.vh[:sp.rank, :-1]
+    # Sigma D on its first N - 1 columns; the last column of V* L is zero
+    defect = sp.vh[:, 1:] * ratio
+    defect -= (defect @ numkit.adjoint(rows)) @ rows
+    defect *= sp.s[:, None]
+    return float(np.max(np.linalg.norm(defect, axis=0) / np.abs(ratio)))

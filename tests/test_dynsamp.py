@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsamp_lab import dynsamp, frames, numkit
+from dynsamp_lab import checks, dynsamp, frames, numkit, presets
 from dynsamp_lab.dynsamp import WeightSpec
 from dynsamp_lab.errors import (
     DivergentSeries,
@@ -758,25 +758,20 @@ def test_ratio_bound_rejects_non_frame():
 def test_representation_weighted_shift_orbit():
     weights = WeightSpec.explicit([1.0, 0.5, 0.25])
     sys = orbit_of(dynsamp.nilpotent_shift(3), delta(3, 0), 3, weights=weights)
-    dual = frames.canonical_dual(sys)
-    residual = dynsamp.representation_residual(sys, dual,
-                                               weights.sequence(3))
-    assert residual <= 1e-10
+    assert dynsamp.representation_residual(sys) <= 1e-10
 
 
 def test_representation_two_basis_boundary_case():
-    sys = frames.standard_basis(2)
-    residual = dynsamp.representation_residual(sys, sys, [1.0, 1.0])
-    assert residual <= 1e-12
+    sys = frames.vector_system([delta(2, 0), delta(2, 1)], weights=[1.0, 1.0])
+    assert dynsamp.representation_residual(sys) <= 1e-12
 
 
 def test_representation_independent_pair_is_exact():
     # Any linearly independent system with its (biorthogonal) canonical
     # dual satisfies the truncated recursion exactly.
-    sys = frames.vector_system([delta(2, 0), np.array([1.0, 1.0])])
-    dual = frames.canonical_dual(sys)
-    residual = dynsamp.representation_residual(sys, dual, [1.0, 1.0])
-    assert residual <= 1e-12
+    sys = frames.vector_system([delta(2, 0), np.array([1.0, 1.0])],
+                               weights=[1.0, 1.0])
+    assert dynsamp.representation_residual(sys) <= 1e-12
 
 
 def test_representation_overcomplete_non_orbit():
@@ -784,11 +779,21 @@ def test_representation_overcomplete_non_orbit():
     # dual and constant weights the j=1 row misses by (1/3, 2/3), giving
     # residual sqrt(5)/3.
     sys = frames.vector_system([delta(2, 0), delta(2, 1),
-                                np.array([1.0, 1.0])])
-    dual = frames.canonical_dual(sys)
-    residual = dynsamp.representation_residual(sys, dual, [1.0, 1.0, 1.0])
+                                np.array([1.0, 1.0])], weights=[1.0] * 3)
+    residual = dynsamp.representation_residual(sys)
     assert residual == pytest.approx(math.sqrt(5.0) / 3.0, abs=1e-12)
     assert residual > 0.1
+
+
+def test_representation_refuses_a_system_without_weights():
+    with pytest.raises(InvalidInput, match="weights"):
+        dynsamp.representation_residual(frames.standard_basis(2))
+
+
+def test_representation_refuses_a_zero_system():
+    sys = frames.vector_system([np.zeros(2), np.zeros(2)], weights=[1.0, 1.0])
+    with pytest.raises(NotAFrame):
+        dynsamp.representation_residual(sys)
 
 
 def loop_representation_residual(fu, gu, a):
@@ -811,21 +816,154 @@ def test_representation_matches_double_loop_randomized():
         d = int(rng.integers(1, 7))
         n = int(rng.integers(2, 4 * d + 3))
         vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        sys = frames.vector_system(list(vecs))
-        dual = frames.canonical_dual(sys)
         a = rng.uniform(0.3, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n))
-        fu, gu = frames.synthesis(sys), frames.synthesis(dual)
-        oracle = loop_representation_residual(fu, gu, a)
-        residual = dynsamp.representation_residual(sys, dual, a)
+        sys = frames.vector_system(list(vecs), weights=a)
+        fu = frames.synthesis(sys)
+        oracle = loop_representation_residual(
+            fu, frames.synthesis(frames.canonical_dual(sys)), a)
+        residual = dynsamp.representation_residual(sys)
         scale = numkit.operator_norm(fu) ** 2
         assert residual == pytest.approx(oracle, abs=1e-12 * scale)
 
 
-def test_representation_rejects_non_dual():
-    sys = frames.vector_system([delta(2, 0), delta(2, 1)])
-    bogus = frames.vector_system([delta(2, 0), np.array([1.0, 1.0])])
-    with pytest.raises(InvalidInput):
-        dynsamp.representation_residual(sys, bogus, [1.0, 1.0])
+def dual_pair_representation_residual(f_sys, g_sys, weights):
+    """Oracle: the recursion under a caller-given dual pair, as two mixed
+    frame operators, after checking that the pair reconstructs the range
+    projector ``U_r U_r*`` within 1e-8."""
+    if f_sys.dim != g_sys.dim or len(f_sys) != len(g_sys):
+        raise InvalidInput("dual pair must match in dimension and length")
+    a = np.array(weights, dtype=complex).reshape(-1)
+    n = len(f_sys)
+    fu = frames.synthesis(f_sys)
+    q = f_sys.spectrum.range_basis
+    mixed = frames.mixed_frame_operator(f_sys, g_sys)
+    defect = mixed - q @ numkit.adjoint(q)
+    if numkit.frobenius(defect) > 1e-8 and numkit.operator_norm(defect) > 1e-8:
+        raise InvalidInput("second system is not a dual of the first")
+    if n < 2:
+        return 0.0
+    ratio = a[:n - 1] / a[1:n]
+    m = frames.mixed_frame_operator(
+        frames.VectorSystem(matrix=fu[:, 1:n] * ratio),
+        frames.VectorSystem(matrix=frames.synthesis(g_sys)[:, :n - 1]))
+    rhs = (m @ fu[:, :n - 1]) / ratio
+    return float(np.max(np.linalg.norm(fu[:, 1:n] - rhs, axis=0)))
+
+
+def complex_gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def complex_weights(rng, n):
+    return rng.uniform(0.3, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+def representation_system(rng, family):
+    """A weighted system of one family: full rank, rank below d, the
+    nilpotent-shift orbit (zero vectors past T^d = 0), or one vector."""
+    d = int(rng.integers(2, 7))
+    if family == "nilpotent-orbit":
+        n = int(rng.integers(2, 2 * d + 2))
+        phi = delta(d, 0) if rng.random() < 0.5 else complex_gaussian(rng, d)
+        weights = WeightSpec.explicit(complex_weights(rng, n)) \
+            if rng.random() < 0.5 else WeightSpec.geometric(0.5 + 0.5j)
+        return orbit_of(dynsamp.nilpotent_shift(d), phi, n, weights)
+    if family == "single":
+        n, rank = 1, 1
+    elif family == "full":
+        n = int(rng.integers(2, 4 * d + 3))
+        rank = min(d, n)
+    else:  # rank-deficient: rank < d
+        rank = int(rng.integers(1, d))
+        n = int(rng.integers(rank + 1, 4 * d + 3))
+    vecs = complex_gaussian(rng, d, rank) @ complex_gaussian(rng, rank, n)
+    weights = complex_weights(rng, n) if rng.random() < 0.7 else np.ones(n)
+    return frames.vector_system(list(vecs.T), weights=weights)
+
+
+def representation_gate(sys) -> float:
+    """The comparison rule: |new - reference| <= 1e-14 max(1, sigma_max^2)."""
+    return 1e-14 * max(1.0, float(sys.spectrum.s[0]) ** 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from(["full", "rank-deficient", "nilpotent-orbit",
+                        "single"]))
+def test_representation_matches_the_dual_pair_and_loop_oracles(seed, family):
+    sys = representation_system(np.random.default_rng(seed), family)
+    dual = frames.canonical_dual(sys)
+    residual = dynsamp.representation_residual(sys)
+    gate = representation_gate(sys)
+    fu, gu = frames.synthesis(sys), frames.synthesis(dual)
+    assert abs(residual - dual_pair_representation_residual(
+        sys, dual, sys.weights)) <= gate
+    assert abs(residual - loop_representation_residual(
+        fu, gu, sys.weights)) <= gate
+    if len(sys) == 1:
+        assert residual == 0.0
+
+
+def random_orbit(rng):
+    """An orbit of a dense operator of norm 0.9 with explicit complex
+    weights, horizon 2 to 3d."""
+    d = int(rng.integers(2, 7))
+    m = complex_gaussian(rng, d, d)
+    t = 0.9 * m / numkit.operator_norm(m)
+    n = int(rng.integers(2, 3 * d + 1))
+    return t, complex_gaussian(rng, d), n, WeightSpec.explicit(
+        complex_weights(rng, n))
+
+
+def haar_unitary(rng, d):
+    """Haar-distributed unitary: QR of a complex Gaussian with the phases
+    of R's diagonal moved into Q (Mezzadri, Notices AMS 54, 2007)."""
+    q, r = np.linalg.qr(complex_gaussian(rng, d, d))
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_representation_scales_with_the_generator(seed):
+    rng = np.random.default_rng(seed)
+    t, phi, n, weights = random_orbit(rng)
+    c = complex(rng.uniform(0.1, 10.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    sys = orbit_of(t, phi, n, weights)
+    scaled = orbit_of(t, c * phi, n, weights)
+    assert abs(dynsamp.representation_residual(scaled)
+               - abs(c) * dynsamp.representation_residual(sys)) \
+        <= max(representation_gate(sys), representation_gate(scaled))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_representation_is_unitarily_invariant(seed):
+    rng = np.random.default_rng(seed)
+    t, phi, n, weights = random_orbit(rng)
+    q = haar_unitary(rng, t.shape[0])
+    sys = orbit_of(t, phi, n, weights)
+    twin = orbit_of(q @ t @ numkit.adjoint(q), q @ phi, n, weights)
+    assert abs(dynsamp.representation_residual(twin)
+               - dynsamp.representation_residual(sys)) \
+        <= representation_gate(sys)
+
+
+def test_representation_check_builds_no_dual(monkeypatch):
+    cfg = presets.preset_config("shift-orbit", 16)
+    sys = dynsamp.orbit(cfg.operator, cfg.generators, cfg.horizon, cfg.weights)
+    oracle = dual_pair_representation_residual(
+        sys, frames.canonical_dual(sys), sys.weights)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the representation check built a dual")
+
+    monkeypatch.setattr(frames, "canonical_dual", refuse)
+    monkeypatch.setattr(frames, "mixed_frame_operator", refuse)
+    record = checks.run_experiment(cfg).checks[cfg.checks.index("representation")]
+    assert record.error is None and record.passed
+    assert record.outputs["residual"] == dynsamp.representation_residual(sys)
+    assert abs(record.outputs["residual"] - oracle) <= representation_gate(sys)
 
 
 # ---------------------------------------------------------------------------
