@@ -44,8 +44,11 @@ class CheckContext:
     seed: int
     params: dict | perturb.CertificateInputs  # validated and parsed at load
     orbit: Callable[[], VectorSystem]  # built once, shared by orbit checks
+    # the operator's one factorisation: every ||T||_2, rank T and T^+
+    spectrum: Callable[[], numkit.Spectrum]
     # stein(count, tol): the orbit frame operator of the first ``count``
-    # generators, solved once per (count, tol), shared by Stein checks
+    # generators and its eigenvalues, solved once per (count, tol), shared
+    # by Stein checks
     stein: Callable[[int, float], numkit.SteinSolution]
 
     def tol(self, key: str, default: float) -> float:
@@ -79,7 +82,7 @@ def _check_orbit_bounds(ctx: CheckContext, name: str):
     passed = rep.a_opt <= rep.b_opt + 1e-12
     if ctx.config.weights is None:
         try:
-            bound = dynsamp.bessel_bound_contractive(ctx.operator,
+            bound = dynsamp.bessel_bound_contractive(ctx.spectrum(),
                                                      *ctx.generators)
         except HypothesisViolated:
             pass  # ||T|| >= 1: no contractive bound
@@ -115,7 +118,7 @@ def _stein_series(t: np.ndarray, generators, depth: int) -> np.ndarray:
 
 def _check_stein(ctx: CheckContext, name: str):
     sol = ctx.stein(len(ctx.generators), ctx.tol("stein", 1e-12))
-    w = np.linalg.eigvalsh(sol.s)
+    w = sol.eigenvalues
     outputs = {
         "residual": sol.residual,
         "method": sol.method,
@@ -154,7 +157,7 @@ def _check_surjectivity(ctx: CheckContext, name: str):
     # an integral float is an integer to the schema
     witness = ctx.params.get("witness_horizon")
     rep = dynsamp.surjectivity_report(
-        ctx.operator, phi, ctx.stein(1, 1e-12).s,
+        ctx.operator, phi, ctx.stein(1, 1e-12), ctx.spectrum(),
         horizon=None if witness is None else int(witness),
         tol=ctx.tol("surjectivity", 1e-8),
     )
@@ -211,7 +214,7 @@ def _check_periodic(ctx: CheckContext, name: str):
 
 
 def _check_ratio_bound(ctx: CheckContext, name: str):
-    res = dynsamp.ratio_bound_check(ctx.orbit())
+    res = dynsamp.ratio_bound_check(ctx.orbit(), ctx.spectrum())
     outputs = {"sup_ratio": res.sup_ratio, "bound": res.bound}
     margins = {"margin": res.margin}
     return outputs, margins, res.margin >= -1e-10
@@ -332,9 +335,10 @@ def _check_repro_aldroubi(ctx: CheckContext, name: str):
         for d in sweep:
             lam_d = 1.0 - 2.0 ** -(np.arange(1, d + 1))
             b = np.sqrt(1.0 - lam_d**2)
-            sol = numkit.solve_stein(np.diag(lam_d.astype(complex)),
-                                     np.outer(b, b).astype(complex))
-            w = np.linalg.eigvalsh(sol.s)
+            t_d = np.diag(lam_d.astype(complex))
+            sol = numkit.solve_stein(t_d, np.outer(b, b).astype(complex),
+                                     numkit.spectrum(t_d))
+            w = sol.eigenvalues
             t_norm = float(lam_d[-1])
             rows.append({
                 "dimension": d,
@@ -479,8 +483,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     orbit = cache(partial(dynsamp.orbit, operator, generators,
                           int(cfg.horizon),
                           cfg.weights or WeightSpec.constant(1.0)))
+    spectrum = cache(partial(numkit.spectrum, operator))
     stein = cache(lambda count, tol: dynsamp.orbit_frame_operator_exact(
-        operator, generators[:count], tol=tol))
+        operator, generators[:count], spectrum(), tol=tol))
     records = [
         run_single(CheckContext(
             config=cfg,
@@ -489,6 +494,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             seed=cfg.seed + 1000003 * index,
             params=params[name],
             orbit=orbit,
+            spectrum=spectrum,
             stein=stein,
         ), name)
         for index, name in enumerate(cfg.checks)

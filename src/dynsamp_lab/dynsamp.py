@@ -160,36 +160,42 @@ def orbit_stack(t: np.ndarray, starts: np.ndarray, horizon: int,
 # Bessel bound and exact infinite-orbit frame operator
 # ---------------------------------------------------------------------------
 
-def bessel_bound_contractive(t, *generators) -> float:
+def bessel_bound_contractive(spectrum: numkit.Spectrum, *generators) -> float:
     """Upper bound ``sum_phi ||phi||^2 / (1 - ||T||^2)`` over the
-    ``generators``, valid when ``||T|| < 1``; ``||T||`` is computed once.
+    ``generators``, valid when ``||T|| < 1``; ``||T||`` is the largest
+    singular value in ``spectrum``, the :class:`numkit.Spectrum` of T.
 
     Dominates the optimal upper bound of the full infinite orbit.
     """
-    t = numkit.as_operator(t)
-    gens = orbit_generators(t, generators, horizon=1)
-    norm_t = numkit.operator_norm(t)
+    gens = orbit_generators(spectrum.u, generators, horizon=1)
+    norm_t = float(spectrum.s[0])
     if norm_t >= 1.0:
         raise HypothesisViolated(f"operator norm {norm_t:.6g} >= 1")
     return sum(float(np.linalg.norm(phi) ** 2 / (1.0 - norm_t**2))
                for phi in gens)
 
 
-def orbit_frame_operator_exact(t, generators,
+def orbit_frame_operator_exact(t, generators, spectrum: numkit.Spectrum,
                                tol: float = 1e-12) -> SteinSolution:
     """Frame operator of the full infinite orbit {T^n phi}, n >= 0, of the
-    ``generators`` phi.
+    ``generators`` phi; ``spectrum`` is the :class:`numkit.Spectrum` of T.
 
-    Computed as the Stein solution of ``S - T S T* = sum_phi phi phi*``,
-    to ``numkit.solve_stein``'s relative residual ``tol``; for one
-    generator, positive definite exactly when the reachability matrix
+    Computed as the Stein solution of ``S - T S T* = C``, ``C = sum_phi
+    phi phi*``, to ``numkit.stein_doubling``'s relative residual ``tol``; C
+    is positive semidefinite by construction, so it is not eigensolved, and
+    a C that float64 cannot hold raises ``LinAlgError``.  For one
+    generator, S is positive definite exactly when the reachability matrix
     ``[phi, T phi, ..., T^{d-1} phi]`` has full rank.
     """
     t = numkit.as_operator(t)
     c = np.zeros_like(t)
-    for phi in orbit_generators(t, generators, horizon=1):
-        c += np.outer(phi, phi.conj())
-    return numkit.solve_stein(t, c, tol=tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi in orbit_generators(t, generators, horizon=1):
+            c += np.outer(phi, phi.conj())
+    if not np.isfinite(c).all():
+        raise np.linalg.LinAlgError(
+            "C = sum phi phi* is not finite in float64")
+    return numkit.stein_doubling(t, c, spectrum, tol=tol)
 
 
 def reachability_rank(t, phi) -> int:
@@ -233,24 +239,27 @@ class SurjectivityReport:
     tail_synthesized_norm: float
 
 
-def surjectivity_report(t, phi, s, horizon: int | None = None,
+def surjectivity_report(t, phi, stein: SteinSolution,
+                        spectrum: numkit.Spectrum, horizon: int | None = None,
                         tol: float = 1e-8) -> SurjectivityReport:
     """Evaluate the surjectivity quadruple against ground truth.
 
+    ``stein`` is the orbit's :func:`orbit_frame_operator_exact` S with its
+    eigenvalues, and ``spectrum`` the :class:`numkit.Spectrum` of T.
     Criteria: (i) some inner product ``<T^n phi, S^{-1} phi>`` with n >= 1
-    is nonzero; (ii) phi lies in the range of T; (iii) ``S^{-1} phi`` is
-    not in the kernel of T*; (iv) ``||S^{-1/2} phi|| != 1``.  Ground truth
-    is full rank of T, and ``S`` must be positive definite (the orbit a
+    is nonzero; (ii) phi lies in the range of T, measured with the
+    spectrum's T^+; (iii) ``S^{-1} phi`` is not in the kernel of T*; (iv)
+    ``||S^{-1/2} phi|| != 1``.  Ground truth is full rank of T, the
+    spectrum's rank, and ``S`` must be positive definite (the orbit a
     frame), both at ``numkit.rank_cut``; ``tol`` only compares criteria.
     """
     t = numkit.as_operator(t)
     phi = numkit.as_vector(phi)
-    s = numkit.as_operator(s)
+    s = stein.s
     d = t.shape[0]
     if horizon is None:
         horizon = 4 * d
-    w = np.linalg.eigvalsh((s + numkit.adjoint(s)) / 2.0)
-    if numkit.rank_cut(w)[1] < d:
+    if numkit.rank_cut(stein.eigenvalues)[1] < d:
         raise NotAFrame("frame operator is not positive definite within tolerance")
 
     s_inv_phi = np.linalg.solve(s, phi)
@@ -271,7 +280,7 @@ def surjectivity_report(t, phi, s, horizon: int | None = None,
     witness = int(above[0]) + 1 if above.size else None
 
     # criterion (ii): distance of phi to the range of T
-    dist = float(np.linalg.norm(phi - t @ (numkit.pinv(t) @ phi)))
+    dist = float(np.linalg.norm(phi - t @ (spectrum.pinv @ phi)))
 
     # criterion (iii): norm of T* S^{-1} phi
     adj_norm = float(np.linalg.norm(numkit.adjoint(t) @ s_inv_phi))
@@ -284,7 +293,7 @@ def surjectivity_report(t, phi, s, horizon: int | None = None,
     tail_coeff = float(np.linalg.norm(coeffs))
     tail_synth = float(np.linalg.norm(tail_vecs @ coeffs))
 
-    ground_truth = numkit.matrix_rank(t) == d
+    ground_truth = spectrum.rank == d
     verdict_i = max_inner > tol
     verdict_ii = dist <= tol
     verdict_iii = adj_norm > tol
@@ -354,13 +363,13 @@ def frame_from_positive_operator(t, basis: VectorSystem) -> VectorSystem:
 
     Requires T Hermitian positive definite at ``numkit.rank_cut``.
     """
-    t = numkit.as_operator(t)
-    w, _ = numkit.eig_hermitian(t)
+    w, v = numkit.eig_hermitian(t)
     if numkit.rank_cut(w)[1] < w.size:
         raise InvalidInput(
             f"operator is not positive definite: min eigenvalue {w[0]:.3e}"
         )
-    root = numkit.sqrt_psd(t)
+    # the root V diag(sqrt(w)) V* from the one eigendecomposition
+    root = (v * np.sqrt(w)) @ numkit.adjoint(v)
     return frames.bessel_from_operator(root, basis)
 
 
@@ -711,8 +720,11 @@ class RatioBoundResult:
     margin: float
 
 
-def ratio_bound_check(sys: VectorSystem) -> RatioBoundResult:
-    """Check ``sup_n |a_n / a_{n+1}| <= sqrt(B/A) ||T||`` on an orbit frame."""
+def ratio_bound_check(sys: VectorSystem,
+                      spectrum: numkit.Spectrum) -> RatioBoundResult:
+    """Check ``sup_n |a_n / a_{n+1}| <= sqrt(B/A) ||T||`` on an orbit frame,
+    with ``||T||`` the largest singular value in ``spectrum``, the
+    :class:`numkit.Spectrum` of the orbit's operator T."""
     if sys.provenance is None:
         raise InvalidInput("system must carry orbit provenance")
     if sys.weights is None:
@@ -724,9 +736,7 @@ def ratio_bound_check(sys: VectorSystem) -> RatioBoundResult:
     if run.size < 2:
         raise InvalidInput("need at least two weights to form a ratio")
     sup_ratio = float(np.max(np.abs(run[:-1] / run[1:])))
-    bound = math.sqrt(report.b_opt / report.a_opt) * numkit.operator_norm(
-        sys.provenance.operator
-    )
+    bound = math.sqrt(report.b_opt / report.a_opt) * float(spectrum.s[0])
     return RatioBoundResult(sup_ratio=sup_ratio, bound=float(bound),
                             margin=float(bound - sup_ratio))
 

@@ -280,7 +280,8 @@ def lower_riesz_profile(sys: VectorSystem) -> np.ndarray:
     An exact zero pivot ``r_jj = 0`` makes every prefix from j on singular;
     those entries are exactly zero and only the block before j is
     inverted.  R is inverted scaled to ``max |R| = 1``; should a column of
-    the inverse still overflow, its prefixes take the SVD of R_k.
+    the inverse still overflow, its prefixes take the SVD of R_k.  A
+    squared singular value that float64 cannot hold raises ``LinAlgError``.
     """
     u = synthesis(sys)
     d, n = u.shape
@@ -295,10 +296,16 @@ def lower_riesz_profile(sys: VectorSystem) -> np.ndarray:
     col_max = np.max(np.abs(x), axis=0)
     overflow = np.flatnonzero(~np.isfinite(col_max))
     k_fin = int(overflow[0]) if overflow.size else m
-    out[:k_fin] = np.square(
-        scale * _inverse_sigma_min(x, np.maximum.accumulate(col_max[:k_fin])))
-    for k in range(k_fin + 1, m + 1):
-        out[k - 1] = np.linalg.svd(r[:k, :k], compute_uv=False)[-1] ** 2
+    with np.errstate(over="ignore"):
+        out[:k_fin] = np.square(scale * _inverse_sigma_min(
+            x, np.maximum.accumulate(col_max[:k_fin])))
+        for k in range(k_fin + 1, m + 1):
+            out[k - 1] = np.linalg.svd(r[:k, :k], compute_uv=False)[-1] ** 2
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            "squared smallest singular value of the prefix of length "
+            f"{int(bad[0]) + 1} is not finite in float64")
     return out
 
 

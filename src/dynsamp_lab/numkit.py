@@ -1,11 +1,13 @@
 """Dense complex linear-algebra kernel.
 
-The one rank cut; at that cut the spectrum of a synthesis matrix (one thin
-SVD, a long matrix first reduced by a QR of its long side), pseudo-inverse,
-rank and range basis; PSD square root, spectral radius, and a discrete
-Stein-equation solver (one squaring iteration at every dimension, guarded
-by its residual).  Operators and vectors are plain complex ``numpy``
-arrays; every public function validates its inputs and never mutates them.
+The one rank cut; at that cut the spectrum of a synthesis matrix or of an
+operator (one thin SVD, a long matrix first reduced by a QR of its long
+side), pseudo-inverse, rank and range basis; PSD square root, spectral
+radius, and a discrete Stein-equation solver (one squaring iteration at
+every dimension, guarded by its residual, with ||T||_2 read off the
+spectrum of T that the caller hands it).  Operators and vectors are plain
+complex ``numpy`` arrays; every public function validates its inputs and
+never mutates them.
 """
 
 from __future__ import annotations
@@ -90,11 +92,18 @@ class Spectrum:
     def range_basis(self) -> np.ndarray:
         return self.u[:, :self.rank]
 
+    @property
+    def pinv(self) -> np.ndarray:
+        """Pseudo-inverse ``V_r Sigma_r^{-1} U_r*`` at the rank r."""
+        r = self.rank
+        return adjoint(self.vh[:r]) @ (adjoint(self.u[:, :r]) / self.s[:r, None])
+
 
 def spectrum(m) -> Spectrum:
     """The :class:`Spectrum` of a (possibly rectangular) matrix."""
-    u, s, vh = _thin_svd(as_matrix(m))
-    cut, rank = rank_cut(s**2)
+    m = as_matrix(m)
+    u, s, vh = _thin_svd(m)
+    cut, rank = rank_cut(_squared(s, m.shape))
     return Spectrum(u=u, s=s, vh=vh, cut=float(cut), rank=int(rank))
 
 
@@ -103,7 +112,7 @@ def spectra(stack: np.ndarray) -> list[Spectrum]:
     one stacked factorisation (LAPACK and BLAS run per matrix, so each
     equals :func:`spectrum` of that matrix bit for bit)."""
     u, s, vh = _thin_svd(stack)
-    cut, rank = rank_cut(s**2)
+    cut, rank = rank_cut(_squared(s, stack.shape))
     return [Spectrum(u=u[i], s=s[i], vh=vh[i], cut=float(cut[i]),
                      rank=int(rank[i])) for i in range(len(s))]
 
@@ -141,6 +150,20 @@ def _thin_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q @ w, s, vh
 
 
+def _squared(s: np.ndarray, shape: tuple) -> np.ndarray:
+    """Squared singular values, descending along the last axis, of a
+    matrix (or of each of a stack) of ``shape``; a largest one that float64
+    cannot hold raises ``LinAlgError`` rather than put the rank cut at inf
+    and the rank at 0."""
+    with np.errstate(over="ignore"):
+        sq = s**2
+    if not np.isfinite(sq[..., 0]).all():
+        raise np.linalg.LinAlgError(
+            f"squared singular value sigma_1^2 of a {shape[-2]} x {shape[-1]}"
+            " matrix is not finite in float64")
+    return sq
+
+
 def rank_cut(sq) -> tuple[np.ndarray, np.ndarray]:
     """The one rank rule: the cut ``1e-10 * max(sq)`` and the number of
     values above it, over the last axis of squared singular values of a
@@ -165,11 +188,8 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pinv(m) -> np.ndarray:
-    """Pseudo-inverse ``V_r Sigma_r^{-1} U_r*`` at the :class:`Spectrum`
-    rank r."""
-    sp = spectrum(m)
-    r = sp.rank
-    return adjoint(sp.vh[:r]) @ (adjoint(sp.u[:, :r]) / sp.s[:r, None])
+    """Pseudo-inverse of ``m``: :attr:`Spectrum.pinv` of its spectrum."""
+    return spectrum(m).pinv
 
 
 def matrix_rank(m) -> int:
@@ -213,11 +233,12 @@ def spectral_radius(m) -> float:
 class SteinSolution:
     """Solution record for ``s - t @ s @ t* = c``."""
 
-    s: np.ndarray
+    s: np.ndarray  # exactly Hermitian
+    eigenvalues: np.ndarray  # of s, ascending: the one eigensolve of s
     residual: float
     method: str  # always "doubling-iteration"
     iterations: int
-    operator_norm: float  # ||T||_2, computed once for the rho(T) < 1 test
+    operator_norm: float  # ||T||_2, read off the spectrum of T
 
 
 def _divergent(rho: float) -> DivergentSeries:
@@ -225,22 +246,42 @@ def _divergent(rho: float) -> DivergentSeries:
         f"spectral radius {rho:.8g} >= 1; orbit series diverges")
 
 
-def solve_stein(t, c, tol: float = 1e-12) -> SteinSolution:
-    """Solve the discrete Stein equation ``S - T S T* = C``.
+def solve_stein(t, c, spectrum: Spectrum, tol: float = 1e-12) -> SteinSolution:
+    """Solve the discrete Stein equation ``S - T S T* = C`` for a
+    caller-given C, checked Hermitian and positive semidefinite (one
+    eigensolve of C); ``spectrum`` is :func:`spectrum` of ``t``.  See
+    :func:`stein_doubling`, which this calls once C has passed."""
+    c = as_operator(c)
+    if frobenius(c - adjoint(c)) > 1e-10 * max(1.0, frobenius(c)):
+        raise InvalidInput("C must be Hermitian")
+    w = np.linalg.eigvalsh((c + adjoint(c)) / 2.0)
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    if w.size and w[0] < -1e-10 * scale:
+        raise NotPositiveSemidefinite("C must be positive semidefinite")
+    return stein_doubling(t, c, spectrum, tol)
+
+
+def stein_doubling(t, c, spectrum: Spectrum,
+                   tol: float = 1e-12) -> SteinSolution:
+    """Solve ``S - T S T* = C`` for a C that is Hermitian positive
+    semidefinite by construction, such as ``sum_phi phi phi*``.
 
     The solution is the convergent series ``sum_{n>=0} T^n C T*^n``,
     defined whenever the spectral radius of ``T`` is below one.  That is
-    checked by a general eigensolve only when ``||T||_2`` does not already
-    show it.  The series is summed by the squaring (Smith) iteration
-    ``S <- S + T_k S T_k*``, ``T_k <- T_k @ T_k``, so step ``k`` adds the
-    next ``2**(k-1)`` terms at O(d^3) cost.  The loop stops once an update
-    falls below half the residual target; the true residual is then
-    checked, and a miss raises :class:`NoConvergence`.
+    checked by a general eigensolve only when ``||T||_2``, the largest
+    singular value in ``spectrum`` (:func:`spectrum` of ``t``), does not
+    already show it.  The series is summed by the squaring (Smith)
+    iteration ``S <- S + T_k S T_k*``, ``T_k <- T_k @ T_k``, so step ``k``
+    adds the next ``2**(k-1)`` terms at O(d^3) cost.  The loop stops once
+    an update falls below half the residual target; the true residual is
+    then checked, and a miss raises :class:`NoConvergence`.  The solution
+    is made exactly Hermitian and eigensolved once.
 
     Parameters
     ----------
     t : square complex matrix
     c : Hermitian PSD matrix of matching shape
+    spectrum : the :class:`Spectrum` of ``t``
     tol : relative residual target; success requires
         ``||S - T S T* - C||_F <= tol * (1 + ||C||_F)``.
     """
@@ -248,20 +289,12 @@ def solve_stein(t, c, tol: float = 1e-12) -> SteinSolution:
     c = as_operator(c)
     if t.shape != c.shape:
         raise InvalidInput(f"shape mismatch: T {t.shape} vs C {c.shape}")
-    c_fro = frobenius(c)
-    if frobenius(c - adjoint(c)) > 1e-10 * max(1.0, c_fro):
-        raise InvalidInput("C must be Hermitian")
-    w = np.linalg.eigvalsh((c + adjoint(c)) / 2.0)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -1e-10 * scale:
-        raise NotPositiveSemidefinite("C must be positive semidefinite")
-
-    norm_t = operator_norm(t)
+    norm_t = float(spectrum.s[0])
     rho = spectral_radius(t) if norm_t >= 1.0 - STEIN_NORM_MARGIN else norm_t
     if rho >= 1.0:
         raise _divergent(rho)
 
-    target = tol * (1.0 + c_fro)
+    target = tol * (1.0 + frobenius(c))
     s = c.astype(complex, copy=True)
     tk = t.copy()
     for iterations in range(1, STEIN_MAX_DOUBLINGS + 1):
@@ -285,5 +318,6 @@ def solve_stein(t, c, tol: float = 1e-12) -> SteinSolution:
         raise NoConvergence(
             f"Stein residual {residual:.3e} exceeds tolerance {target:.3e}"
         )
-    return SteinSolution(s=s, residual=residual, method="doubling-iteration",
+    return SteinSolution(s=s, eigenvalues=np.linalg.eigvalsh(s),
+                         residual=residual, method="doubling-iteration",
                          iterations=iterations, operator_norm=norm_t)

@@ -55,7 +55,7 @@ def test_criterion_2_stein_oracle_equivalence():
         phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         assert numkit.spectral_radius(t) <= 0.9 + 1e-12
         c = np.outer(phi, phi.conj())
-        sol = numkit.solve_stein(t, c)
+        sol = numkit.solve_stein(t, c, numkit.spectrum(t))
         # truncation depth from the analytic geometric tail bound
         q = numkit.operator_norm(t) ** 2
         c_norm = numkit.frobenius(c)
@@ -78,8 +78,9 @@ def test_criterion_3_surjectivity_quadruple():
     for d in range(2, 9):
         t = dynsamp.nilpotent_shift(d)
         phi = delta(d, 0)
-        s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
-        rep = dynsamp.surjectivity_report(t, phi, s)
+        sp = numkit.spectrum(t)
+        sol = dynsamp.orbit_frame_operator_exact(t, (phi,), sp)
+        rep = dynsamp.surjectivity_report(t, phi, sol, sp)
         ok = ok and rep.consistent and not rep.ground_truth_surjective
         ok = ok and rep.criterion_iv <= 1e-10
     # random invertible diagonal contractions with spanning orbits
@@ -89,8 +90,9 @@ def test_criterion_3_surjectivity_quadruple():
         lam = 0.15 + 0.7 * (np.arange(d) + rng.uniform(0.2, 0.8, size=d)) / d
         t = np.diag(lam).astype(complex)
         phi = rng.uniform(0.5, 1.5, size=d).astype(complex)
-        s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
-        rep = dynsamp.surjectivity_report(t, phi, s)
+        sp = numkit.spectrum(t)
+        sol = dynsamp.orbit_frame_operator_exact(t, (phi,), sp)
+        rep = dynsamp.surjectivity_report(t, phi, sol, sp)
         ok = ok and rep.consistent and rep.ground_truth_surjective
     _verdict(3, "surjectivity criteria quadruple", ok)
 
@@ -148,7 +150,7 @@ def test_criterion_6_ratio_bound():
             vals = np.concatenate([[1.0], np.cumprod(ratios)])
             weights = WeightSpec.explicit(vals)
         sys = dynsamp.orbit(t, (phi,), horizon, weights)
-        res = dynsamp.ratio_bound_check(sys)
+        res = dynsamp.ratio_bound_check(sys, numkit.spectrum(t))
         ok = ok and res.sup_ratio <= res.bound + 1e-10
         count += 1
     _verdict(6, "weight-ratio bound on 50 orbit frames", ok)

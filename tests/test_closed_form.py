@@ -17,7 +17,7 @@ unitary Q, has the same spectra and must give the same verdicts.
 import numpy as np
 import pytest
 
-from dynsamp_lab import checks, config, dynsamp, frames
+from dynsamp_lab import checks, config, dynsamp, frames, numkit
 from dynsamp_lab.dynsamp import WeightSpec
 
 DIMS = [4, 8, 16, 32, 64]
@@ -71,7 +71,8 @@ def test_singular_values_and_frame_bounds(d):
 @pytest.mark.parametrize("d", DIMS)
 def test_infinite_orbit_frame_operator(d):
     t, phi, r = rung(d)
-    lam = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(t, (phi,)).s)
+    lam = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(
+        t, (phi,), numkit.spectrum(t)).s)
     m = np.arange(d)[::-1]  # ascending eigenvalues
     np.testing.assert_allclose(lam, d * r ** (2 * m) / (1 - r ** (2 * d)),
                                rtol=4e-15, atol=0)

@@ -88,33 +88,37 @@ def test_orbit_rejects_fake_period():
 # ---------------------------------------------------------------------------
 
 def test_bessel_bound_half():
-    bound = dynsamp.bessel_bound_contractive(0.5 * np.eye(2), delta(2, 0))
+    bound = dynsamp.bessel_bound_contractive(numkit.spectrum(0.5 * np.eye(2)),
+                                             delta(2, 0))
     assert bound == pytest.approx(4.0 / 3.0, abs=1e-13)
     # oracle: largest eigenvalue of the exact orbit frame operator
-    sol = dynsamp.orbit_frame_operator_exact(0.5 * np.eye(2), (delta(2, 0),))
+    t = 0.5 * np.eye(2)
+    sol = dynsamp.orbit_frame_operator_exact(t, (delta(2, 0),), numkit.spectrum(t))
     assert np.linalg.eigvalsh(sol.s)[-1] <= bound + 1e-12
 
 
 def test_bessel_bound_zero_operator():
     phi = np.array([3.0, 4.0])
-    assert dynsamp.bessel_bound_contractive(np.zeros((2, 2)), phi) \
+    assert dynsamp.bessel_bound_contractive(numkit.spectrum(np.zeros((2, 2))),
+                                            phi) \
         == pytest.approx(25.0, abs=1e-12)
 
 
 def test_bessel_bound_diagonal_dominates_exact_upper():
     t = np.diag([0.5, 0.75]).astype(complex)
     phi = np.array([np.sqrt(3) / 2.0, np.sqrt(7) / 4.0])
-    bound = dynsamp.bessel_bound_contractive(t, phi)
+    bound = dynsamp.bessel_bound_contractive(numkit.spectrum(t), phi)
     # ||phi||^2 = 19/16, 1 - ||T||^2 = 7/16
     assert bound == pytest.approx(19.0 / 7.0, abs=1e-12)
-    top = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(t, (phi,)).s)[-1]
+    top = dynsamp.orbit_frame_operator_exact(
+        t, (phi,), numkit.spectrum(t)).eigenvalues[-1]
     assert top == pytest.approx(1.0 + np.sqrt(21) / 5.0, abs=1e-12)
     assert top <= bound
 
 
 def test_bessel_bound_rejects_expansive():
     with pytest.raises(HypothesisViolated):
-        dynsamp.bessel_bound_contractive(np.eye(2), delta(2, 0))
+        dynsamp.bessel_bound_contractive(numkit.spectrum(np.eye(2)), delta(2, 0))
 
 
 def test_bessel_bound_sums_generators_with_one_norm(monkeypatch):
@@ -123,26 +127,29 @@ def test_bessel_bound_sums_generators_with_one_norm(monkeypatch):
     t *= 0.9 / numkit.operator_norm(t)
     g1, g2 = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
               for _ in range(2))
-    singles = dynsamp.bessel_bound_contractive(t, g1) \
-        + dynsamp.bessel_bound_contractive(t, g2)
+    sp = numkit.spectrum(t)
+    singles = dynsamp.bessel_bound_contractive(sp, g1) \
+        + dynsamp.bessel_bound_contractive(sp, g2)
+    # the one norm is the spectrum's: nothing is factored again
     calls = []
-    norm = numkit.operator_norm
-    monkeypatch.setattr(numkit, "operator_norm",
-                        lambda m: calls.append(m) or norm(m))
-    assert dynsamp.bessel_bound_contractive(t, g1, g2) == singles
-    assert len(calls) == 1
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(a) or svd(*a, **k))
+    assert dynsamp.bessel_bound_contractive(sp, g1, g2) == singles
+    assert calls == []
 
 
 def test_exact_orbit_operator_zero_t():
     phi = np.array([1.0, 2.0])
-    sol = dynsamp.orbit_frame_operator_exact(np.zeros((2, 2)), (phi,))
+    t = np.zeros((2, 2))
+    sol = dynsamp.orbit_frame_operator_exact(t, (phi,), numkit.spectrum(t))
     np.testing.assert_allclose(sol.s, np.outer(phi, phi), atol=1e-14)
 
 
 def test_exact_orbit_operator_closed_form_bounds():
     t = np.diag([0.5, 0.75]).astype(complex)
     phi = np.array([np.sqrt(3) / 2.0, np.sqrt(7) / 4.0])
-    sol = dynsamp.orbit_frame_operator_exact(t, (phi,))
+    sol = dynsamp.orbit_frame_operator_exact(t, (phi,), numkit.spectrum(t))
     closed = np.outer(phi, phi) / (1.0 - np.outer([0.5, 0.75], [0.5, 0.75]))
     np.testing.assert_allclose(sol.s, closed, atol=1e-12)
     w = np.linalg.eigvalsh(sol.s)
@@ -151,7 +158,8 @@ def test_exact_orbit_operator_closed_form_bounds():
 
 
 def test_exact_orbit_operator_rank_deficient_axis():
-    sol = dynsamp.orbit_frame_operator_exact(np.diag([0.5, 0.75]), (delta(2, 0),))
+    t = np.diag([0.5, 0.75])
+    sol = dynsamp.orbit_frame_operator_exact(t, (delta(2, 0),), numkit.spectrum(t))
     np.testing.assert_allclose(sol.s, np.diag([4.0 / 3.0, 0.0]), atol=1e-13)
     assert dynsamp.reachability_rank(np.diag([0.5, 0.75]), delta(2, 0)) == 1
 
@@ -165,7 +173,7 @@ def test_positive_definite_iff_reachable():
         phi = rng.uniform(0.5, 1.5, size=d).astype(complex)
         if trial % 2 == 0:
             phi[int(rng.integers(0, d))] = 0.0  # orbit misses one eigenline
-        sol = dynsamp.orbit_frame_operator_exact(t, (phi,))
+        sol = dynsamp.orbit_frame_operator_exact(t, (phi,), numkit.spectrum(t))
         reachable = dynsamp.reachability_rank(t, phi) == d
         posdef = np.linalg.eigvalsh(sol.s)[0] > 1e-12
         assert posdef == reachable
@@ -189,7 +197,8 @@ def reachability_pair(trial):
 def test_reachability_rank_is_the_krylov_exception(trial):
     t, phi = reachability_pair(trial)
     d = t.shape[0]
-    w = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(t, (phi,)).s)
+    w = dynsamp.orbit_frame_operator_exact(
+        t, (phi,), numkit.spectrum(t)).eigenvalues
     assert w[0] > 1e-12
     assert dynsamp.reachability_rank(t, phi) == d
     krylov = frames.synthesis(dynsamp.orbit(t, (phi,), d))
@@ -203,9 +212,10 @@ def test_reachability_rank_is_the_krylov_exception(trial):
 def test_surjectivity_nilpotent_shift():
     t = dynsamp.nilpotent_shift(3)
     phi = delta(3, 0)
-    s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
-    np.testing.assert_allclose(s, np.eye(3), atol=1e-12)
-    rep = dynsamp.surjectivity_report(t, phi, s)
+    sp = numkit.spectrum(t)
+    sol = dynsamp.orbit_frame_operator_exact(t, (phi,), sp)
+    np.testing.assert_allclose(sol.s, np.eye(3), atol=1e-12)
+    rep = dynsamp.surjectivity_report(t, phi, sol, sp)
     assert rep.criterion_i == pytest.approx(0.0, abs=1e-12)
     assert rep.criterion_ii == pytest.approx(1.0, abs=1e-12)
     assert rep.criterion_iii == pytest.approx(0.0, abs=1e-12)
@@ -219,8 +229,9 @@ def test_surjectivity_diagonal_closed_form_oracle():
     lam = np.array([0.5, 0.75])
     phi = np.array([np.sqrt(3) / 2.0, np.sqrt(7) / 4.0])
     t = np.diag(lam).astype(complex)
-    s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
-    rep = dynsamp.surjectivity_report(t, phi, s)
+    sp = numkit.spectrum(t)
+    sol = dynsamp.orbit_frame_operator_exact(t, (phi,), sp)
+    rep = dynsamp.surjectivity_report(t, phi, sol, sp)
     assert rep.ground_truth_surjective and rep.consistent
     # oracle: closed-form S and explicit 2x2 inversion give
     # q = <S^{-1} phi, phi>, criterion (iv) = |sqrt(q) - 1|
@@ -236,8 +247,9 @@ def test_surjectivity_diagonal_closed_form_oracle():
 def test_surjectivity_scalar_half():
     t = np.array([[0.5]])
     phi = np.array([1.0])
-    s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
-    rep = dynsamp.surjectivity_report(t, phi, s)
+    sp = numkit.spectrum(t)
+    sol = dynsamp.orbit_frame_operator_exact(t, (phi,), sp)
+    rep = dynsamp.surjectivity_report(t, phi, sol, sp)
     # ||S^{-1/2} phi|| = sqrt(3)/2 for S = 4/3
     assert rep.criterion_iv == pytest.approx(1.0 - math.sqrt(3.0) / 2.0,
                                              abs=1e-12)
@@ -246,8 +258,11 @@ def test_surjectivity_scalar_half():
 
 def test_surjectivity_requires_positive_definite_s():
     t = np.diag([0.5, 0.75])
+    sp = numkit.spectrum(t)
+    sol = dynsamp.orbit_frame_operator_exact(t, (delta(2, 0),), sp)
+    np.testing.assert_allclose(sol.s, np.diag([4.0 / 3.0, 0.0]), atol=1e-13)
     with pytest.raises(NotAFrame):
-        dynsamp.surjectivity_report(t, delta(2, 0), np.diag([4.0 / 3.0, 0.0]))
+        dynsamp.surjectivity_report(t, delta(2, 0), sol, sp)
 
 
 def test_surjectivity_consistency_randomized():
@@ -258,8 +273,9 @@ def test_surjectivity_consistency_randomized():
         lam = 0.15 + 0.7 * (np.arange(d) + rng.uniform(0.2, 0.8, size=d)) / d
         t = np.diag(lam).astype(complex)
         phi = rng.uniform(0.5, 1.5, size=d).astype(complex)
-        s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
-        rep = dynsamp.surjectivity_report(t, phi, s)
+        sp = numkit.spectrum(t)
+        sol = dynsamp.orbit_frame_operator_exact(t, (phi,), sp)
+        rep = dynsamp.surjectivity_report(t, phi, sol, sp)
         assert rep.ground_truth_surjective
         assert rep.consistent
 
@@ -316,6 +332,23 @@ def test_frame_from_dense_positive_operator():
     t = np.array([[2.0, 1.0], [1.0, 2.0]])
     sys = dynsamp.frame_from_positive_operator(t, frames.standard_basis(2))
     np.testing.assert_allclose(frames.frame_operator(sys), t, atol=1e-10)
+
+
+@pytest.mark.parametrize("t", [
+    np.diag(1.0 - 2.0 ** -np.arange(1, 9)),
+    np.array([[2.0, 1.0j, 0.0], [-1.0j, 3.0, 0.5], [0.0, 0.5, 1.0]]),
+])
+def test_frame_from_positive_operator_eigensolves_once(monkeypatch, t):
+    basis = frames.standard_basis(t.shape[0])
+    # the root that sqrt_psd's second eigensolve of the same operator gave
+    want = frames.bessel_from_operator(numkit.sqrt_psd(t), basis)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(a) or eigh(*a, **k))
+    got = dynsamp.frame_from_positive_operator(t, basis)
+    assert len(calls) == 1
+    assert np.array_equal(frames.synthesis(got), frames.synthesis(want))
 
 
 def test_frame_from_rejects_indefinite():
@@ -719,7 +752,8 @@ def test_kernel_invariance_requires_weights():
 def test_ratio_bound_shift_geometric():
     sys = orbit_of(dynsamp.nilpotent_shift(3), delta(3, 0), 3,
                    weights=WeightSpec.explicit([1.0, 0.5, 0.25]))
-    res = dynsamp.ratio_bound_check(sys)
+    res = dynsamp.ratio_bound_check(
+        sys, numkit.spectrum(sys.provenance.operator))
     assert res.sup_ratio == pytest.approx(2.0, abs=1e-12)
     assert res.bound == pytest.approx(4.0, abs=1e-10)
     assert res.margin == pytest.approx(2.0, abs=1e-10)
@@ -728,7 +762,8 @@ def test_ratio_bound_shift_geometric():
 def test_ratio_bound_circulant_constant():
     sys = orbit_of(dynsamp.cyclic_shift(3), delta(3, 0), 3,
                    weights=WeightSpec.constant(1.0))
-    res = dynsamp.ratio_bound_check(sys)
+    res = dynsamp.ratio_bound_check(
+        sys, numkit.spectrum(sys.provenance.operator))
     assert res.sup_ratio == pytest.approx(1.0, abs=1e-12)
     assert res.margin >= -1e-10
 
@@ -736,7 +771,8 @@ def test_ratio_bound_circulant_constant():
 def test_ratio_bound_growing_weights_svd_oracle():
     t = np.diag([0.3, 0.4]).astype(complex)
     sys = orbit_of(t, np.array([1.0, 1.0]), 6, weights=WeightSpec.geometric(2.0))
-    res = dynsamp.ratio_bound_check(sys)
+    res = dynsamp.ratio_bound_check(
+        sys, numkit.spectrum(sys.provenance.operator))
     sv = np.linalg.svd(frames.synthesis(sys), compute_uv=False)
     oracle_bound = (sv[0] / sv[-1]) * numkit.operator_norm(t)
     assert res.bound == pytest.approx(float(oracle_bound), rel=1e-10)
@@ -748,7 +784,8 @@ def test_ratio_bound_rejects_non_frame():
     sys = orbit_of(np.diag([0.5, 0.75]), delta(2, 0), 3,
                    weights=WeightSpec.constant(1.0))
     with pytest.raises(NotAFrame):
-        dynsamp.ratio_bound_check(sys)
+        dynsamp.ratio_bound_check(
+            sys, numkit.spectrum(sys.provenance.operator))
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +1017,7 @@ def test_truncated_frame_operator_approaches_stein_solution():
         horizon = int(rng.integers(5, 40))
         sys = orbit_of(t, phi, horizon)
         truncated = frames.frame_operator(sys)
-        exact = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
+        exact = dynsamp.orbit_frame_operator_exact(t, (phi,), numkit.spectrum(t)).s
         q = numkit.operator_norm(t) ** 2
         tail_bound = q**horizon * np.linalg.norm(phi) ** 2 / (1.0 - q)
         assert numkit.frobenius(exact - truncated) <= tail_bound + 1e-10

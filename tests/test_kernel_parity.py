@@ -477,12 +477,14 @@ def test_surjectivity_tail_matches_two_walks(seed, nilpotent_part):
     if nilpotent_part:
         t = t @ np.diag(np.r_[np.ones(d - 1), 0.0])  # T loses rank
     phi = random_vectors(rng, d, 1)[0]
-    s = dynsamp.orbit_frame_operator_exact(t, (phi,)).s
+    sp = numkit.spectrum(t)
+    sol = dynsamp.orbit_frame_operator_exact(t, (phi,), sp)
+    s = sol.s
     w = np.linalg.eigvalsh(s)
     if w[0] <= 1e-8 * w[-1]:
         return  # the report refuses a singular S; nothing to compare
     horizon = int(rng.integers(1, 5 * d + 2))
-    rep = dynsamp.surjectivity_report(t, phi, s, horizon=horizon)
+    rep = dynsamp.surjectivity_report(t, phi, sol, sp, horizon=horizon)
     s_inv_phi = np.linalg.solve(s, phi)
     max_inner, witness, coeff_norm, synth_norm = two_walk_tail(
         t, phi, s_inv_phi, horizon, 1e-8)

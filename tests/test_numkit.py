@@ -219,7 +219,7 @@ def test_stein_scalar_geometric_series():
     t = np.array([[0.5]])
     c = np.array([[1.0]])
     oracle = brute_stein_series(t, c)  # sum of 0.25^n
-    sol = numkit.solve_stein(t, c)
+    sol = numkit.solve_stein(t, c, numkit.spectrum(t))
     assert sol.method == "doubling-iteration"
     np.testing.assert_allclose(sol.s, oracle, atol=1e-12)
     np.testing.assert_allclose(sol.s[0, 0].real, 4.0 / 3.0, atol=1e-12)
@@ -227,7 +227,8 @@ def test_stein_scalar_geometric_series():
 
 def test_stein_zero_operator():
     c = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    sol = numkit.solve_stein(np.zeros((2, 2)), c)
+    t = np.zeros((2, 2))
+    sol = numkit.solve_stein(t, c, numkit.spectrum(t))
     np.testing.assert_allclose(sol.s, c, atol=1e-14)
 
 
@@ -240,7 +241,8 @@ def test_stein_diagonal_closed_form():
     closed = np.outer(phi, phi) / (1.0 - np.outer(lam, lam))
     np.testing.assert_allclose(closed, brute_stein_series(np.diag(lam), c),
                                atol=1e-12)
-    sol = numkit.solve_stein(np.diag(lam).astype(complex), c)
+    t = np.diag(lam).astype(complex)
+    sol = numkit.solve_stein(t, c, numkit.spectrum(t))
     np.testing.assert_allclose(sol.s, closed, atol=1e-12)
     assert sol.s[0, 1].real == pytest.approx(np.sqrt(21) / 5.0, abs=1e-12)
 
@@ -252,7 +254,7 @@ def test_stein_residual_and_hermitian_randomized():
         t = random_matrix(rng, d, top=rng.uniform(0.1, 0.9))
         phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         c = np.outer(phi, phi.conj())
-        sol = numkit.solve_stein(t, c)
+        sol = numkit.solve_stein(t, c, numkit.spectrum(t))
         assert sol.residual <= 1e-12 * (1.0 + numkit.frobenius(c))
         assert numkit.frobenius(sol.s - numkit.adjoint(sol.s)) \
             <= 1e-12 * max(1.0, numkit.frobenius(sol.s))
@@ -265,7 +267,8 @@ def test_stein_doubling_path_matches_closed_form():
     lam = rng.uniform(0.1, 0.8, size=d)
     phi = rng.standard_normal(d)
     c = np.outer(phi, phi).astype(complex)
-    sol = numkit.solve_stein(np.diag(lam).astype(complex), c)
+    t = np.diag(lam).astype(complex)
+    sol = numkit.solve_stein(t, c, numkit.spectrum(t))
     assert sol.method == "doubling-iteration"
     assert sol.iterations >= 1
     closed = np.outer(phi, phi) / (1.0 - np.outer(lam, lam))
@@ -284,7 +287,8 @@ def test_stein_near_one_spectrum_closed_form(d):
     c = np.outer(b, b).astype(complex)
     closed = np.outer(b, b) / (eps[:, None] + eps[None, :] - np.outer(eps, eps))
     oracle_min = np.linalg.eigvalsh(closed)[0]
-    sol = numkit.solve_stein(np.diag(lam).astype(complex), c)
+    t = np.diag(lam).astype(complex)
+    sol = numkit.solve_stein(t, c, numkit.spectrum(t))
     got_min = np.linalg.eigvalsh(sol.s)[0]
     assert abs(got_min - oracle_min) <= 1e-7 * abs(oracle_min)
     assert sol.residual <= 1e-12 * (1.0 + numkit.frobenius(c))
@@ -301,11 +305,11 @@ def test_stein_contraction_skips_the_eigensolve(monkeypatch):
     t = random_matrix(rng, 6, top=0.95)
     phi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     c = np.outer(phi, phi.conj())
-    sol = numkit.solve_stein(t, c)
+    sol = numkit.solve_stein(t, c, numkit.spectrum(t))
     assert calls == []
     np.testing.assert_allclose(sol.s, brute_stein_series(t, c), atol=1e-10)
     with pytest.raises(DivergentSeries, match="spectral radius 1 >= 1"):
-        numkit.solve_stein(np.eye(2), np.eye(2))
+        numkit.solve_stein(np.eye(2), np.eye(2), numkit.spectrum(np.eye(2)))
     assert calls == [(2, 2)]
 
 
@@ -315,8 +319,13 @@ def test_stein_solution_records_the_operator_norm(top):
     t = random_matrix(rng, 5, top=top)
     if top > 1.0:  # a nilpotent T: the eigensolve runs, and converges
         t = np.triu(t, 1)
-    sol = numkit.solve_stein(t, np.eye(5))
-    assert sol.operator_norm == numkit.operator_norm(t)
+    sp = numkit.spectrum(t)
+    sol = numkit.solve_stein(t, np.eye(5), sp)
+    # the norm is read off the handed spectrum, a full SVD, whose sigma_1
+    # may differ from a values-only SVD's in the last bit
+    assert sol.operator_norm == sp.s[0]
+    assert sol.operator_norm == pytest.approx(numkit.operator_norm(t),
+                                              rel=4e-16)
 
 
 def test_stein_non_normal_norm_above_one_matches_term_loop():
@@ -330,13 +339,13 @@ def test_stein_non_normal_norm_above_one_matches_term_loop():
     for _ in range(400):  # ||T^n|| <= (1 + 20 n) 0.5^n: far below eps here
         brute += term
         term = t @ term @ numkit.adjoint(t)
-    sol = numkit.solve_stein(t, c)
+    sol = numkit.solve_stein(t, c, numkit.spectrum(t))
     assert numkit.frobenius(sol.s - brute) <= 1e-12 * numkit.frobenius(brute)
 
 
 def test_stein_divergent_series():
     with pytest.raises(DivergentSeries):
-        numkit.solve_stein(np.eye(2), np.eye(2))
+        numkit.solve_stein(np.eye(2), np.eye(2), numkit.spectrum(np.eye(2)))
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -345,7 +354,8 @@ def test_stein_refuses_every_unitary_cyclic_shift(d):
     # 0.9999999999999999, so only the doubling cap can see the divergence
     with pytest.raises(DivergentSeries,
                        match="^spectral radius 1 >= 1; orbit series diverges$"):
-        numkit.solve_stein(dynsamp.cyclic_shift(d), np.eye(d))
+        t = dynsamp.cyclic_shift(d)
+        numkit.solve_stein(t, np.eye(d), numkit.spectrum(t))
 
 
 def test_rank_cut_reads_psd_eigenvalues_in_any_order():
@@ -360,12 +370,14 @@ def test_rank_cut_reads_psd_eigenvalues_in_any_order():
 
 def test_stein_rejects_non_hermitian_c():
     with pytest.raises(InvalidInput):
-        numkit.solve_stein(0.5 * np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        numkit.solve_stein(0.5 * np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
+                           numkit.spectrum(0.5 * np.eye(2)))
 
 
 def test_stein_rejects_indefinite_c():
     with pytest.raises(NotPositiveSemidefinite):
-        numkit.solve_stein(0.5 * np.eye(2), np.diag([1.0, -1.0]))
+        numkit.solve_stein(0.5 * np.eye(2), np.diag([1.0, -1.0]),
+                           numkit.spectrum(0.5 * np.eye(2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,7 +387,7 @@ def test_stein_solution_solves_equation(seed, d):
     t = random_matrix(rng, d, top=float(rng.uniform(0.05, 0.9)))
     phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     c = np.outer(phi, phi.conj())
-    sol = numkit.solve_stein(t, c)
+    sol = numkit.solve_stein(t, c, numkit.spectrum(t))
     residual = numkit.frobenius(sol.s - t @ sol.s @ numkit.adjoint(t) - c)
     assert residual <= 1e-12 * (1.0 + numkit.frobenius(c))
 

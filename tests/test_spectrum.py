@@ -7,6 +7,8 @@ row projector V_r V_r* of the representation residual) derives from the one
 each made its own SVD and its own rank cut.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,85 @@ def test_one_svd_of_the_synthesis_matrix_per_run(monkeypatch):
     assert representation.error is None
 
 
+def circulant_rung(d, seed=1):
+    """The circulant orbit-ladder command: 0.95 x the cyclic shift, a
+    flat-Fourier generator with seeded phases, weights 0.99^n, horizon 4d."""
+    rng = np.random.default_rng([seed, d])
+    g = np.fft.ifft(np.exp(2j * np.pi * rng.random(d))) * np.sqrt(d)
+    return config.parse_config({
+        "schema_version": 1, "dimension": d, "horizon": 4 * d, "seed": seed,
+        "operator": {"kind": "circulant",
+                     "first_row": [0.0, 0.95] + [0.0] * (d - 2)},
+        "generators": [[[z.real, z.imag] for z in g]],
+        "weights": {"kind": "geometric", "value": 0.99},
+        "checks": LADDER_CHECKS,
+    })
+
+
+@pytest.mark.parametrize("rung", [circulant_rung, dense_rung])
+def test_each_operator_is_factored_once_per_run(monkeypatch, rung):
+    # ||T||_2, rank T and T^+ come from one SVD of T, S_inf is eigensolved
+    # once, and C = sum phi phi*, PSD by construction, not at all
+    cfg = rung(32)
+    t, gens = cfg.operator, cfg.generators
+    c = sum(np.outer(g, g.conj()) for g in gens)
+    s_inf = dynsamp.orbit_frame_operator_exact(t, gens, numkit.spectrum(t)).s
+    seen = {"svd": [], "eigvalsh": [], "eigh": []}
+
+    def counting(name):
+        kernel = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            seen[name].append(np.array(a))
+            return kernel(a, *args, **kwargs)
+        return counted
+
+    for name in seen:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    rep = checks.run_experiment(cfg)
+
+    def calls(names, *ms):
+        return sum(any(np.array_equal(a, m) for m in ms)
+                   for name in names for a in seen[name])
+    assert calls(["svd"], t) == 1
+    assert calls(["eigvalsh", "eigh"], s_inf) == 1
+    # C or its Hermitian part: with FMA, phi phi* need not be exactly Hermitian
+    assert calls(["eigvalsh", "eigh"], c, (c + numkit.adjoint(c)) / 2.0) == 0
+    assert [r.name for r in rep.checks] == LADDER_CHECKS
+    assert rep.checks[LADDER_CHECKS.index("stein")].error is None
+
+
+# the entries of this orbit are finite, but sigma_1^2 and C = phi phi* are not
+OVERFLOW = {
+    "schema_version": 1, "dimension": 2, "horizon": 4,
+    "operator": {"kind": "diagonal", "values": [0.5, 0.25]},
+    "generators": [[1e200, 1e200]],
+    "checks": LADDER_CHECKS,
+}
+
+
+def test_an_overflowed_square_is_refused_where_it_arises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = checks.run_experiment(config.parse_config(OVERFLOW))
+    errors = {r.name: r.error for r in rep.checks}
+    assert all(not r.passed and r.outputs == {} for r in rep.checks)
+    sigma = ("LinAlgError: squared singular value sigma_1^2 of a 2 x 4 "
+             "matrix is not finite in float64")
+    c_sum = "LinAlgError: C = sum phi phi* is not finite in float64"
+    assert errors == {
+        "orbit-bounds": sigma,
+        "stein": c_sum,
+        "surjectivity": c_sum,
+        "riesz-profile": "LinAlgError: squared smallest singular value of "
+                         "the prefix of length 1 is not finite in float64",
+        "kernel-invariance": sigma,
+        "iterated-frame-operator": sigma,
+        "representation": sigma,
+        "ratio-bound": sigma,
+    }
+
+
 # ---------------------------------------------------------------------------
 # the thin SVD on both sides of the QR-first (R-SVD) crossover
 # ---------------------------------------------------------------------------
@@ -340,7 +421,8 @@ def test_orbit_bounds_stein_and_krylov_ranks_agree_on_dense_rungs(d, seed,
     cfg = dense_rung(d, seed=seed, checks_=["orbit-bounds", "surjectivity"])
     bounds, surj = checks.run_experiment(cfg).checks
     t, gens = cfg.operator, cfg.generators
-    w = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(t, gens).s)
+    w = np.linalg.eigvalsh(dynsamp.orbit_frame_operator_exact(
+        t, gens, numkit.spectrum(t)).s)
     krylov = frames.synthesis(dynsamp.orbit(t, gens, d))
     assert bounds.outputs["rank"] == rank
     assert numkit.rank_cut(w)[1] == rank
