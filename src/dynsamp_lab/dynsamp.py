@@ -165,14 +165,21 @@ def bessel_bound_contractive(spectrum: numkit.Spectrum, *generators) -> float:
     ``generators``, valid when ``||T|| < 1``; ``||T||`` is the largest
     singular value in ``spectrum``, the :class:`numkit.Spectrum` of T.
 
-    Dominates the optimal upper bound of the full infinite orbit.
+    Dominates the optimal upper bound of the full infinite orbit.  A bound
+    that float64 cannot hold raises ``LinAlgError``.
     """
     gens = orbit_generators(spectrum.u, generators, horizon=1)
     norm_t = float(spectrum.s[0])
     if norm_t >= 1.0:
         raise HypothesisViolated(f"operator norm {norm_t:.6g} >= 1")
-    return sum(float(np.linalg.norm(phi) ** 2 / (1.0 - norm_t**2))
-               for phi in gens)
+    with np.errstate(over="ignore"):
+        bound = sum(float(np.linalg.norm(phi) ** 2 / (1.0 - norm_t**2))
+                    for phi in gens)
+    if not math.isfinite(bound):
+        raise np.linalg.LinAlgError(
+            "contractive Bessel bound sum ||phi||^2 / (1 - ||T||^2) is not "
+            "finite in float64")
+    return bound
 
 
 def orbit_frame_operator_exact(t, generators, spectrum: numkit.Spectrum,
@@ -666,6 +673,31 @@ def shift_weighted(a, c) -> np.ndarray:
     return out
 
 
+def shift_defect(sys: VectorSystem, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of D = V* L (I - P), rows x N.
+
+    V* holds the right singular vectors of the system's spectrum (all
+    min(d, N) of them), L is the weighted right shift of
+    :func:`shift_weighted` (L e_k = (a_k / a_{k+1}) e_{k+1}, L e_{N-1} = 0,
+    a the system's weights) and P = V_r V_r* projects onto the kept row
+    space.  P is applied twice, which is enough to make the rows
+    orthogonal to V_r to working precision (Giraud, Langou & Rozloznik
+    2005, Comput. Math. Appl. 50).  No array larger than rows x N is
+    formed.
+    """
+    if sys.weights is None:
+        raise InvalidInput("system must carry weights")
+    sp = sys.spectrum
+    a = sys.weights
+    kept = sp.vh[:sp.rank]
+    kept_h = numkit.adjoint(kept)
+    out = np.zeros((rows, len(sys)), dtype=complex)
+    out[:, :-1] = sp.vh[:rows, 1:] * (a[:-1] / a[1:])
+    for _ in range(2):
+        out -= (out @ kept_h) @ kept
+    return out
+
+
 @dataclass(frozen=True)
 class KernelInvarianceResult:
     invariant: bool
@@ -679,34 +711,25 @@ class KernelInvarianceResult:
 def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvarianceResult:
     """Is the synthesis kernel invariant under the weighted right shift?
 
-    For each vector of the orthonormal kernel basis ``Q[:, r:]`` of
-    :func:`frames.kernel_synthesis`, the component of its shifted image
-    (the shift of ``shift_weighted``) orthogonal to the kernel is measured;
-    the defect is the largest such norm.  That component is the projection
-    onto the row space, ``(I - B B*) x = V_r V_r* x``, whose norm is that
-    of the short vector ``V_r* x``.  With the shift folded into
-    ``M = V_r* L``, the defects are the column norms of
-    ``M Q[:, r:] = M[:, r:] - (M V) T V[r:]*``, from the kernel's
-    compact-WY factors: no array larger than r x N is formed.
+    The kernel is the range of I - P, so the part of its shifted image
+    that leaves the kernel is P L (I - P), whose norm is that of
+    D_r = V_r* L (I - P), the first r rows of :func:`shift_defect`.  The
+    defect is the basis-free ``||D_r||_2 = sqrt(lambda_max(D_r D_r*))``,
+    the largest norm that a unit kernel vector's shifted image has off
+    the kernel; no kernel basis is formed.  A kernel of dimension 0 or N
+    is invariant, with defect 0.
     """
     if sys.weights is None:
         raise InvalidInput("system must carry weights")
-    kernel = frames.kernel_synthesis(sys)
-    if kernel.dimension == 0:
-        return KernelInvarianceResult(invariant=True, defect=0.0, kernel_dim=0)
-    a = np.asarray(sys.weights, dtype=complex)
-    ratio = a[:-1] / a[1:]
-    rows, v, t = kernel.rows, kernel.reflectors, kernel.factor
-    r = rows.shape[0]
-    # M[:, k] = V_r*[:, k + 1] (a_k / a_{k+1}) for k < N - 1, M[:, N - 1] = 0
-    w = rows[:, 1:] @ (v[:-1] * ratio[:, None]) @ t  # (M V) T
-    # W V[r:]* as the conjugate of conj(W) V[r:]^T: V is not copied
-    off = np.conj(w) @ v[r:].T
-    np.conj(off, out=off)
-    off[:, :-1] -= rows[:, r + 1:] * ratio[r:]  # minus M[:, r:]
-    defect = float(np.max(np.linalg.norm(off, axis=0)))
+    r, n = sys.spectrum.rank, len(sys)
+    if r in (0, n):
+        return KernelInvarianceResult(invariant=True, defect=0.0,
+                                      kernel_dim=n - r)
+    d_r = shift_defect(sys, r)
+    lam = np.linalg.eigvalsh(d_r @ numkit.adjoint(d_r))[-1]
+    defect = math.sqrt(max(float(lam), 0.0))
     return KernelInvarianceResult(invariant=defect <= tol, defect=defect,
-                                  kernel_dim=kernel.dimension)
+                                  kernel_dim=n - r)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +780,8 @@ def representation_residual(sys: VectorSystem) -> float:
     F = U Sigma V*, with L the weighted right shift (L e_k = (a_k /
     a_{k+1}) e_{k+1}, L e_{N-1} = 0) and P = V_r V_r* (so G* F = P), the
     deviation at j is F L (I - P) e_j / (a_j / a_{j+1}); U has orthonormal
-    columns, so its norm is that of Sigma D e_j, D = V* L (I - P).
+    columns, so its norm is that of Sigma D e_j, with D the min(d, N) x N
+    :func:`shift_defect`; its last column, j = N - 1, is not read.
     """
     if sys.weights is None:
         raise InvalidInput("system must carry weights")
@@ -768,9 +792,7 @@ def representation_residual(sys: VectorSystem) -> float:
         return 0.0
     a = sys.weights
     ratio = a[:-1] / a[1:]
-    rows = sp.vh[:sp.rank, :-1]
-    # Sigma D on its first N - 1 columns; the last column of V* L is zero
-    defect = sp.vh[:, 1:] * ratio
-    defect -= (defect @ numkit.adjoint(rows)) @ rows
+    # Sigma D on its first N - 1 columns
+    defect = shift_defect(sys, sp.s.size)[:, :-1]
     defect *= sp.s[:, None]
     return float(np.max(np.linalg.norm(defect, axis=0) / np.abs(ratio)))

@@ -192,62 +192,17 @@ def mixed_frame_operator(f_sys: VectorSystem, g_sys: VectorSystem) -> np.ndarray
     return synthesis(f_sys) @ numkit.adjoint(synthesis(g_sys))
 
 
-@dataclass(frozen=True, eq=False)
-class KernelBasis:
-    """The synthesis kernel, held as the Householder reflectors of a QR of
-    V_r, the row space of the synthesis matrix.
+def kernel_synthesis(sys: VectorSystem) -> np.ndarray:
+    """The null space of the synthesis matrix, as an N x (N - r) matrix
+    with orthonormal columns: the orthogonal complement of the spectrum's
+    kept row space V_r, the last N - r columns of a complete QR of V_r.
 
-    The reflectors multiply to a unitary ``Q = H_1 ... H_r``, kept in
-    compact-WY form ``Q = I - V T V*`` (Schreiber & Van Loan 1989) with
-    ``reflectors`` V and ``factor`` T.  Q's first r columns span the row
-    space and its last N - r the kernel; no N x N array is held.
-    """
-
-    rows: np.ndarray  # r x N, orthonormal rows: the spectrum's vh[:r]
-    reflectors: np.ndarray  # N x r, unit lower trapezoidal
-    factor: np.ndarray  # r x r, upper triangular
-
-    @property
-    def dimension(self) -> int:
-        return self.rows.shape[1] - self.rows.shape[0]
-
-    @property
-    def complement(self) -> np.ndarray:
-        """V_r: ``I - basis basis* = complement complement*``."""
-        return numkit.adjoint(self.rows)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """``Q[:, r:]``, N x (N - r), built on demand."""
-        v, r = self.reflectors, self.rows.shape[0]
-        q = v @ (-self.factor @ numkit.adjoint(v[r:]))
-        q[r:] += np.eye(self.dimension)
-        return q
-
-
-def kernel_synthesis(sys: VectorSystem) -> KernelBasis:
-    """The null space of the synthesis matrix, as the orthogonal complement
-    of the spectrum's kept row space V_r.
-
-    One Householder QR of V_r (``mode="raw"``: no N x N SVD and no N x N
-    Q) gives the reflectors; T follows from LAPACK ``zlarft``'s forward
-    recurrence ``T[:i, i] = -tau_i T[:i, :i] V[:, :i]* v_i``, in which a
-    reflector with ``tau_i = 0`` stays the identity exactly.  No array of
-    more than N x r entries is formed.
+    No check calls it: :func:`dynsamp.shift_defect` measures the kernel's
+    invariance without a basis.
     """
     sp = sys.spectrum
-    rows = sp.vh[:sp.rank]
-    h, tau = np.linalg.qr(numkit.adjoint(rows), mode="raw")
-    v = h.T  # LAPACK's layout: R on and above the diagonal, V below it
-    r = v.shape[1]
-    v[np.triu_indices(r)] = 0.0
-    v[np.diag_indices(r)] = 1.0
-    g = numkit.adjoint(v) @ v
-    t = np.zeros((r, r), dtype=complex)
-    for i in range(r):
-        t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
-        t[i, i] = tau[i]
-    return KernelBasis(rows=rows, reflectors=v, factor=t)
+    q, _ = np.linalg.qr(numkit.adjoint(sp.vh[:sp.rank]), mode="complete")
+    return q[:, sp.rank:]
 
 
 def lower_riesz_profile(sys: VectorSystem) -> np.ndarray:

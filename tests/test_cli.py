@@ -705,6 +705,26 @@ def test_cli_overflowing_orbit_is_an_error_record_without_warnings(tmp_path):
         assert rec["outputs"] == {}
 
 
+def test_cli_overflowing_bessel_bound_is_an_error_record_without_warnings(
+        tmp_path):
+    # the orbit and its spectrum are finite; sum ||phi||^2 / (1 - ||T||^2)
+    # is not
+    proc, record = run_subprocess(tmp_path, {
+        "schema_version": 1,
+        "dimension": 2,
+        "operator": {"kind": "diagonal", "values": [0.999999999999, 0.25]},
+        "generators": [[1e150, 1e150]],
+        "horizon": 4,
+        "checks": ["orbit-bounds"],
+    })
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert record["error"] == ("LinAlgError: contractive Bessel bound sum "
+                               "||phi||^2 / (1 - ||T||^2) is not finite in "
+                               "float64")
+    assert record["outputs"] == {}
+
+
 # ---------------------------------------------------------------------------
 # the runtime needs numpy alone: jsonschema is the tests' schema oracle
 # ---------------------------------------------------------------------------

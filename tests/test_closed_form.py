@@ -84,9 +84,11 @@ def test_kernel_defect(d):
     # w_m = sum_q r^(qd) e_(m + qd).  For x in the kernel, <w_m, L x> = 0
     # for m >= 1 and <w_0, L x> = -r^(4d) x_(N-1), so the defect of x is
     # r^(4d) |x_(N-1)| / ||w_0||, ||w_0||^2 = (1 - r^(8d)) / (1 - r^(2d)).
-    # Only the last reflector of the QR touches e_(N-1), so the kernel
-    # basis holds a column with |x_(N-1)| = 1 - O(r^(6d)), which is 1 in
-    # float64.
+    # The defect is the largest of these over unit kernel vectors x, taken
+    # at x = (I - P) e_(N-1) / ||(I - P) e_(N-1)||, and |x_(N-1)| =
+    # ||(I - P) e_(N-1)|| = 1 - O(r^(6d)), since e_(N-1) meets the row
+    # space only through w_(d-1), whose last entry is r^(3d) / ||w_(d-1)||;
+    # that is 1 in float64.
     t, phi, r = rung(d)
     sys = dynsamp.orbit(t, (phi,), 4 * d, WeightSpec.constant(1.0))
     res = dynsamp.kernel_invariance_check(sys)

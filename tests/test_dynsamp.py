@@ -1,6 +1,7 @@
 """Tests for orbit constructions and property checkers."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,16 @@ def test_bessel_bound_diagonal_dominates_exact_upper():
 def test_bessel_bound_rejects_expansive():
     with pytest.raises(HypothesisViolated):
         dynsamp.bessel_bound_contractive(numkit.spectrum(np.eye(2)), delta(2, 0))
+
+
+def test_bessel_bound_overflow_is_refused_without_warnings():
+    # ||phi||^2 = 2e300 over 1 - ||T||^2 = 2e-12 is beyond float64
+    sp = numkit.spectrum(np.diag([0.999999999999, 0.25]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="is not finite in float64"):
+            dynsamp.bessel_bound_contractive(sp, np.array([1e150, 1e150]))
 
 
 def test_bessel_bound_sums_generators_with_one_norm(monkeypatch):
@@ -716,13 +727,13 @@ def test_kernel_invariance_duplicated_vector():
 
 
 def loop_kernel_defect(sys, basis):
-    """Oracle: shift one kernel basis vector at a time."""
-    defect = 0.0
+    """Oracle: shift one kernel basis vector at a time; the defect is the
+    spectral norm of the off-kernel parts."""
+    off = np.zeros(basis.shape, dtype=complex)
     for j in range(basis.shape[1]):
         shifted = dynsamp.shift_weighted(sys.weights, basis[:, j])
-        off = shifted - basis @ (numkit.adjoint(basis) @ shifted)
-        defect = max(defect, float(np.linalg.norm(off)))
-    return defect
+        off[:, j] = shifted - basis @ (numkit.adjoint(basis) @ shifted)
+    return float(np.linalg.norm(off, 2)) if basis.shape[1] else 0.0
 
 
 def test_kernel_invariance_matches_column_loop_randomized():
@@ -734,7 +745,7 @@ def test_kernel_invariance_matches_column_loop_randomized():
         weights = rng.uniform(0.3, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n))
         sys = frames.vector_system(list(vecs), weights=weights)
         res = dynsamp.kernel_invariance_check(sys)
-        basis = frames.kernel_synthesis(sys).basis
+        basis = frames.kernel_synthesis(sys)
         assert res.kernel_dim == basis.shape[1]
         assert res.defect == pytest.approx(loop_kernel_defect(sys, basis),
                                            abs=1e-12)

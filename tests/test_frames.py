@@ -268,24 +268,24 @@ def test_mixed_with_itself_is_frame_operator(seed):
 # ---------------------------------------------------------------------------
 
 def test_kernel_empty_for_independent_columns():
-    assert frames.kernel_synthesis(frames.standard_basis(3)).dimension == 0
+    assert frames.kernel_synthesis(frames.standard_basis(3)).shape == (3, 0)
 
 
 def test_kernel_overcomplete():
     sys = frames.vector_system([E1, E2, [1.0, 1.0]])
     kb = frames.kernel_synthesis(sys)
-    assert kb.dimension == 1
+    assert kb.shape == (3, 1)
     direction = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
-    overlap = abs(np.vdot(direction, kb.basis[:, 0]))
+    overlap = abs(np.vdot(direction, kb[:, 0]))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_duplicate_column():
     sys = frames.vector_system([E1, E1])
     kb = frames.kernel_synthesis(sys)
-    assert kb.dimension == 1
+    assert kb.shape == (2, 1)
     direction = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert abs(np.vdot(direction, kb.basis[:, 0])) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(direction, kb[:, 0])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_vectors_synthesize_to_zero():
@@ -295,11 +295,11 @@ def test_kernel_vectors_synthesize_to_zero():
         kb = frames.kernel_synthesis(sys)
         u = frames.synthesis(sys)
         max_norm = max(np.linalg.norm(u[:, k]) for k in range(u.shape[1]))
-        for j in range(kb.dimension):
-            c = kb.basis[:, j]
+        for j in range(kb.shape[1]):
+            c = kb[:, j]
             assert np.linalg.norm(u @ c) <= 1e-10 * max(1.0, max_norm)
-        gram = numkit.adjoint(kb.basis) @ kb.basis
-        assert numkit.frobenius(gram - np.eye(kb.dimension)) <= 1e-10
+        gram = numkit.adjoint(kb) @ kb
+        assert numkit.frobenius(gram - np.eye(kb.shape[1])) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -294,18 +294,29 @@ def test_iterated_huge_frame_operator_is_finite_in_log10():
 
 
 # ---------------------------------------------------------------------------
-# kernel invariance: row-space projector against the kernel-basis formula
+# kernel invariance: shift-defect rows against the kernel-basis formulas
 # ---------------------------------------------------------------------------
 
-def kernel_basis_defect(sys):
-    """Oracle: ``shifted - B (B* shifted)`` with the kernel basis B."""
-    basis = frames.kernel_synthesis(sys).basis
+def haar_unitary(rng, d):
+    """Haar-distributed unitary: QR of a complex Gaussian with the phases
+    of R's diagonal moved into Q (Mezzadri, Notices AMS 54, 2007)."""
+    q, r = np.linalg.qr(random_vectors(rng, d, d))
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
+def kernel_basis_defect(sys, rng):
+    """Oracle: ``||shifted - B (B* shifted)||_2`` with the kernel basis B,
+    first turned by a seeded Haar unitary: the spectral norm does not
+    depend on which orthonormal basis of the kernel is shifted."""
+    basis = frames.kernel_synthesis(sys)
     if basis.shape[1] == 0:
         return 0.0
+    basis = basis @ haar_unitary(rng, basis.shape[1])
     shifted = np.column_stack([dynsamp.shift_weighted(sys.weights, basis[:, j])
                                for j in range(basis.shape[1])])
     off = shifted - basis @ (numkit.adjoint(basis) @ shifted)
-    return float(np.max(np.linalg.norm(off, axis=0)))
+    return float(np.linalg.norm(off, 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,14 +337,13 @@ def test_kernel_defect_matches_kernel_basis_formula(seed, orbit_family):
         sys = frames.vector_system(list(vecs), weights=weights)
     res = dynsamp.kernel_invariance_check(sys)
     kernel = frames.kernel_synthesis(sys)
-    assert res.kernel_dim == kernel.dimension
-    assert kernel.complement.shape == (n, n - kernel.dimension)
-    assert res.defect == pytest.approx(kernel_basis_defect(sys), abs=1e-12)
+    assert kernel.shape == (n, res.kernel_dim)
+    assert res.defect == pytest.approx(kernel_basis_defect(sys, rng), abs=1e-12)
 
 
 def complete_qr_defect(sys):
     """Oracle: the complete N x N unitary of a QR of V_r, its last N - r
-    columns shifted as one block; independent of the compact-WY factors."""
+    columns shifted as one block; independent of the shift-defect matrix."""
     sp = sys.spectrum
     rows = numkit.adjoint(sp.vh[:sp.rank])
     q, _ = np.linalg.qr(rows, mode="complete")
@@ -342,14 +352,14 @@ def complete_qr_defect(sys):
         return 0, 0.0
     a = sys.weights
     off = (numkit.adjoint(rows[1:]) * (a[:-1] / a[1:])) @ basis[:-1]
-    return basis.shape[1], float(np.max(np.linalg.norm(off, axis=0)))
+    return basis.shape[1], float(np.linalg.norm(off, 2))
 
 
 def kernel_parity_system(rng, family):
     d = int(rng.integers(1, 9))
     n = int(rng.integers(1, 65))
     weights = rng.uniform(0.3, 2.0, n) * np.exp(1j * rng.uniform(0, 6.28, n))
-    if family == "shift":  # reflectors of unit vectors: tau = 0
+    if family == "shift":  # V_r holds unit vectors: an invariant kernel
         e0 = np.eye(d)[0]
         return dynsamp.orbit(dynsamp.nilpotent_shift(d), (e0,), n,
                              dynsamp.WeightSpec.constant(1.0))
@@ -391,8 +401,27 @@ def test_kernel_defect_matches_complete_qr_at_rank_zero_rank_n_and_tau_zero():
     assert riesz.spectrum.rank == len(riesz)
     assert_matches_complete_qr(riesz)
     shift = kernel_parity_system(rng, "shift")
-    assert np.any(np.diagonal(frames.kernel_synthesis(shift).factor) == 0.0)
     assert assert_matches_complete_qr(shift).defect == 0.0
+
+
+def test_kernel_invariance_builds_no_kernel_basis_and_no_qr(monkeypatch):
+    # a warm dense orbit at d = 32 (rank 14 of 128): the defect is read off
+    # the orbit's spectrum alone
+    rng = np.random.default_rng([1, 32])
+    m = random_vectors(rng, 32, 32)
+    t = 0.9 * m / np.linalg.svd(m, compute_uv=False)[0]
+    sys = dynsamp.orbit(t, (random_vectors(rng, 32, 1)[0],), 128,
+                        dynsamp.WeightSpec.constant(1.0))
+    kernel_dim, defect = complete_qr_defect(sys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel-invariance built a kernel basis or a QR")
+
+    monkeypatch.setattr(frames, "kernel_synthesis", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    res = dynsamp.kernel_invariance_check(sys)
+    assert 0 < kernel_dim == res.kernel_dim < len(sys)
+    assert abs(res.defect - defect) <= 1e-12 * defect
 
 
 def test_kernel_invariance_holds_no_n_by_n_array():
