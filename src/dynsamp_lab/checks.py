@@ -55,6 +55,12 @@ class CheckContext:
         tols = self.config.tolerances
         return float(tols.get(key, tols.get("default", default)))
 
+    def generator(self, name: str) -> np.ndarray:
+        """The generator of a check that reads one orbit; several are refused."""
+        if len(self.generators) != 1:
+            raise InvalidInput(f"{name} check needs a single generator")
+        return self.generators[0]
+
     def base_inputs(self, name: str) -> dict:
         return {
             "dimension": self.config.dimension,
@@ -153,7 +159,7 @@ def _check_stein(ctx: CheckContext, name: str):
 
 
 def _check_surjectivity(ctx: CheckContext, name: str):
-    phi = ctx.generators[0]
+    phi = ctx.generator(name)
     # an integral float is an integer to the schema
     witness = ctx.params.get("witness_horizon")
     rep = dynsamp.surjectivity_report(
@@ -179,9 +185,7 @@ def _check_surjectivity(ctx: CheckContext, name: str):
 
 def _check_periodic(ctx: CheckContext, name: str):
     model = dynsamp.periodic_orbit_model(
-        ctx.operator, ctx.generators[0],
-        period=ctx.params.get("period"), seed=ctx.seed,
-    )
+        ctx.operator, ctx.generator(name), period=ctx.params.get("period"))
     tolr = ctx.tol("periodic", 1e-10)
     s_scale = max(1.0, numkit.frobenius(model.s))
     outputs = {
@@ -227,8 +231,6 @@ def _check_kernel_invariance(ctx: CheckContext, name: str):
 
 
 def _check_representation(ctx: CheckContext, name: str):
-    if len(ctx.generators) != 1:
-        raise InvalidInput("representation check needs a single generator")
     residual = dynsamp.representation_residual(ctx.orbit())
     tol = ctx.tol("representation", 1e-8)
     return {"residual": residual}, {"slack": tol - residual}, residual <= tol
@@ -237,7 +239,7 @@ def _check_representation(ctx: CheckContext, name: str):
 def _check_nogo_proxy(ctx: CheckContext, name: str):
     d = ctx.config.dimension
     horizons = [int(n) for n in ctx.params.get("horizons", [d, 4 * d, 16 * d])]
-    phi = ctx.generators[0]
+    phi = ctx.generator(name)
     b_opts = dynsamp.unitary_nogo_proxy(ctx.operator, phi, horizons)
     floor = [n * float(np.linalg.norm(phi)) ** 2 / d for n in horizons]
     slack = min(b - f for b, f in zip(b_opts, floor))

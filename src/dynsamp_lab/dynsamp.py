@@ -535,8 +535,7 @@ def _period(t: np.ndarray, period: int | None) -> int:
     return p
 
 
-def periodic_orbit_model(t, phi, period: int | None = None,
-                         seed: int = 0) -> PeriodicOrbitModel:
+def periodic_orbit_model(t, phi, period: int | None = None) -> PeriodicOrbitModel:
     """Exact one-period model of a two-sided orbit {T^n phi}, T^p = I.
 
     The orbit at horizon p is the two-sided orbit, one period of it, with
@@ -546,19 +545,19 @@ def periodic_orbit_model(t, phi, period: int | None = None,
     the invariance ``T S T* = S``; unitarity of ``U = S^{+1/2} T S^{1/2}``
     (against the span projector when the orbit only spans a subspace);
     the norm sandwich ``sqrt(A/B) ||f|| <= ||T^n f|| <= sqrt(B/A) ||f||``
-    over 20 random probes and all |n| <= p; and the bounds of the
+    on the span for all n in Z, exactly, from the extreme singular values
+    of ``T^n U_r`` (``inf`` margins at rank 0); and the bounds of the
     transformed orbit {U^n S^{+1/2} phi}, which land in [A/B, B/A].
     """
     t = numkit.as_operator(t)
     phi = numkit.as_vector(phi)
-    d = t.shape[0]
     p = _period(t, period)
 
     sys = orbit(t, (phi,), p)
     s = frames.frame_operator(sys)
     bounds = frames.frame_bounds(sys, ambient=False)
     lower, upper = bounds.a_opt, bounds.b_opt
-    span_relative = bounds.rank < d
+    span_relative = bounds.rank < t.shape[0]
 
     tst_residual = numkit.frobenius(t @ s @ numkit.adjoint(t) - s)
 
@@ -571,29 +570,18 @@ def periodic_orbit_model(t, phi, period: int | None = None,
     # the projector is the identity when the orbit spans
     unitarity_residual = numkit.frobenius(numkit.adjoint(u) @ u - projector)
 
-    # norm sandwich over random probes, restricted to the span if needed
-    rng = np.random.default_rng(seed)
+    # the norm sandwich, exactly: sigma(T^n) on the span for 0 <= n <= p/2
+    # is enough, since T maps the span onto itself and there T^{-n} =
+    # T^{p-n} inverts T^n, with the reciprocal singular values
     lo = math.sqrt(lower / upper) if upper > 0 else 0.0
     hi = math.sqrt(upper / lower) if lower > 0 else math.inf
-    t_inv = np.linalg.matrix_power(t, p - 1)  # T^{-1} since T^p = I
-    lower_margin = math.inf
-    upper_margin = math.inf
-    for _ in range(20):
-        f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        if span_relative:
-            f = projector @ f
-        norm_f = np.linalg.norm(f)
-        if norm_f < 1e-12:
-            continue
-        fwd = f.copy()
-        bwd = f.copy()
-        for _ in range(p + 1):
-            for vec in (fwd, bwd):
-                ratio = np.linalg.norm(vec) / norm_f
-                lower_margin = min(lower_margin, ratio - lo)
-                upper_margin = min(upper_margin, hi - ratio)
-            fwd = t @ fwd
-            bwd = t_inv @ bwd
+    lower_margin = upper_margin = math.inf
+    power = ur
+    for _ in range(p // 2 + 1 if sp.rank else 0):
+        sv = np.linalg.svd(power, compute_uv=False)
+        lower_margin = min(lower_margin, min(sv[-1], 1.0 / sv[0]) - lo)
+        upper_margin = min(upper_margin, hi - max(sv[0], 1.0 / sv[-1]))
+        power = t @ power
 
     transformed = orbit(u, (root_pinv @ phi,), p)
     trep = frames.frame_bounds(transformed, ambient=not span_relative)
@@ -673,26 +661,37 @@ def shift_weighted(a, c) -> np.ndarray:
     return out
 
 
+def _shift(sys: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
+    """L's subdiagonal, L e_k = (a_k / a_{k+1}) e_{k+1} (a the weights),
+    and the mask of the k < N - 1 it shifts: L e_k = 0 at the end of each
+    generator's run of h = horizon columns (one run without provenance),
+    as f_{j+1,0} != T f_{j,h-1}."""
+    if sys.weights is None:
+        raise InvalidInput("system must carry weights")
+    a, n = sys.weights, len(sys)
+    h = n if sys.provenance is None else sys.provenance.horizon
+    shifted = np.arange(n - 1) % h != h - 1
+    return np.where(shifted, a[:-1] / a[1:], 0.0), shifted
+
+
 def shift_defect(sys: VectorSystem, rows: int) -> np.ndarray:
     """The first ``rows`` rows of D = V* L (I - P), rows x N.
 
     V* holds the right singular vectors of the system's spectrum (all
-    min(d, N) of them), L is the weighted right shift of
-    :func:`shift_weighted` (L e_k = (a_k / a_{k+1}) e_{k+1}, L e_{N-1} = 0,
-    a the system's weights) and P = V_r V_r* projects onto the kept row
-    space.  P is applied twice, which is enough to make the rows
-    orthogonal to V_r to working precision (Giraud, Langou & Rozloznik
+    min(d, N) of them), L is the weighted right shift of :func:`_shift`,
+    block-diagonal over the generators (one block for a single generator:
+    the shift of :func:`shift_weighted`), and P = V_r V_r* projects onto
+    the kept row space.  P is applied twice, which is enough to make the
+    rows orthogonal to V_r to working precision (Giraud, Langou & Rozloznik
     2005, Comput. Math. Appl. 50).  No array larger than rows x N is
     formed.
     """
-    if sys.weights is None:
-        raise InvalidInput("system must carry weights")
+    ratio, _ = _shift(sys)
     sp = sys.spectrum
-    a = sys.weights
     kept = sp.vh[:sp.rank]
     kept_h = numkit.adjoint(kept)
     out = np.zeros((rows, len(sys)), dtype=complex)
-    out[:, :-1] = sp.vh[:rows, 1:] * (a[:-1] / a[1:])
+    out[:, :-1] = sp.vh[:rows, 1:] * ratio
     for _ in range(2):
         out -= (out @ kept_h) @ kept
     return out
@@ -709,9 +708,10 @@ class KernelInvarianceResult:
 
 
 def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvarianceResult:
-    """Is the synthesis kernel invariant under the weighted right shift?
+    """Is the synthesis kernel invariant under the weighted right shift L?
 
-    The kernel is the range of I - P, so the part of its shifted image
+    L shifts within each generator's run (:func:`shift_defect`).  The
+    kernel is the range of I - P, so the part of its shifted image
     that leaves the kernel is P L (I - P), whose norm is that of
     D_r = V_r* L (I - P), the first r rows of :func:`shift_defect`.  The
     defect is the basis-free ``||D_r||_2 = sqrt(lambda_max(D_r D_r*))``,
@@ -776,23 +776,18 @@ def representation_residual(sys: VectorSystem) -> float:
 
         f_{j+1} = (a_j / a_{j-1}) * sum_k <f_j, g_k> (a_{k-1} / a_k) f_{k+1}
 
-    over 1 <= j <= N-1, the k-sum truncated at N-1.  From the spectrum
-    F = U Sigma V*, with L the weighted right shift (L e_k = (a_k /
-    a_{k+1}) e_{k+1}, L e_{N-1} = 0) and P = V_r V_r* (so G* F = P), the
-    deviation at j is F L (I - P) e_j / (a_j / a_{j+1}); U has orthonormal
-    columns, so its norm is that of Sigma D e_j, with D the min(d, N) x N
-    :func:`shift_defect`; its last column, j = N - 1, is not read.
+    over the j whose f_{j+1} is in f_j's generator run.  From the spectrum
+    F = U Sigma V*, with L the block weighted right shift of :func:`_shift`
+    and P = V_r V_r* (so G* F = P), the deviation at j is F L (I - P) e_j
+    / (a_j / a_{j+1}); U has orthonormal columns, so its norm is that of
+    Sigma D e_j, with D the min(d, N) x N :func:`shift_defect`.
     """
-    if sys.weights is None:
-        raise InvalidInput("system must carry weights")
+    ratio, shifted = _shift(sys)
     sp = sys.spectrum
     if sp.rank == 0:
         raise NotAFrame("system has no positive lower frame bound on its span")
-    if len(sys) < 2:
-        return 0.0
-    a = sys.weights
-    ratio = a[:-1] / a[1:]
-    # Sigma D on its first N - 1 columns
+    # Sigma D on its first N - 1 columns, read where L shifts
     defect = shift_defect(sys, sp.s.size)[:, :-1]
     defect *= sp.s[:, None]
-    return float(np.max(np.linalg.norm(defect, axis=0) / np.abs(ratio)))
+    return float(np.max(np.linalg.norm(defect, axis=0)[shifted]
+                        / np.abs(ratio[shifted]), initial=0.0))

@@ -309,6 +309,22 @@ def test_cli_check_failure_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("check", ["surjectivity", "periodic", "nogo-proxy"])
+def test_one_orbit_checks_refuse_several_generators(tmp_path, check):
+    # each of these describes the orbit of one generator: a second one is
+    # refused with one line, not silently dropped
+    raw = shift_config(
+        operator={"kind": "circulant", "first_row": [0.0, 1.0, 0.0]},
+        generators=[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], checks=[check])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 2
+    record, = json.loads(out.read_text())["checks"]
+    assert record["passed"] is False
+    assert record["error"] == f"InvalidInput: {check} check needs a single generator"
+
+
 def test_cli_unknown_preset():
     assert cli.main(["repro", "nonexistent"]) == 1
 

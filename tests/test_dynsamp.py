@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsamp_lab import checks, dynsamp, frames, numkit, presets
+from dynsamp_lab import checks, config, dynsamp, frames, numkit, presets
 from dynsamp_lab.dynsamp import WeightSpec
 from dynsamp_lab.errors import (
     DivergentSeries,
@@ -627,6 +627,55 @@ def test_periodic_rejects_aperiodic():
         dynsamp.periodic_orbit_model(0.5 * np.eye(2), delta(2, 0), period=3)
 
 
+def conjugated_shift(d):
+    """T = X P X^{-1}: P the cyclic shift, X = I + 0.3 G / sqrt(d) with G a
+    seeded complex Gaussian, so T^d = I but T is not unitary."""
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = np.eye(d) + 0.3 * g / math.sqrt(d)
+    return x @ dynsamp.cyclic_shift(d) @ np.linalg.inv(x)
+
+
+@pytest.mark.parametrize("d", [3, 4, 7, 12, 32, 64])
+def test_periodic_sandwich_margins_are_exact(d):
+    t = conjugated_shift(d)
+    phi = delta(d, 0) + delta(d, 1)
+    model = dynsamp.periodic_orbit_model(t, phi)
+    assert model.period == d
+    ur = dynsamp.orbit(t, (phi,), d).spectrum.range_basis
+    # oracle: sigma(T^n U_r) for every n mod p, each power taken afresh
+    sv = [np.linalg.svd(np.linalg.matrix_power(t, n) @ ur, compute_uv=False)
+          for n in range(d)]
+    lo = math.sqrt(model.lower / model.upper)
+    hi = math.sqrt(model.upper / model.lower)
+    assert model.sandwich_lower_margin == pytest.approx(
+        min(s[-1] for s in sv) - lo, rel=1e-12)
+    assert model.sandwich_upper_margin == pytest.approx(
+        hi - max(s[0] for s in sv), rel=1e-12)
+    # T^n = S^{1/2} U^n S^{+1/2} on the span, and ||U* U - I||_F = eps
+    # keeps sigma(U^n) within (1 -+ eps)^{n/2} of 1
+    eps = model.unitarity_residual
+    for n, s in enumerate(sv):
+        assert s[-1] >= lo * (1.0 - eps) ** (n / 2) * (1.0 - 1e-12)
+        assert s[0] <= hi * (1.0 + eps) ** (n / 2) * (1.0 + 1e-12)
+
+
+def test_periodic_zero_generator_keeps_infinite_margins():
+    model = dynsamp.periodic_orbit_model(dynsamp.cyclic_shift(3), np.zeros(3))
+    assert model.sandwich_lower_margin == math.inf
+    assert model.sandwich_upper_margin == math.inf
+
+
+def test_periodic_record_does_not_depend_on_the_seed():
+    def record(seed):
+        rep = checks.run_experiment(
+            presets.preset_config("circulant-zmodel", dim=12, seed=seed))
+        rec = next(c for c in rep.checks if c.name == "periodic")
+        return (rec.inputs, rec.outputs, rec.margins, rec.passed, rec.error)
+
+    assert record(1) == record(9)
+
+
 # ---------------------------------------------------------------------------
 # commutant transport
 # ---------------------------------------------------------------------------
@@ -1012,6 +1061,78 @@ def test_representation_check_builds_no_dual(monkeypatch):
     assert record.error is None and record.passed
     assert record.outputs["residual"] == dynsamp.representation_residual(sys)
     assert abs(record.outputs["residual"] - oracle) <= representation_gate(sys)
+
+
+# ---------------------------------------------------------------------------
+# several generators: the shift stops at each generator's end
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tail_free_orbits(draw):
+    """The nilpotent shift's orbits of one to three generators, each a sum
+    of standard basis vectors, at a horizon h >= d, where T^h = 0: the
+    synthesis kernel is exactly invariant under the block shift."""
+    d = draw(st.integers(2, 10))
+    supports = draw(st.lists(st.sets(st.integers(0, d - 1), min_size=1),
+                             min_size=1, max_size=3))
+    gens = tuple(sum(delta(d, k) for k in support) for support in supports)
+    horizon = draw(st.integers(d, 2 * d))
+    weights = draw(st.sampled_from([WeightSpec.constant(1.0),
+                                    WeightSpec.geometric(0.9),
+                                    WeightSpec.geometric(1.1)]))
+    return dynsamp.orbit(dynsamp.nilpotent_shift(d), gens, horizon, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail_free_orbits())
+def test_tail_free_orbits_of_several_generators_are_exact(sys):
+    gate = representation_gate(sys)
+    res = dynsamp.kernel_invariance_check(sys)
+    assert res.invariant and res.defect <= gate
+    assert dynsamp.representation_residual(sys) <= gate
+
+
+def block_loop_kernel_defect(sys, basis, h):
+    """Oracle: :func:`loop_kernel_defect` with the shift applied to each
+    generator's run of h coefficients on its own."""
+    off = np.zeros(basis.shape, dtype=complex)
+    for j in range(basis.shape[1]):
+        shifted = np.concatenate([
+            dynsamp.shift_weighted(sys.weights[b:b + h], basis[b:b + h, j])
+            for b in range(0, len(sys), h)])
+        off[:, j] = shifted - basis @ (numkit.adjoint(basis) @ shifted)
+    return float(np.linalg.norm(off, 2)) if basis.shape[1] else 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_kernel_defect_of_several_generators_matches_the_block_loop(seed,
+                                                                   count):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    h = int(rng.integers(2, 3 * d))
+    t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    t *= rng.uniform(0.3, 1.0) / numkit.operator_norm(t)
+    gens = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                 for _ in range(count))
+    sys = dynsamp.orbit(t, gens, h, WeightSpec.geometric(rng.uniform(0.8, 1.2)))
+    res = dynsamp.kernel_invariance_check(sys)
+    basis = frames.kernel_synthesis(sys)
+    assert res.kernel_dim == basis.shape[1]
+    assert res.defect == pytest.approx(block_loop_kernel_defect(sys, basis, h),
+                                       abs=1e-12)
+
+
+def test_the_runner_checks_the_shift_of_several_generators():
+    d = 4
+    cfg = config.parse_config({
+        "schema_version": 1, "dimension": d, "horizon": 2 * d,
+        "operator": {"kind": "nilpotent_shift", "dimension": d},
+        "generators": [[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]],
+        "checks": ["kernel-invariance", "representation"]})
+    kernel, representation = checks.run_experiment(cfg).checks
+    assert kernel.error is None and kernel.outputs["invariant"]
+    assert representation.error is None and representation.passed
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,6 @@ def run(raw):
     ({}, 1, 1),
     ({"tolerances": {"default": 1e-12}}, 1, 1),
     ({"tolerances": {"stein": 1e-10}}, 1, 2),
-    ({}, 2, 2),
 ])
 def test_stein_and_surjectivity_share_one_solve(stein_calls, extra,
                                                 generators, solves):
@@ -168,6 +167,19 @@ def test_stein_and_surjectivity_share_one_solve(stein_calls, extra,
     for name in ("stein", "surjectivity"):
         alone = outputs_by_check(run(dict(raw, checks=[name])))
         assert alone == {name: both[name]}
+
+
+def test_two_generator_stein_solves_once_beside_a_refused_surjectivity(
+        stein_calls):
+    # surjectivity describes one orbit: with two generators it refuses
+    # before solving, and stein's record is that of a run of stein alone
+    raw = dense_ladder_config(6, generators=2, names=["stein", "surjectivity"])
+    stein, surjectivity = run(raw).checks
+    assert len(stein_calls) == 1
+    assert surjectivity.error == \
+        "InvalidInput: surjectivity check needs a single generator"
+    assert outputs_by_check(run(dict(raw, checks=["stein"]))) == \
+        {"stein": report.jsonify(stein.outputs)}
 
 
 def test_tol_flag_gives_stein_its_own_solve(tmp_path, stein_calls):
