@@ -18,6 +18,7 @@ import numpy as np
 
 from . import dynsamp, frames, numkit, perturb
 from .config import (
+    TOLERANCES,
     ConfigError,
     ExperimentConfig,
     canonical_json,
@@ -46,14 +47,15 @@ class CheckContext:
     orbit: Callable[[], VectorSystem]  # built once, shared by orbit checks
     # the operator's one factorisation: every ||T||_2, rank T and T^+
     spectrum: Callable[[], numkit.Spectrum]
-    # stein(count, tol): the orbit frame operator of the first ``count``
-    # generators and its eigenvalues, solved once per (count, tol), shared
-    # by Stein checks
-    stein: Callable[[int, float], numkit.SteinSolution]
+    # stein(tol): the orbit frame operator of the generators and its
+    # eigenvalues, solved once per tolerance, shared by Stein checks
+    stein: Callable[[float], numkit.SteinSolution]
 
-    def tol(self, key: str, default: float) -> float:
+    def tol(self, key: str) -> float:
+        """The config's tolerance ``key``, else its "default", else the
+        table's default for ``key``."""
         tols = self.config.tolerances
-        return float(tols.get(key, tols.get("default", default)))
+        return float(tols.get(key, tols.get("default", TOLERANCES[key])))
 
     def generator(self, name: str) -> np.ndarray:
         """The generator of a check that reads one orbit; several are refused."""
@@ -96,7 +98,7 @@ def _check_orbit_bounds(ctx: CheckContext, name: str):
             outputs["contractive_bessel_bound"] = bound
             margins["bessel_slack"] = bound - rep.b_opt
             passed = passed \
-                and margins["bessel_slack"] >= -ctx.tol("bessel", 1e-10)
+                and margins["bessel_slack"] >= -ctx.tol("bessel")
     return outputs, margins, passed
 
 
@@ -123,7 +125,7 @@ def _stein_series(t: np.ndarray, generators, depth: int) -> np.ndarray:
 
 
 def _check_stein(ctx: CheckContext, name: str):
-    sol = ctx.stein(len(ctx.generators), ctx.tol("stein", 1e-12))
+    sol = ctx.stein(ctx.tol("stein"))
     w = sol.eigenvalues
     outputs = {
         "residual": sol.residual,
@@ -150,7 +152,7 @@ def _check_stein(ctx: CheckContext, name: str):
             err = numkit.frobenius(sol.s - brute)
             outputs["truncation_depth"] = depth
             margins["brute_force_error"] = err
-            passed = err <= ctx.tol("stein_brute", 1e-10)
+            passed = err <= ctx.tol("stein_brute")
         else:
             # operator norm too close to 1 for a practical series oracle
             outputs["truncation_depth"] = None
@@ -162,10 +164,11 @@ def _check_surjectivity(ctx: CheckContext, name: str):
     phi = ctx.generator(name)
     # an integral float is an integer to the schema
     witness = ctx.params.get("witness_horizon")
+    # S_inf at the table's Stein tolerance: no override moves it
     rep = dynsamp.surjectivity_report(
-        ctx.operator, phi, ctx.stein(1, 1e-12), ctx.spectrum(),
+        ctx.operator, phi, ctx.stein(TOLERANCES["stein"]), ctx.spectrum(),
         horizon=None if witness is None else int(witness),
-        tol=ctx.tol("surjectivity", 1e-8),
+        tol=ctx.tol("surjectivity"),
     )
     outputs = {
         "criterion_i": rep.criterion_i,
@@ -186,7 +189,7 @@ def _check_surjectivity(ctx: CheckContext, name: str):
 def _check_periodic(ctx: CheckContext, name: str):
     model = dynsamp.periodic_orbit_model(
         ctx.operator, ctx.generator(name), period=ctx.params.get("period"))
-    tolr = ctx.tol("periodic", 1e-10)
+    tolr = ctx.tol("periodic")
     s_scale = max(1.0, numkit.frobenius(model.s))
     outputs = {
         "period": model.period,
@@ -226,13 +229,13 @@ def _check_ratio_bound(ctx: CheckContext, name: str):
 
 def _check_kernel_invariance(ctx: CheckContext, name: str):
     res = dynsamp.kernel_invariance_check(ctx.orbit(),
-                                          tol=ctx.tol("kernel", 1e-8))
+                                          tol=ctx.tol("kernel"))
     return asdict(res), {}, True  # measurement check
 
 
 def _check_representation(ctx: CheckContext, name: str):
     residual = dynsamp.representation_residual(ctx.orbit())
-    tol = ctx.tol("representation", 1e-8)
+    tol = ctx.tol("representation")
     return {"residual": residual}, {"slack": tol - residual}, residual <= tol
 
 
@@ -325,7 +328,7 @@ def _check_repro_aldroubi(ctx: CheckContext, name: str):
         np.diag(lam.astype(complex)), frames.standard_basis(lam.size))
     s = frames.frame_operator(sys)
     err = float(np.max(np.abs(s - np.diag(lam.astype(complex)))))
-    tol = ctx.tol("repro", 1e-12)
+    tol = ctx.tol("repro")
     outputs = {"entrywise_error": err}
     passed = err <= tol
 
@@ -384,6 +387,9 @@ def _certificate_inputs(cfg: ExperimentConfig, operator, generators,
     coords = [int(c) for c in p.get("subspace_coords", range(dim))]
     if max(coords) >= dim:
         raise ConfigError(f"subspace_coords {max(coords)} >= dimension {dim}")
+    if len(set(coords)) < len(coords):
+        raise ConfigError(f"subspace_coords {p['subspace_coords']!r} "
+                          "repeats a coordinate")
     basis = np.eye(dim, dtype=complex)[:, coords]
     direction = _params_vector(p, "psi_direction", dim) \
         if "psi_direction" in p else basis[:, 0]
@@ -486,8 +492,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                           int(cfg.horizon),
                           cfg.weights or WeightSpec.constant(1.0)))
     spectrum = cache(partial(numkit.spectrum, operator))
-    stein = cache(lambda count, tol: dynsamp.orbit_frame_operator_exact(
-        operator, generators[:count], spectrum(), tol=tol))
+    stein = cache(lambda tol: dynsamp.orbit_frame_operator_exact(
+        operator, generators, spectrum(), tol=tol))
     records = [
         run_single(CheckContext(
             config=cfg,

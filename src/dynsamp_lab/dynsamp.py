@@ -665,13 +665,21 @@ def _shift(sys: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
     """L's subdiagonal, L e_k = (a_k / a_{k+1}) e_{k+1} (a the weights),
     and the mask of the k < N - 1 it shifts: L e_k = 0 at the end of each
     generator's run of h = horizon columns (one run without provenance),
-    as f_{j+1,0} != T f_{j,h-1}."""
+    as f_{j+1,0} != T f_{j,h-1}.  A shifted ratio that is 0 or not finite
+    in float64 raises ``LinAlgError`` naming k, with no numpy warning."""
     if sys.weights is None:
         raise InvalidInput("system must carry weights")
     a, n = sys.weights, len(sys)
     h = n if sys.provenance is None else sys.provenance.horizon
     shifted = np.arange(n - 1) % h != h - 1
-    return np.where(shifted, a[:-1] / a[1:], 0.0), shifted
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.where(shifted, a[:-1] / a[1:], 0.0)
+    bad = shifted & ~(np.isfinite(ratio) & (ratio != 0))
+    if bad.any():
+        raise np.linalg.LinAlgError(
+            "weight ratio a_k / a_{k+1} is 0 or not finite in float64 at "
+            f"k = {np.argmax(bad)}")
+    return ratio, shifted
 
 
 def shift_defect(sys: VectorSystem, rows: int) -> np.ndarray:

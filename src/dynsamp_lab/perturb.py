@@ -559,7 +559,7 @@ _PARAMS = {
     "horizon": {"type": "integer", "minimum": 1},
     "operator": OPERATOR_SPEC,
     "phi": {"type": "array"},
-    "subspace_coords": {"type": "array", "minItems": 1, "uniqueItems": True,
+    "subspace_coords": {"type": "array", "minItems": 1,
                         "items": {"type": "integer", "minimum": 0}},
     "psi_direction": {"type": "array"},
     "psi_scales": {"type": "array", "minItems": 1,

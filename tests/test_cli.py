@@ -543,6 +543,9 @@ MALFORMED_PARAMS = {
                                       "values": [0.5, 0.1, 0.2]}),
         "diagonal operator dimension 7 does not match its data, "
         "of dimension 3"),
+    "subspace_coords repeated": (
+        gallery_with(RIESZ, subspace_coords=[2, 2.0]),
+        "subspace_coords [2, 2.0] repeats a coordinate"),
 }
 
 
@@ -739,6 +742,30 @@ def test_cli_overflowing_bessel_bound_is_an_error_record_without_warnings(
                                "||phi||^2 / (1 - ||T||^2) is not finite in "
                                "float64")
     assert record["outputs"] == {}
+
+
+@pytest.mark.parametrize("weights", [[1e-171, 1e153, 1.0],
+                                     [1e153, 1e-171, 1.0]])
+def test_cli_weight_ratio_past_float64_is_an_error_record_without_warnings(
+        tmp_path, weights):
+    # every weight and orbit vector is finite; a_0 / a_1 underflows to 0
+    # or overflows, and both checks that read the weighted shift refuse it
+    proc, _ = run_subprocess(tmp_path, {
+        "schema_version": 1,
+        "dimension": 2,
+        "operator": {"kind": "nilpotent_shift", "dimension": 2},
+        "generators": [[1.0, 0.5]],
+        "weights": {"kind": "explicit", "values": weights},
+        "horizon": 3,
+        "checks": ["representation", "kernel-invariance"],
+    })
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    records = json.loads((tmp_path / "report.json").read_text())["checks"]
+    for rec in records:
+        assert rec["error"] == ("LinAlgError: weight ratio a_k / a_{k+1} is "
+                                "0 or not finite in float64 at k = 0")
+        assert rec["outputs"] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ scalar leaf had to match a two-branch ``oneOf`` schema, and then the fields a
 kind reads went through the earlier ``parse_complex``.
 """
 
+import ast
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -181,8 +183,8 @@ def test_schema_error_is_the_one_jsonschema_validate_picks(raw):
 
 
 def test_tolerances_must_be_finite_numbers():
-    assert config.parse_config(base(tolerances={"default": 1e-9, "rank": 1})
-                               ).tolerances == {"default": 1e-9, "rank": 1}
+    assert config.parse_config(base(tolerances={"default": 1e-9, "kernel": 1})
+                               ).tolerances == {"default": 1e-9, "kernel": 1}
     for value in ("abc", True, None, math.nan, math.inf):
         with pytest.raises(ConfigError, match="tolerance|schema"):
             config.parse_config(base(tolerances={"default": value}))
@@ -267,11 +269,32 @@ def test_cli_refuses_non_finite_scalars(tmp_path, capsys, raw, named):
 
 @pytest.mark.parametrize("tolerances", [{"default": "abc"},
                                         {"default": math.inf},
-                                        {"rank": math.nan}])
+                                        {"kernel": math.nan}])
 def test_cli_refuses_bad_tolerances(tmp_path, capsys, tolerances):
     code, err = run_cli(tmp_path, capsys, base(tolerances=tolerances))
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_cli_refuses_a_misspelt_tolerance(tmp_path, capsys):
+    code, err = run_cli(tmp_path, capsys, base(
+        checks=["representation"], tolerances={"representaton": 1.0}))
+    assert code == 1
+    assert err == ["error: config does not match schema: Additional "
+                   "properties are not allowed ('representaton' was "
+                   "unexpected)"]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_every_tolerance_a_check_reads_is_in_the_table():
+    # ctx.tol(key) falls back to TOLERANCES[key]: each key a check passes
+    # is a string literal, and the table holds exactly those keys
+    tree = ast.parse(Path(checks.__file__).read_text())
+    keys = [node.args[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "tol"]
+    assert all(isinstance(k, ast.Constant) for k in keys)
+    assert {k.value for k in keys} == set(config.TOLERANCES)
 
 
 # an operator spec whose dimension disagrees: exit 1, one line naming it
