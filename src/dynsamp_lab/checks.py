@@ -36,6 +36,17 @@ from .errors import DynsampLabError, HypothesisViolated, InvalidInput
 from .frames import VectorSystem
 from .report import CheckRecord, ExperimentReport
 
+# Fixed slacks, which no tolerance name, ``tolerances.default`` or
+# ``--tol`` moves.  ``ratio-bound`` passes at a margin, and ``nogo-proxy``
+# at a pigeonhole slack, of at least MARGIN_FLOOR.  ``periodic`` needs both
+# sandwich margins at least SANDWICH_FLOOR and pads both transformed-bound
+# slacks by TRANSFORMED_PAD.  ``orbit-bounds`` lets a_opt exceed b_opt by
+# at most BOUNDS_ORDER_SLACK.
+MARGIN_FLOOR = -1e-10
+SANDWICH_FLOOR = -1e-10
+TRANSFORMED_PAD = 1e-8
+BOUNDS_ORDER_SLACK = 1e-12
+
 
 @dataclass
 class CheckContext:
@@ -87,7 +98,7 @@ def _check_orbit_bounds(ctx: CheckContext, name: str):
         "classification": rep.classification,
     }
     margins = {}
-    passed = rep.a_opt <= rep.b_opt + 1e-12
+    passed = rep.a_opt <= rep.b_opt + BOUNDS_ORDER_SLACK
     if ctx.config.weights is None:
         try:
             bound = dynsamp.bessel_bound_contractive(ctx.spectrum(),
@@ -206,14 +217,16 @@ def _check_periodic(ctx: CheckContext, name: str):
     margins = {
         "sandwich_lower": model.sandwich_lower_margin,
         "sandwich_upper": model.sandwich_upper_margin,
-        "transformed_low_slack": model.transformed_lower - ratio_lo + 1e-8,
-        "transformed_high_slack": ratio_hi - model.transformed_upper + 1e-8,
+        "transformed_low_slack":
+            model.transformed_lower - ratio_lo + TRANSFORMED_PAD,
+        "transformed_high_slack":
+            ratio_hi - model.transformed_upper + TRANSFORMED_PAD,
     }
     passed = (
         model.tst_residual <= tolr * s_scale
         and model.unitarity_residual <= tolr
-        and model.sandwich_lower_margin >= -1e-10
-        and model.sandwich_upper_margin >= -1e-10
+        and model.sandwich_lower_margin >= SANDWICH_FLOOR
+        and model.sandwich_upper_margin >= SANDWICH_FLOOR
         and margins["transformed_low_slack"] >= 0
         and margins["transformed_high_slack"] >= 0
     )
@@ -224,7 +237,7 @@ def _check_ratio_bound(ctx: CheckContext, name: str):
     res = dynsamp.ratio_bound_check(ctx.orbit(), ctx.spectrum())
     outputs = {"sup_ratio": res.sup_ratio, "bound": res.bound}
     margins = {"margin": res.margin}
-    return outputs, margins, res.margin >= -1e-10
+    return outputs, margins, res.margin >= MARGIN_FLOOR
 
 
 def _check_kernel_invariance(ctx: CheckContext, name: str):
@@ -247,7 +260,7 @@ def _check_nogo_proxy(ctx: CheckContext, name: str):
     floor = [n * float(np.linalg.norm(phi)) ** 2 / d for n in horizons]
     slack = min(b - f for b, f in zip(b_opts, floor))
     outputs = {"horizons": horizons, "b_opts": b_opts, "floors": floor}
-    return outputs, {"pigeonhole_slack": slack}, slack >= -1e-10
+    return outputs, {"pigeonhole_slack": slack}, slack >= MARGIN_FLOOR
 
 
 def _check_riesz_profile(ctx: CheckContext, name: str):

@@ -123,23 +123,37 @@ def spectrum_bounds(sp: numkit.Spectrum, ambient: bool = True) -> BoundsReport:
     b = float(sq[0])
     rank = sp.rank
     d, n = sp.u.shape[0], sp.vh.shape[1]
-    spans = rank == d
-    if rank == 0:
-        cls = "bessel_only"
-    elif rank == n == d:
-        cls = "riesz_basis"
-    elif rank == d:
-        cls = "frame"
-    elif rank == n:
-        cls = "riesz_sequence"
-    else:
-        cls = "frame_sequence"
     if ambient:
         a = float(sq[d - 1]) if rank == d else 0.0
     else:
         a = float(sq[rank - 1]) if rank > 0 else 0.0
-    return BoundsReport(a_opt=a, b_opt=b, rank=rank, spans_ambient=spans,
-                        classification=cls, tol=sp.cut)
+    return BoundsReport(a_opt=a, b_opt=b, rank=rank, spans_ambient=rank == d,
+                        classification=classification(rank, d, n), tol=sp.cut)
+
+
+def classification(rank: int, d: int, n: int) -> str:
+    """The class of a system of n vectors in C^d whose synthesis matrix has
+    the given rank: the most specific of riesz_basis / frame /
+    riesz_sequence / frame_sequence, bessel_only at rank zero."""
+    if rank == 0:
+        return "bessel_only"
+    if rank == n == d:
+        return "riesz_basis"
+    if rank == d:
+        return "frame"
+    if rank == n:
+        return "riesz_sequence"
+    return "frame_sequence"
+
+
+def lower_bounds(sp: numkit.SpectrumStack, ambient: bool = True) -> np.ndarray:
+    """The ``a_opt`` of :func:`spectrum_bounds` for each spectrum of a stack,
+    without a report per spectrum."""
+    sq = sp.s**2
+    d = sp.u.shape[1]
+    if ambient:  # rank d needs N >= d; the clamped index only has to exist
+        return np.where(sp.rank == d, sq[:, min(d, sq.shape[1]) - 1], 0.0)
+    return np.where(sp.rank > 0, sq[np.arange(len(sq)), sp.rank - 1], 0.0)
 
 
 def frame_operator(sys: VectorSystem) -> np.ndarray:
@@ -168,18 +182,15 @@ def _dual_synthesis(u, s, vh, r: int) -> np.ndarray:
     return u[..., :r] @ (vh[..., :r, :] / s[..., :r, None])
 
 
-def dual_column_norms(spectra: list[numkit.Spectrum]) -> np.ndarray:
-    """``||S^+ f_k||`` for every vector of each of several systems with one
-    shape, given their spectra: row i holds the column norms of
-    ``canonical_dual`` of system i (zeros at rank zero), one stacked
-    product per rank."""
-    out = np.zeros((len(spectra), spectra[0].vh.shape[1]))
-    ranks = [sp.rank for sp in spectra]
-    for r in set(ranks) - {0}:
-        idx = [i for i, rank in enumerate(ranks) if rank == r]
-        u, s, vh = (np.array([getattr(spectra[i], f) for i in idx])
-                    for f in ("u", "s", "vh"))
-        out[idx] = np.linalg.norm(_dual_synthesis(u, s, vh, r), axis=1)
+def dual_column_norms(sp: numkit.SpectrumStack) -> np.ndarray:
+    """``||S^+ f_k||`` for every vector of each system of a stack, given
+    their spectra: row i holds the column norms of ``canonical_dual`` of
+    system i (zeros at rank zero), one stacked product per rank."""
+    out = np.zeros((len(sp.s), sp.vh.shape[2]))
+    for r in set(sp.rank.tolist()) - {0}:
+        idx = np.flatnonzero(sp.rank == r)
+        out[idx] = np.linalg.norm(
+            _dual_synthesis(sp.u[idx], sp.s[idx], sp.vh[idx], r), axis=1)
     return out
 
 

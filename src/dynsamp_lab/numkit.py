@@ -13,6 +13,7 @@ never mutates them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,14 +108,35 @@ def spectrum(m) -> Spectrum:
     return Spectrum(u=u, s=s, vh=vh, cut=float(cut), rank=int(rank))
 
 
-def spectra(stack: np.ndarray) -> list[Spectrum]:
-    """The :class:`Spectrum` of each matrix of a ``(B, d, N)`` stack, from
-    one stacked factorisation (LAPACK and BLAS run per matrix, so each
-    equals :func:`spectrum` of that matrix bit for bit)."""
+class SpectrumStack(NamedTuple):
+    """The :class:`Spectrum` of each matrix of a ``(B, d, N)`` stack, its
+    fields stacked along a leading axis."""
+
+    u: np.ndarray  # B x d x min(d, N)
+    s: np.ndarray  # B x min(d, N)
+    vh: np.ndarray  # B x min(d, N) x N
+    cut: np.ndarray  # B
+    rank: np.ndarray  # B
+
+    def take(self, idx) -> "SpectrumStack":
+        """The spectra of the matrices ``idx``, re-stacked."""
+        return SpectrumStack(*(f[idx] for f in self))
+
+
+def spectrum_stack(stack: np.ndarray) -> SpectrumStack:
+    """The spectra of a ``(B, d, N)`` stack, from one stacked factorisation
+    (LAPACK and BLAS run per matrix, so each equals :func:`spectrum` of
+    that matrix bit for bit)."""
     u, s, vh = _thin_svd(stack)
     cut, rank = rank_cut(_squared(s, stack.shape))
-    return [Spectrum(u=u[i], s=s[i], vh=vh[i], cut=float(cut[i]),
-                     rank=int(rank[i])) for i in range(len(s))]
+    return SpectrumStack(u, s, vh, cut, rank)
+
+
+def spectra(stack: np.ndarray) -> list[Spectrum]:
+    """:func:`spectrum_stack`, as one :class:`Spectrum` per matrix."""
+    sp = spectrum_stack(stack)
+    return [Spectrum(u=sp.u[i], s=sp.s[i], vh=sp.vh[i], cut=float(sp.cut[i]),
+                     rank=int(sp.rank[i])) for i in range(len(sp.s))]
 
 
 # Where Chan's R-SVD (ACM TOMS 8, 1982) replaces the plain thin SVD.  On

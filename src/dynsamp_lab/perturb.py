@@ -6,16 +6,18 @@ the statement's conclusion on the perturbed system.  Infinite sums are
 truncated at the horizon with a geometric tail bound added, keeping the
 sufficient-condition direction intact.  A randomized satisfiability
 search probes whether the hypothesis set of a certificate is inhabited
-at all.  Every certificate is computed by one stacked kernel: the search
-runs it once per shape group of its trials, the public certificate
-functions on a stack of one instance.
+at all.  Every certificate is computed by one stacked kernel in stages:
+the search draws each shape group of its trials as one stack, computes
+every margin and the hypothesis values of the trials it records; the
+public certificate functions run every stage, conclusions included, on a
+stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -77,9 +79,16 @@ class Certificate:
 # satisfiability search stacks a shape group, the public certificate
 # functions a single instance.  Stacked SVDs and products run LAPACK and
 # BLAS once per matrix, and each reduction is the one a single instance
-# makes, so every instance gets the bits it would get alone.  ``fails[i]``
-# holds the exception instance i raises alone (its first violated
-# hypothesis); later kernels still run over it, but its result is dropped.
+# makes, so every instance gets the bits it would get alone, in any stack.
+# ``fails[i]`` holds the exception instance i raises alone (its first
+# violated hypothesis); later steps still run over it, but its result is
+# dropped.
+#
+# A kernel runs in three stages.  The first, over the whole stack, decides
+# every refusal and computes each margin from the quantities it reads.
+# The other two run only where a caller reads them: the remaining
+# hypothesis values over the instances a search records, re-stacked, and
+# the conclusion reports, which only the public functions compute.
 # ---------------------------------------------------------------------------
 
 class _Stack(NamedTuple):
@@ -105,14 +114,60 @@ class _Stack(NamedTuple):
         return cls(horizon=horizon, weights=(weights,),
                    **{k: np.asarray(v)[None] for k, v in arrays.items()})
 
+    def inputs(self, j: int) -> "CertificateInputs":
+        """Instance j, unstacked."""
+        def row(a):
+            return None if a is None else a[j]
 
-def _one(kernel: Callable, stack: _Stack) -> tuple:
-    """The certificates of a stack of one; raises the exception it fails
-    with."""
-    out = kernel(stack, [None])[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+        return CertificateInputs(
+            operator=self.t[j], horizon=self.horizon,
+            subspace_basis=row(self.basis), phi=row(self.phi),
+            psis=(row(self.psi),),
+            weights=self.weights[j] if self.weights else None,
+            generators=() if self.gens is None else tuple(self.gens[j]),
+            second_operator=row(self.w))
+
+
+class _Staged(NamedTuple):
+    """One certificate of a stack, by stage.  ``margins[i]`` is instance
+    i's margin, or the exception it fails with.  ``values(idx)`` gives the
+    hypothesis values of the instances ``idx`` (none failed) and
+    ``conclusions()`` the conclusion report of every instance."""
+
+    name: str
+    margins: list
+    values: Callable[[list[int]], list[dict]]
+    conclusions: Callable[[], list[BoundsReport]]
+
+
+def _staged(name: str, fails: list, head: Callable, conclusions: Callable,
+            extend: Callable | None = None) -> _Staged:
+    """A :class:`_Staged` from ``head(i) -> (values, margin)``, the
+    quantities instance i's margin reads, and ``extend(idx, heads)``, which
+    adds the remaining values, if any, to the heads of the instances
+    ``idx``."""
+    def values(idx: list[int]) -> list[dict]:
+        heads = [head(i)[0] for i in idx]
+        if extend is not None:
+            extend(idx, heads)
+        return heads
+
+    return _Staged(name, [float(head(i)[1]) if fail is None else fail
+                          for i, fail in enumerate(fails)],
+                   values, conclusions)
+
+
+def _one(kernel: Callable, stack: _Stack) -> tuple[Certificate, ...]:
+    """The certificates of a stack of one, every stage run; raises the
+    exception it fails with once its conclusions are computed."""
+    fails = [None]
+    staged = kernel(stack, fails)
+    conclusions = [s.conclusions()[0] for s in staged]
+    if fails[0] is not None:
+        raise fails[0]
+    return tuple(Certificate(s.name, s.values([0])[0], s.margins[0],
+                             s.margins[0] > 0, c)
+                 for s, c in zip(staged, conclusions))
 
 
 def _flag(fails: list, bad, make: Callable[[int], Exception]) -> None:
@@ -120,12 +175,6 @@ def _flag(fails: list, bad, make: Callable[[int], Exception]) -> None:
     for i in np.flatnonzero(bad):
         if fails[i] is None:
             fails[i] = make(i)
-
-
-def _certify(fails: list, certify: Callable[[int], tuple]) -> list:
-    """Per instance: its certificates, or the exception it fails with."""
-    return [certify(i) if fail is None else fail
-            for i, fail in enumerate(fails)]
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -139,8 +188,13 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """``numkit.operator_norm`` of each matrix of a stack."""
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    """``numkit.operator_norm`` of each matrix of a stack; a zero matrix has
+    norm 0 without a factorisation."""
+    out = np.zeros(len(stack))
+    nonzero = stack.any(axis=(1, 2))
+    if nonzero.any():
+        out[nonzero] = np.linalg.svd(stack[nonzero], compute_uv=False)[:, 0]
+    return out
 
 
 def _contractions(t, v, fails: list) -> tuple[np.ndarray, np.ndarray]:
@@ -186,8 +240,14 @@ def _orbits(t, starts, horizon: int, fails: list, seqs=None) -> np.ndarray:
     return u
 
 
-def _bounds(spectra, ambient: bool) -> list[BoundsReport]:
-    return [frames.spectrum_bounds(sp, ambient) for sp in spectra]
+def _is_riesz(sp: numkit.SpectrumStack) -> np.ndarray:
+    """Which systems of a stack are Riesz sequences (rank = vector count)."""
+    return sp.rank == sp.vh.shape[2]
+
+
+def _bounds(stack: np.ndarray, ambient: bool) -> list[BoundsReport]:
+    """The :class:`BoundsReport` of each synthesis matrix of a stack."""
+    return [frames.spectrum_bounds(sp, ambient) for sp in numkit.spectra(stack)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,46 +272,42 @@ def riesz_perturbation_certificate(cd: ContractionData, phi, psi,
     return cert
 
 
-def _riesz_kernel(st: _Stack, fails: list) -> list:
+def _riesz_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
     h = st.horizon
     _leaves_subspace(fails, st.basis, st.psi)
-    base = numkit.spectra(_orbits(st.t, st.phi[:, None], h, fails))
-    reports = _bounds(base, ambient=False)
-    _flag(fails, [r.classification not in _RIESZ for r in reports],
-          lambda i: HypothesisViolated("base orbit prefix is not a Riesz "
-                                       f"sequence ({reports[i].classification})"))
+    base = numkit.spectrum_stack(_orbits(st.t, st.phi[:, None], h, fails))
+    lower = frames.lower_bounds(base, ambient=False)
+    _flag(fails, ~_is_riesz(base), lambda i: HypothesisViolated(
+        "base orbit prefix is not a Riesz sequence "
+        f"({frames.classification(int(base.rank[i]), st.t.shape[1], h)})"))
     psi_norms = _norms(st.psi)
-    # S^+ T^n phi is column n of the canonical dual of the base orbit
-    partials = _dots(
-        np.linalg.norm(_orbits(st.t, st.psi[:, None], h, fails), axis=1),
-        frames.dual_column_norms(base))
-    perturbed = _bounds(numkit.spectra(
-        _orbits(st.t, (st.phi + st.psi)[:, None], h, fails)), ambient=False)
+    psi_orbits = _orbits(st.t, st.psi[:, None], h, fails)
+    perturbed = _orbits(st.t, (st.phi + st.psi)[:, None], h, fails)
 
-    def certify(i: int) -> tuple:
-        a = reports[i].a_opt
+    def head(i: int) -> tuple[dict, float]:
+        a = float(lower[i])
         mu = float(st.mu[i])
         psi_norm = float(psi_norms[i])
         threshold = (1.0 - mu) * math.sqrt(a)
-        margin = threshold - psi_norm
-        partial = float(partials[i])
-        tail = (mu**h) * psi_norm / ((1.0 - mu) * math.sqrt(a)) if a > 0 \
-            else math.inf
-        total = partial + tail
-        values = {
-            "lower_riesz_bound": a,
-            "mu": mu,
-            "psi_norm": psi_norm,
-            "threshold": threshold,
-            "proof_sum": partial,
-            "proof_tail_bound": tail,
-            "proof_sum_total": total,
-            "perturbed_floor": a * (1.0 - total) ** 2 if total < 1.0 else 0.0,
-        }
-        return (Certificate("riesz_orbit_perturbation", values, float(margin),
-                            margin > 0, perturbed[i]),)
+        return {"lower_riesz_bound": a, "mu": mu, "psi_norm": psi_norm,
+                "threshold": threshold}, threshold - psi_norm
 
-    return _certify(fails, certify)
+    def extend(idx: list[int], heads: list[dict]) -> None:
+        # S^+ T^n phi is column n of the canonical dual of the base orbit
+        partials = _dots(np.linalg.norm(psi_orbits[idx], axis=1),
+                         frames.dual_column_norms(base.take(idx)))
+        for v, partial in zip(heads, partials.tolist()):
+            a, mu, psi_norm = v["lower_riesz_bound"], v["mu"], v["psi_norm"]
+            tail = (mu**h) * psi_norm / ((1.0 - mu) * math.sqrt(a)) if a > 0 \
+                else math.inf
+            total = partial + tail
+            v.update(proof_sum=partial, proof_tail_bound=tail,
+                     proof_sum_total=total,
+                     perturbed_floor=a * (1.0 - total) ** 2 if total < 1.0
+                     else 0.0)
+
+    return (_staged("riesz_orbit_perturbation", fails, head,
+                    lambda: _bounds(perturbed, ambient=False), extend),)
 
 
 def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
@@ -275,40 +331,39 @@ def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
     return cert
 
 
-def _weighted_kernel(st: _Stack, fails: list) -> list:
+def _weighted_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
     h = st.horizon
     _leaves_subspace(fails, st.basis, st.psi)
     seqs = _sequences(st.weights, h, fails)
-    reports = _bounds(numkit.spectra(
-        _orbits(st.t, st.phi[:, None], h, fails, seqs)), ambient=False)
-    _flag(fails, [r.a_opt <= r.tol for r in reports], lambda i:
+    base = numkit.spectrum_stack(_orbits(st.t, st.phi[:, None], h, fails, seqs))
+    lower = frames.lower_bounds(base, ambient=False)
+    _flag(fails, lower <= base.cut, lambda i:
           HypothesisViolated("base weighted orbit has no lower bound"))
     sup_weights = np.max(np.abs(seqs), axis=1)
     psi_norms = _norms(st.psi)
-    perturbed = numkit.spectra(
-        _orbits(st.t, (st.phi + st.psi)[:, None], h, fails, seqs))
+    perturbed = _orbits(st.t, (st.phi + st.psi)[:, None], h, fails, seqs)
+    # the perturbed system's spectra, shared by both later stages
+    spectra = cache(lambda idx: numkit.spectra(perturbed[list(idx)]))
 
-    def certify(i: int) -> tuple:
-        a = reports[i].a_opt
+    def head(i: int) -> tuple[dict, float]:
+        a = float(lower[i])
         mu = float(st.mu[i])
         sup_weight = float(sup_weights[i])
         psi_norm = float(psi_norms[i])
         threshold = math.sqrt(a * (1.0 - mu**2))
-        margin = threshold - sup_weight * psi_norm
-        values = {
-            "lower_bound": a,
-            "mu": mu,
-            "sup_weight": sup_weight,
-            "psi_norm": psi_norm,
-            "threshold": threshold,
-            "part_i_span_lower":
-                frames.spectrum_bounds(perturbed[i], ambient=False).a_opt,
-        }
-        return (Certificate("weighted_frame_perturbation", values,
-                            float(margin), margin > 0,
-                            frames.spectrum_bounds(perturbed[i], ambient=True)),)
+        return {"lower_bound": a, "mu": mu, "sup_weight": sup_weight,
+                "psi_norm": psi_norm, "threshold": threshold}, \
+            threshold - sup_weight * psi_norm
 
-    return _certify(fails, certify)
+    def extend(idx: list[int], heads: list[dict]) -> None:
+        for v, sp in zip(heads, spectra(tuple(idx))):
+            v["part_i_span_lower"] = \
+                frames.spectrum_bounds(sp, ambient=False).a_opt
+
+    return (_staged("weighted_frame_perturbation", fails, head,
+                    lambda: [frames.spectrum_bounds(sp, ambient=True)
+                             for sp in spectra(tuple(range(len(fails))))],
+                    extend),)
 
 
 def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
@@ -327,42 +382,37 @@ def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
     return cert
 
 
-def _scaled_kernel(st: _Stack, fails: list) -> list:
+def _scaled_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
     h = st.horizon
     a_seqs = _sequences(st.weights, h + 1, fails)
-    reports = _bounds(numkit.spectra(
-        _orbits(st.t, st.phi[:, None], h, fails, a_seqs[:, :h])), ambient=True)
-    _flag(fails, [r.a_opt <= r.tol for r in reports], lambda i:
+    base = numkit.spectrum_stack(
+        _orbits(st.t, st.phi[:, None], h, fails, a_seqs[:, :h]))
+    lower = frames.lower_bounds(base, ambient=True)
+    _flag(fails, lower <= base.cut, lambda i:
           HypothesisViolated("base weighted orbit is not a frame"))
     sup_ratios = np.max(np.abs(a_seqs[:, :-1] / a_seqs[:, 1:]), axis=1)
     psi_norms = _norms(st.psi)
     # {a_{n+1} T^n psi}; a zero psi gives a zero system, never used
-    bessel = _bounds(numkit.spectra(
-        _orbits(st.t, st.psi[:, None], h, fails, a_seqs[:, 1:])), ambient=True)
-    perturbed = _bounds(numkit.spectra(
-        _orbits(st.t, (st.phi + st.psi)[:, None], h, fails, a_seqs[:, :h])),
-        ambient=True)
+    bessel = numkit.spectrum_stack(
+        _orbits(st.t, st.psi[:, None], h, fails, a_seqs[:, 1:])).s[:, 0] ** 2
+    perturbed = _orbits(st.t, (st.phi + st.psi)[:, None], h, fails,
+                        a_seqs[:, :h])
 
-    def certify(i: int) -> tuple:
-        a = reports[i].a_opt
+    def head(i: int) -> tuple[dict, float]:
+        a = float(lower[i])
         sup_ratio = float(sup_ratios[i])
         psi_norm = float(psi_norms[i])
         if psi_norm == 0.0:
             b = 0.0
             margin = math.inf
         else:
-            b = bessel[i].b_opt
+            b = float(bessel[i])
             margin = math.sqrt(a / b) - sup_ratio if b > 0 else math.inf
-        values = {
-            "lower_bound": a,
-            "bessel_bound": b,
-            "sup_ratio": sup_ratio,
-            "psi_norm": psi_norm,
-        }
-        return (Certificate("scaled_generator_perturbation", values,
-                            float(margin), margin > 0, perturbed[i]),)
+        return {"lower_bound": a, "bessel_bound": b, "sup_ratio": sup_ratio,
+                "psi_norm": psi_norm}, margin
 
-    return _certify(fails, certify)
+    return (_staged("scaled_generator_perturbation", fails, head,
+                    lambda: _bounds(perturbed, ambient=True)),)
 
 
 # ---------------------------------------------------------------------------
@@ -392,47 +442,47 @@ def multi_generator_riesz_certificate(cd_w: ContractionData,
     return cert
 
 
-def _multi_kernel(st: _Stack, fails: list) -> list:
+def _multi_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
     h = st.horizon
     count = st.gens.shape[1]
     for j in range(count):
         _leaves_subspace(fails, st.w_basis, st.gens[:, j])
         _leaves_subspace(fails, st.basis, st.gens[:, j])
     w_orbits = _orbits(st.w, st.gens, h, fails)
-    w_spectra = numkit.spectra(w_orbits)
-    w_reports = _bounds(w_spectra, ambient=False)
-    _flag(fails, [r.a_opt <= r.tol for r in w_reports], lambda i:
+    w_spectra = numkit.spectrum_stack(w_orbits)
+    lower = frames.lower_bounds(w_spectra, ambient=False)
+    _flag(fails, lower <= w_spectra.cut, lambda i:
           HypothesisViolated("W-orbit system has no lower bound on its span"))
     gen_norms = np.stack([_norms(st.gens[:, j]) for j in range(count)], axis=1)
     t_orbits = _orbits(st.t, st.gens, h, fails)
-    # S^+ W^n g_j is a column of the canonical dual of the W-system
-    partials = _dots(np.linalg.norm(w_orbits - t_orbits, axis=1),
-                     frames.dual_column_norms(w_spectra))
-    conclusions = _bounds(numkit.spectra(t_orbits), ambient=False)
 
-    def certify(i: int) -> tuple:
-        w_report = w_reports[i]
+    def head(i: int) -> tuple[dict, float]:
         lam = max(float(st.w_mu[i]), float(st.mu[i]))
-        s_pinv_norm = 1.0 / w_report.a_opt  # ||S^+|| on the span
+        s_pinv_norm = 1.0 / float(lower[i])  # ||S^+|| on the span
         energy = float(sum(n ** 2 for n in gen_norms[i]))
         threshold = (1.0 - lam**2) / (2.0 * s_pinv_norm)
-        margin = threshold - energy
-        partial = float(partials[i])
-        tail = 2.0 * s_pinv_norm * energy * lam ** (2 * h) / (1.0 - lam**2)
-        values = {
-            "lambda": lam,
-            "s_pinv_norm": s_pinv_norm,
-            "generator_energy": energy,
-            "threshold": threshold,
-            "proof_sum": partial,
-            "proof_tail_bound": tail,
-            "proof_sum_total": partial + tail,
-            "base_is_riesz": 1.0 if w_report.classification in _RIESZ else 0.0,
-        }
-        return (Certificate("multi_generator_riesz", values, float(margin),
-                            margin > 0, conclusions[i]),)
+        return {"lambda": lam, "s_pinv_norm": s_pinv_norm,
+                "generator_energy": energy, "threshold": threshold}, \
+            threshold - energy
 
-    return _certify(fails, certify)
+    def extend(idx: list[int], heads: list[dict]) -> None:
+        # S^+ W^n g_j is a column of the canonical dual of the W-system
+        partials = _dots(np.linalg.norm(w_orbits[idx] - t_orbits[idx], axis=1),
+                         frames.dual_column_norms(w_spectra.take(idx)))
+        riesz = _is_riesz(w_spectra)
+        for i, v, partial in zip(idx, heads, partials.tolist()):
+            lam, energy = v["lambda"], v["generator_energy"]
+            tail = 2.0 * v["s_pinv_norm"] * energy * lam ** (2 * h) \
+                / (1.0 - lam**2)
+            v.update(proof_sum=partial, proof_tail_bound=tail,
+                     proof_sum_total=partial + tail,
+                     base_is_riesz=1.0 if riesz[i] else 0.0)
+
+    return (_staged("multi_generator_riesz", fails, head,
+                    lambda: _bounds(t_orbits, ambient=False), extend),)
+
+
+_TWO_OPERATOR = ("two_operator_frame", "two_operator_riesz_sum")
 
 
 def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
@@ -453,65 +503,68 @@ def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
         w=cd_w.operator, w_mu=cd_w.mu, w_basis=cd_w.subspace_basis, phi=phi))
 
 
-def _two_operator_kernel(st: _Stack, fails: list) -> list:
+def _two_operator_kernel(st: _Stack, fails: list,
+                         names: tuple = _TWO_OPERATOR) -> tuple[_Staged, ...]:
+    """The two-operator certificates ``names`` of a stack; both conclude
+    from the W-orbit's bounds."""
     h = st.horizon
     _leaves_subspace(fails, st.basis, st.phi)
     _leaves_subspace(fails, st.w_basis, st.phi)
     t_orbits = _orbits(st.t, st.phi[:, None], h, fails)
-    base = numkit.spectra(t_orbits)
-    reports = _bounds(base, ambient=True)
-    _flag(fails, [r.a_opt <= r.tol for r in reports], lambda i:
+    base = numkit.spectrum_stack(t_orbits)
+    lower = frames.lower_bounds(base, ambient=True)
+    _flag(fails, lower <= base.cut, lambda i:
           HypothesisViolated("T-orbit prefix is not a frame"))
     phi_norms = _norms(st.phi)
     w_orbits = _orbits(st.w, st.phi[:, None], h, fails)
-    w_reports = _bounds(numkit.spectra(w_orbits), ambient=True)
-    diff_sums = np.sum(np.linalg.norm(t_orbits - w_orbits, axis=1) ** 2, axis=1)
-    spans = _bounds(base, ambient=False)
-    riesz = [i for i, r in enumerate(spans)
-             if fails[i] is None and r.classification in _RIESZ]
-    combined = dict(zip(riesz, _bounds(numkit.spectra(
-        (t_orbits + w_orbits)[riesz]), ambient=False))) if riesz else {}
+    w_reports = cache(lambda: _bounds(w_orbits, ambient=True))
 
-    def certify(i: int) -> tuple:
-        a = reports[i].a_opt
-        lam = max(float(st.mu[i]), float(st.w_mu[i]))
-        phi_norm = float(phi_norms[i])
-        threshold = math.sqrt(a * (1.0 - lam**2))
-        frame_margin = threshold - 2.0 * phi_norm
-        frame_cert = Certificate(
-            "two_operator_frame",
-            {
-                "lower_bound": a,
-                "lambda": lam,
-                "phi_norm": phi_norm,
-                "threshold": threshold,
-            },
-            float(frame_margin),
-            frame_margin > 0,
-            w_reports[i],
-        )
-        diff_sum = float(diff_sums[i])
-        tail = 4.0 * phi_norm**2 * lam ** (2 * h) / (1.0 - lam**2)
-        sum_margin = a - (diff_sum + tail)
-        values = {
-            "lower_bound": a,
-            "lambda": lam,
-            "phi_norm": phi_norm,
-            "difference_sum": diff_sum,
-            "difference_tail_bound": tail,
-            "w_lower_floor": (math.sqrt(a) - math.sqrt(diff_sum + tail)) ** 2
-            if sum_margin > 0 else 0.0,
-        }
-        if i in combined:
-            values["riesz_variant_margin"] = (
-                math.sqrt(spans[i].a_opt * (1.0 - lam**2)) - phi_norm
-            )
-            values["combined_span_lower"] = combined[i].a_opt
-        sum_cert = Certificate("two_operator_riesz_sum", values,
-                               float(sum_margin), sum_margin > 0, w_reports[i])
-        return frame_cert, sum_cert
+    def common(i: int) -> tuple[float, float, float]:
+        return (float(lower[i]), max(float(st.mu[i]), float(st.w_mu[i])),
+                float(phi_norms[i]))
 
-    return _certify(fails, certify)
+    def frame() -> _Staged:
+        def head(i: int) -> tuple[dict, float]:
+            a, lam, phi_norm = common(i)
+            threshold = math.sqrt(a * (1.0 - lam**2))
+            return {"lower_bound": a, "lambda": lam, "phi_norm": phi_norm,
+                    "threshold": threshold}, threshold - 2.0 * phi_norm
+
+        return _staged("two_operator_frame", fails, head, w_reports)
+
+    def riesz_sum() -> _Staged:
+        diff_sums = np.sum(np.linalg.norm(t_orbits - w_orbits, axis=1) ** 2,
+                           axis=1)
+
+        def head(i: int) -> tuple[dict, float]:
+            a, lam, phi_norm = common(i)
+            diff_sum = float(diff_sums[i])
+            tail = 4.0 * phi_norm**2 * lam ** (2 * h) / (1.0 - lam**2)
+            return {"lower_bound": a, "lambda": lam, "phi_norm": phi_norm,
+                    "difference_sum": diff_sum,
+                    "difference_tail_bound": tail}, a - (diff_sum + tail)
+
+        def extend(idx: list[int], heads: list[dict]) -> None:
+            spans = frames.lower_bounds(base, ambient=False)
+            is_riesz = _is_riesz(base)
+            riesz = [i for i in idx if is_riesz[i]]
+            combined = dict(zip(riesz, _bounds(
+                t_orbits[riesz] + w_orbits[riesz], ambient=False))) \
+                if riesz else {}
+            for i, v in zip(idx, heads):
+                a, lam, phi_norm = v["lower_bound"], v["lambda"], v["phi_norm"]
+                gap = v["difference_sum"] + v["difference_tail_bound"]
+                v["w_lower_floor"] = (math.sqrt(a) - math.sqrt(gap)) ** 2 \
+                    if a - gap > 0 else 0.0
+                if i in combined:
+                    v["riesz_variant_margin"] = (
+                        math.sqrt(float(spans[i]) * (1.0 - lam**2)) - phi_norm)
+                    v["combined_span_lower"] = combined[i].a_opt
+
+        return _staged("two_operator_riesz_sum", fails, head, w_reports, extend)
+
+    build = dict(zip(_TWO_OPERATOR, (frame, riesz_sum)))
+    return tuple(build[name]() for name in names)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +602,19 @@ class CertificateKind(NamedTuple):
     ``doubled()`` evaluates it again at twice the horizon."""
 
     params: dict  # JSON schema of params["perturbation:<name>"]
-    sample: Callable  # iterable of rngs -> one search instance per rng
-    kernel: Callable  # (stack, fails) -> per instance, Certificates or error
+    # iterable of rngs -> (trial positions, stack) per shape group, one
+    # search instance per rng
+    draw: Callable
+    kernel: Callable  # (stack, fails) -> (the certificate's _Staged,)
     evaluate: Callable  # (inputs, psi, horizon) -> tuple of Certificates
     concludes: Callable
+
+    def sample(self, rngs) -> list[CertificateInputs]:
+        """One search instance per rng, unstacked."""
+        out = {}
+        for idx, st in self.draw(rngs):
+            out.update((i, st.inputs(j)) for j, i in enumerate(idx))
+        return [out[i] for i in range(len(out))]
 
 
 _PARAMS = {
@@ -586,104 +648,134 @@ def _groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def _draw_contraction(rng, d: int) -> tuple[np.ndarray, float]:
-    """The draws of one random contraction: a complex Gaussian matrix and
-    the norm in [0.2, 0.95) it is scaled to by :func:`_scale_draws`."""
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return m, float(rng.uniform(0.2, 0.95))
+def _draw_groups(draw: Callable, build: Callable, rngs) -> list:
+    """Each rng's draws by ``draw(rng) -> (shape key, *draws)``, then one
+    stack per shape key by ``build(key, draws)``, in order of first
+    appearance, with the positions of its instances."""
+    draws = [draw(rng) for rng in rngs]
+    return [(idx, build(draws[idx[0]][0], [draws[i][1:] for i in idx]))
+            for idx in _groups([x[0] for x in draws])]
 
 
-def _matrix_norms(ms: list[np.ndarray]) -> list[float]:
-    """``numkit.operator_norm`` of each matrix, one stacked SVD per shape."""
-    out = [0.0] * len(ms)
-    for idx in _groups([m.shape for m in ms]):
-        for i, n in zip(idx, _operator_norms(np.stack([ms[i] for i in idx]))):
-            out[i] = float(n)
+def _column(draws: list, k: int) -> np.ndarray:
+    """Entry k of each instance's draws, stacked."""
+    return np.array([x[k] for x in draws])
+
+
+def _complex(draws: list, k: int) -> np.ndarray:
+    """Entry k of each instance's draws, a pair of real parts and imaginary
+    parts, stacked as one complex array."""
+    pairs = _column(draws, k)
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
+def _unit_columns(b: int, d: int, start: int = 0) -> np.ndarray:
+    """``b`` copies of the columns ``start:`` of the d x d identity."""
+    return np.repeat(np.eye(d, dtype=complex)[None, :, start:], b, axis=0)
+
+
+def _first_units(b: int, d: int) -> np.ndarray:
+    """``b`` copies of the first unit vector of C^d."""
+    out = np.zeros((b, d), dtype=complex)
+    out[:, 0] = 1.0
     return out
 
 
-def _scale_draws(draws: list) -> list[np.ndarray]:
-    """``(m / ||m||) * target`` for each drawn ``(m, target)``."""
-    norms = _matrix_norms([m for m, _ in draws])
-    return [(m / n) * target for (m, target), n in zip(draws, norms)]
+def _draw_contraction(rng, d: int) -> tuple[np.ndarray, float]:
+    """The draws of one random contraction: the real and imaginary parts of
+    a complex Gaussian matrix and the norm in [0.2, 0.95) it is scaled to
+    by :func:`_contractions_of`."""
+    return rng.standard_normal((2, d, d)), float(rng.uniform(0.2, 0.95))
 
 
-def _sample_block(rngs, weighted: bool = False) -> list[CertificateInputs]:
+def _contractions_of(draws: list) -> np.ndarray:
+    """``(m / ||m||) * target`` for each drawn ``(parts of m, target)``."""
+    m = _complex(draws, 0)
+    return (m / _operator_norms(m)[:, None, None]) \
+        * _column(draws, 1)[:, None, None]
+
+
+def _draw_block(rng, weighted: bool) -> tuple:
+    m = int(rng.integers(2, 5))
+    k = int(rng.integers(1, 4))
+    return ((m, k), float(rng.uniform(0.5, 1.5)),
+            rng.uniform(0.05, 0.9, size=k), rng.standard_normal((2, k)),
+            float(rng.uniform(0.0, 1.2)),
+            float(rng.uniform(0.7, 1.3)) if weighted else None)
+
+
+def _block_stack(key: tuple, draws: list) -> _Stack:
     """Shift block plus diagonal contraction block, contraction subspace =
     the trailing coordinates, and a psi of norm at most 1.2 inside it."""
-    out = []
-    for rng in rngs:
-        m = int(rng.integers(2, 5))
-        k = int(rng.integers(1, 4))
-        d = m + k
-        scale = float(rng.uniform(0.5, 1.5))
-        t = np.zeros((d, d), dtype=complex)
-        t[:m, :m] = scale * nilpotent_shift(m)
-        t[m:, m:] = np.diag(rng.uniform(0.05, 0.9, size=k)).astype(complex)
-        v_basis = np.eye(d, dtype=complex)[:, m:]
-        phi = np.eye(d, dtype=complex)[0]
-        direction = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        direction /= np.linalg.norm(direction)
-        psi = v_basis @ direction * float(rng.uniform(0.0, 1.2))
-        weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3))) \
-            if weighted else None
-        out.append(CertificateInputs(operator=t, horizon=m,
-                                     subspace_basis=v_basis, phi=phi,
-                                     psis=(psi,), weights=weights))
-    return out
+    m, k = key
+    d, b = m + k, len(draws)
+    t = np.zeros((b, d, d), dtype=complex)
+    t[:, np.arange(1, m), np.arange(m - 1)] = _column(draws, 0)[:, None]
+    t[:, np.arange(m, d), np.arange(m, d)] = _column(draws, 1)
+    direction = _complex(draws, 2)
+    direction = direction / _norms(direction)[:, None]
+    psi = np.zeros((b, d), dtype=complex)
+    psi[:, m:] = direction * _column(draws, 3)[:, None]
+    weights = tuple(None if r is None else WeightSpec.geometric(r)
+                    for *_, r in draws)
+    return _Stack(t=t, horizon=m, basis=_unit_columns(b, d, m),
+                  phi=_first_units(b, d), psi=psi, weights=weights)
 
 
-def _sample_scaled(rngs) -> list[CertificateInputs]:
-    out = []
-    for rng in rngs:
-        d = int(rng.integers(2, 6))
-        phi = np.eye(d, dtype=complex)[0]
-        psi = phi * float(rng.uniform(0.0, 0.5))
-        weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3)))
-        out.append(CertificateInputs(operator=nilpotent_shift(d), horizon=d,
-                                     phi=phi, psis=(psi,), weights=weights))
-    return out
+def _draw_scaled(rng) -> tuple:
+    return (int(rng.integers(2, 6)), float(rng.uniform(0.0, 0.5)),
+            float(rng.uniform(0.7, 1.3)))
 
 
-def _sample_multi(rngs) -> list[CertificateInputs]:
-    draws = []
-    for rng in rngs:
-        d = int(rng.integers(1, 9))
-        w_draw = _draw_contraction(rng, d)
-        t_draw = _draw_contraction(rng, d)
-        count = int(rng.integers(1, 3))
-        gens = tuple((rng.standard_normal(d) + 1j * rng.standard_normal(d))
-                     * float(rng.uniform(0.1, 2.0)) for _ in range(count))
-        draws.append((w_draw, t_draw, gens))
-    ops = _scale_draws([x for w_draw, t_draw, _ in draws
-                            for x in (w_draw, t_draw)])
-    return [CertificateInputs(operator=t_op, horizon=4 * len(t_op),
-                              subspace_basis=np.eye(len(t_op), dtype=complex),
-                              generators=gens, second_operator=w_op)
-            for w_op, t_op, (_, _, gens) in zip(ops[::2], ops[1::2], draws)]
+def _scaled_stack(d: int, draws: list) -> _Stack:
+    b = len(draws)
+    psi = np.zeros((b, d), dtype=complex)
+    psi[:, 0] = _column(draws, 0)
+    return _Stack(t=np.repeat(nilpotent_shift(d)[None], b, axis=0), horizon=d,
+                  phi=_first_units(b, d), psi=psi,
+                  weights=tuple(WeightSpec.geometric(r) for _, r in draws))
 
 
-def _sample_two_operator(rngs, nearby: bool) -> list[CertificateInputs]:
+def _draw_multi(rng) -> tuple:
+    d = int(rng.integers(1, 9))
+    w_draw = _draw_contraction(rng, d)
+    t_draw = _draw_contraction(rng, d)
+    count = int(rng.integers(1, 3))
+    gens = [(rng.standard_normal((2, d)), float(rng.uniform(0.1, 2.0)))
+            for _ in range(count)]
+    return (d, count), w_draw, t_draw, gens
+
+
+def _multi_stack(key: tuple, draws: list) -> _Stack:
+    d, count = key
+    gens = [g for *_, gens in draws for g in gens]
+    gens = (_complex(gens, 0) * _column(gens, 1)[:, None]).reshape(
+        len(draws), count, d)
+    return _Stack(t=_contractions_of([x[1] for x in draws]), horizon=4 * d,
+                  basis=_unit_columns(len(draws), d), gens=gens,
+                  w=_contractions_of([x[0] for x in draws]))
+
+
+def _draw_two_operator(rng) -> tuple:
+    d = int(rng.integers(1, 9))
+    t_draw = _draw_contraction(rng, d)
+    w_draw = _draw_contraction(rng, d)
+    return (d, t_draw, w_draw, rng.standard_normal((2, d)),
+            float(rng.uniform(0.2, 2.0)))
+
+
+def _two_operator_stack(d: int, draws: list, nearby: bool) -> _Stack:
     """Two random contractions; ``nearby`` draws W within 0.01 of T."""
-    draws = []
-    for rng in rngs:
-        d = int(rng.integers(1, 9))
-        t_draw = _draw_contraction(rng, d)
-        w_draw = _draw_contraction(rng, d)
-        phi = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) \
-            * float(rng.uniform(0.2, 2.0))
-        draws.append((t_draw, w_draw, phi))
-    ops = _scale_draws([x for t_draw, w_draw, _ in draws
-                            for x in (t_draw, w_draw)])
-    t_ops, w_ops = ops[::2], ops[1::2]
+    t = _contractions_of([x[0] for x in draws])
+    w = _contractions_of([x[1] for x in draws])
     if nearby:
-        w_ops = [t_op + 0.01 * c for t_op, c in zip(t_ops, w_ops)]
-        w_ops = [w_op / (n + 0.05) if n >= 1.0 else w_op
-                 for w_op, n in zip(w_ops, _matrix_norms(w_ops))]
-    return [CertificateInputs(operator=t_op, horizon=4 * len(t_op),
-                              subspace_basis=np.eye(len(t_op), dtype=complex),
-                              phi=phi, second_operator=w_op)
-            for t_op, w_op, (_, _, phi) in zip(t_ops, w_ops, draws)]
+        w = t + 0.01 * w
+        norms = _operator_norms(w)
+        big = norms >= 1.0
+        w[big] = w[big] / (norms[big] + 0.05)[:, None, None]
+    phi = _complex(draws, 2) * _column(draws, 3)[:, None]
+    return _Stack(t=t, horizon=4 * d, basis=_unit_columns(len(draws), d),
+                  phi=phi, w=w)
 
 
 def _riesz_concludes(cert: Certificate, doubled) -> bool:
@@ -699,13 +791,15 @@ def _stable_under_doubling(cert: Certificate, doubled) -> bool:
     return a_now > 0 and abs(a_dbl - a_now) <= 0.10 * a_now
 
 
-def _two_operator(nearby: bool) -> CertificateKind:
-    """Both two-operator checks report both certificates of an instance."""
+def _two_operator(name: str, nearby: bool) -> CertificateKind:
+    """Both two-operator checks report both certificates of an instance;
+    the search of each evaluates its own."""
     return CertificateKind(
         _params("horizon", "operator", "phi", "subspace_coords",
                 "second_operator", required=["second_operator"]),
-        partial(_sample_two_operator, nearby=nearby),
-        _two_operator_kernel,
+        partial(_draw_groups, _draw_two_operator,
+                partial(_two_operator_stack, nearby=nearby)),
+        partial(_two_operator_kernel, names=(name,)),
         lambda inp, psi, horizon: two_operator_certificates(
             inp.contraction, inp.second_contraction, inp.phi, horizon),
         lambda cert, doubled: cert.conclusion_check.a_opt > 0)
@@ -713,18 +807,25 @@ def _two_operator(nearby: bool) -> CertificateKind:
 
 CERTIFICATES = {
     "riesz_orbit_perturbation": CertificateKind(
-        _params(*_ORBIT_PARAMS), _sample_block, _riesz_kernel,
+        _params(*_ORBIT_PARAMS),
+        partial(_draw_groups, partial(_draw_block, weighted=False),
+                _block_stack),
+        _riesz_kernel,
         lambda inp, psi, horizon: (riesz_perturbation_certificate(
             inp.contraction, inp.phi, psi, horizon),),
         _riesz_concludes),
     "weighted_frame_perturbation": CertificateKind(
         _params(*_ORBIT_PARAMS, "weights"),
-        partial(_sample_block, weighted=True), _weighted_kernel,
+        partial(_draw_groups, partial(_draw_block, weighted=True),
+                _block_stack),
+        _weighted_kernel,
         lambda inp, psi, horizon: (weighted_frame_perturbation_certificate(
             inp.contraction, inp.phi, psi, inp.weights, horizon),),
         _stable_under_doubling),
     "scaled_generator_perturbation": CertificateKind(
-        _params(*_ORBIT_PARAMS, "weights"), _sample_scaled, _scaled_kernel,
+        _params(*_ORBIT_PARAMS, "weights"),
+        partial(_draw_groups, _draw_scaled, _scaled_stack),
+        _scaled_kernel,
         lambda inp, psi, horizon: (scaled_generator_perturbation_certificate(
             inp.operator, inp.phi, psi, inp.weights, horizon),),
         lambda cert, doubled: cert.conclusion_check.classification
@@ -732,12 +833,14 @@ CERTIFICATES = {
     "multi_generator_riesz": CertificateKind(
         _params("horizon", "operator", "subspace_coords", "w_operator",
                 required=["w_operator"]),
-        _sample_multi, _multi_kernel,
+        partial(_draw_groups, _draw_multi, _multi_stack),
+        _multi_kernel,
         lambda inp, psi, horizon: (multi_generator_riesz_certificate(
             inp.second_contraction, inp.contraction, inp.generators, horizon),),
         lambda cert, doubled: cert.conclusion_check.classification in _RIESZ),
-    "two_operator_frame": _two_operator(nearby=False),
-    "two_operator_riesz_sum": _two_operator(nearby=True),
+    "two_operator_frame": _two_operator("two_operator_frame", nearby=False),
+    "two_operator_riesz_sum": _two_operator("two_operator_riesz_sum",
+                                            nearby=True),
 }
 
 CERTIFICATE_NAMES = tuple(CERTIFICATES)
@@ -760,32 +863,28 @@ class SearchReport:
 
 
 class Trial(NamedTuple):
-    """One search trial: the certificates its instance gets, none when the
-    instance violates a hard hypothesis."""
+    """One search trial: the searched certificate of its instance, none
+    when the instance violates a hard hypothesis."""
 
     index: int
     dimension: int
     certificates: tuple[Certificate, ...]
 
 
-def _stack(insts: list[CertificateInputs], fails: list) -> _Stack:
-    """Instances of one shape, stacked, with the contraction factors of T
-    (and W) on the subspace where one is given."""
-    def stacked(get):
-        values = [get(x) for x in insts]
-        return None if values[0] is None else np.array(values)
+def _contracted(st: _Stack, fails: list) -> _Stack:
+    """The stack with the contraction factors of T (and W) on its subspace
+    where one is given, flagging what :func:`contraction_data` refuses."""
+    if st.basis is None:
+        return st
+    mu = _contractions(st.t, st.basis, fails)[0]
+    w_mu = None if st.w is None else _contractions(st.w, st.basis, fails)[0]
+    return st._replace(mu=mu, w_mu=w_mu, w_basis=st.basis)
 
-    t = stacked(lambda x: x.operator)
-    w = stacked(lambda x: x.second_operator)
-    basis = stacked(lambda x: x.subspace_basis)
-    mu = None if basis is None else _contractions(t, basis, fails)[0]
-    w_mu = None if w is None else _contractions(w, basis, fails)[0]
-    return _Stack(
-        t=t, horizon=insts[0].horizon, mu=mu, basis=basis,
-        phi=stacked(lambda x: x.phi), psi=stacked(lambda x: x.psis[0]),
-        weights=tuple(x.weights for x in insts),
-        gens=stacked(lambda x: x.generators or None),
-        w=w, w_mu=w_mu, w_basis=basis)
+
+def _recorded(margin) -> bool:
+    """Whether a search records a trial of this margin (or exception)."""
+    return not isinstance(margin, Exception) and margin > 0 \
+        and math.isfinite(margin)
 
 
 def search_trials(certificate_name: str, trials: int,
@@ -793,9 +892,13 @@ def search_trials(certificate_name: str, trials: int,
     """The trials of :func:`satisfiability_search`, in order.
 
     Trial n draws its instance from ``default_rng([seed, n])``.  Each
-    chunk of trials is drawn first, then evaluated one shape group
-    (dimension, horizon, generator count) at a time by the certificate's
-    stacked kernel.
+    chunk of trials is drawn first, each shape group (dimension, horizon,
+    generator count) as one stack, then evaluated a group at a time by
+    the searched certificate's stacked kernel.  A trial carries that one
+    certificate with its margin and verdict; only a recorded trial (a
+    positive, finite margin) carries its hypothesis values, and no trial
+    a conclusion check.  The public certificate functions verify
+    conclusions.
     """
     kind = CERTIFICATES.get(certificate_name)
     if kind is None:
@@ -808,21 +911,26 @@ def search_trials(certificate_name: str, trials: int,
 def _trials(kind: CertificateKind, trials: int, seed: int) -> Iterator[Trial]:
     for start in range(0, trials, SEARCH_CHUNK):
         numbers = range(start, min(trials, start + SEARCH_CHUNK))
-        insts = kind.sample(np.random.default_rng([seed, n]) for n in numbers)
-        outcomes = [None] * len(insts)
-        for idx in _groups([(x.horizon, x.operator.shape,
-                             np.shape(x.subspace_basis), len(x.generators))
-                            for x in insts]):
+        outcomes = [None] * len(numbers)
+        for idx, st in kind.draw(np.random.default_rng([seed, n])
+                                 for n in numbers):
             fails = [None] * len(idx)
-            group = kind.kernel(_stack([insts[i] for i in idx], fails), fails)
-            for i, out in zip(idx, group):
-                outcomes[i] = out
-        for n, inst, out in zip(numbers, insts, outcomes):
+            (staged,) = kind.kernel(_contracted(st, fails), fails)
+            recorded = [j for j, m in enumerate(staged.margins) if _recorded(m)]
+            values = dict(zip(recorded, staged.values(recorded))) \
+                if recorded else {}
+            for j, (i, m) in enumerate(zip(idx, staged.margins)):
+                if not isinstance(m, Exception):
+                    m = Certificate(staged.name, values.get(j, {}), m, m > 0)
+                outcomes[i] = (st.t.shape[1], m)
+        for n, (dimension, out) in zip(numbers, outcomes):
             if isinstance(out, HypothesisViolated):
                 out = ()
             elif isinstance(out, Exception):
                 raise out
-            yield Trial(n, inst.operator.shape[0], out)
+            else:
+                out = (out,)
+            yield Trial(n, dimension, out)
 
 
 def satisfiability_search(certificate_name: str, trials: int,
@@ -830,15 +938,15 @@ def satisfiability_search(certificate_name: str, trials: int,
     """Randomized probe of a certificate's hypothesis set.
 
     Each trial draws an instance (dimension <= 8) from a seed-derived
-    substream, evaluates the certificate, and records it when the margin
-    is positive.  Instances violating a hard hypothesis count as tried
-    and unsatisfying.  Deterministic for a fixed seed.
+    substream, evaluates the certificate's margin, and records the
+    instance with its hypothesis values when the margin is positive and
+    finite.  Instances violating a hard hypothesis count as tried and
+    unsatisfying.  Deterministic for a fixed seed.
     """
     report = SearchReport(certificate=certificate_name, tried=trials)
     for trial in search_trials(certificate_name, trials, seed):
         for cert in trial.certificates:
-            if (cert.name == certificate_name and cert.verdict
-                    and math.isfinite(cert.margin)):
+            if _recorded(cert.margin):
                 report.satisfying.append({
                     "margin": cert.margin,
                     "dimension": trial.dimension,

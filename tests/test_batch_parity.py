@@ -5,9 +5,10 @@ The five certificate functions, ``contraction_data`` and the search
 samplers below are kept literally from the per-trial implementation, as
 an oracle; they call the library's ``orbit`` and ``frame_bounds``.  The
 search draws each trial from the same ``default_rng([seed, trial])``
-stream, so every certificate it evaluates, vacuous ones included, must
-match the oracle bit for bit, and so must each public certificate
-function, now a stack of one.
+stream, so the margin and verdict of every certificate it evaluates,
+vacuous ones included, and the hypothesis values of every trial it
+records must match the oracle bit for bit, and so must each public
+certificate function, now a stack of one, with its conclusion.
 """
 
 import math
@@ -467,6 +468,15 @@ def _record(cert: Certificate) -> str:
                  cert.conclusion_check))
 
 
+def _searched(cert: Certificate) -> str:
+    """What a search trial carries of every certificate it evaluates."""
+    return repr((cert.name, cert.margin, cert.verdict))
+
+
+def _recorded(cert: Certificate) -> bool:
+    return cert.verdict and math.isfinite(cert.margin)
+
+
 def _outcome(call) -> list[str] | tuple[type, str]:
     try:
         return [_record(c) for c in call()]
@@ -479,13 +489,23 @@ def _outcome(call) -> list[str] | tuple[type, str]:
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", perturb.CERTIFICATE_NAMES)
 def test_search_matches_the_scalar_oracle(name, seed):
+    """Each trial carries the searched certificate alone, with the oracle's
+    margin and verdict; a recorded trial also carries its hypothesis
+    values (in the oracle's order), any other none, and no trial a
+    conclusion."""
     oracle = _oracle_trials(name, TRIALS, seed)
     trials = list(perturb.search_trials(name, TRIALS, seed))
     assert [t.index for t in trials] == list(range(TRIALS))
     assert [t.dimension for t in trials] == [inp.operator.shape[0]
                                              for inp, _ in oracle]
-    assert [[_record(c) for c in t.certificates] for t in trials] \
-        == [[_record(c) for c in certs] for _, certs in oracle]
+    searched = [[c for c in certs if c.name == name] for _, certs in oracle]
+    assert [[_searched(c) for c in t.certificates] for t in trials] \
+        == [[_searched(c) for c in certs] for certs in searched]
+    for t, certs in zip(trials, searched):
+        for got, want in zip(t.certificates, certs):
+            assert got.conclusion_check is None
+            assert repr(list(got.hypothesis_values.items())) == repr(
+                list(want.hypothesis_values.items()) if _recorded(want) else [])
 
     expected = [
         {"margin": c.margin, "dimension": inp.operator.shape[0],
@@ -606,6 +626,32 @@ def test_svd_calls_are_per_shape_group_not_per_trial(name, monkeypatch):
     # spectra; per dimension: the sampler's operator norms
     assert len(shapes) <= 7 * groups + 2 * dims
     assert all(len(shape) == 3 for shape in shapes)
+
+
+# Matrices per trial that a search may factorise: the sampler's norms of its
+# random operators, two contraction norms per operator and the spectra that
+# the margin reads.  Conclusions, the sibling two-operator certificate and
+# the values of unrecorded trials add none.
+MOST_MATRICES_PER_TRIAL = {
+    "riesz_orbit_perturbation": 3,
+    "scaled_generator_perturbation": 2,
+    "multi_generator_riesz": 7,
+    "two_operator_frame": 7,
+}
+
+
+@pytest.mark.parametrize("name", MOST_MATRICES_PER_TRIAL)
+def test_search_factorises_only_what_its_records_read(name, monkeypatch):
+    matrices = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        matrices.append(len(a))  # a stack (see the test above)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    perturb.satisfiability_search(name, TRIALS, 7)
+    assert sum(matrices) <= MOST_MATRICES_PER_TRIAL[name] * TRIALS
 
 
 @pytest.mark.parametrize("name", ["riesz_orbit_perturbation",
