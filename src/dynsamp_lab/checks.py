@@ -1,18 +1,17 @@
 """Named experiment checks executed by the CLI runner.
 
-Every check receives a materialized context (operator, generators,
-weights, horizon, tolerances, seed, the run's orbit system) and returns
-an input echo, numeric outputs, margins, and a pass flag.  Mathematical
-hypothesis violations surface as failed check records, not crashes.
+``run_experiment`` builds one :class:`Run`, which computes each quantity
+several checks read once, on first use; every check is called with the
+run, its parsed params and its seed, and returns numeric outputs, margins
+and a pass flag.  Hypothesis violations are failed records, not crashes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from functools import cache, partial
+from dataclasses import asdict
+from functools import cached_property, partial
 from time import perf_counter
-from typing import Callable
 
 import numpy as np
 
@@ -48,19 +47,38 @@ TRANSFORMED_PAD = 1e-8
 BOUNDS_ORDER_SLACK = 1e-12
 
 
-@dataclass
-class CheckContext:
-    config: ExperimentConfig
-    operator: np.ndarray
-    generators: tuple[np.ndarray, ...]
-    seed: int
-    params: dict | perturb.CertificateInputs  # validated and parsed at load
-    orbit: Callable[[], VectorSystem]  # built once, shared by orbit checks
-    # the operator's one factorisation: every ||T||_2, rank T and T^+
-    spectrum: Callable[[], numkit.Spectrum]
-    # stein(tol): the orbit frame operator of the generators and its
-    # eigenvalues, solved once per tolerance, shared by Stein checks
-    stein: Callable[[float], numkit.SteinSolution]
+class Run:
+    """One ``run_experiment``: the config, T and the generators, and the
+    orbit, the spectrum of T, C and S_inf, each computed on first use.  One
+    that raises is not cached, so each check that reads it records it."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.operator = config.operator
+        self.generators = config.generators
+        self._stein: dict[float, numkit.SteinSolution] = {}
+
+    @cached_property
+    def orbit(self) -> VectorSystem:
+        return dynsamp.orbit(self.operator, self.generators,
+                             int(self.config.horizon),
+                             self.config.weights or WeightSpec.constant(1.0))
+
+    @cached_property
+    def spectrum(self) -> numkit.Spectrum:
+        """The operator's one factorisation: every ||T||_2, rank T and T^+."""
+        return numkit.spectrum(self.operator)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return dynsamp.generator_frame_operator(self.operator, self.generators)
+
+    def stein(self, tol: float) -> numkit.SteinSolution:
+        """S_inf - T S_inf T* = C and its eigenvalues, once per tolerance."""
+        if tol not in self._stein:
+            self._stein[tol] = numkit.stein_doubling(
+                self.operator, self.c, self.spectrum, tol)
+        return self._stein[tol]
 
     def tol(self, key: str) -> float:
         """The config's tolerance ``key``, else its "default", else the
@@ -74,22 +92,13 @@ class CheckContext:
             raise InvalidInput(f"{name} check needs a single generator")
         return self.generators[0]
 
-    def base_inputs(self, name: str) -> dict:
-        return {
-            "dimension": self.config.dimension,
-            "horizon": self.config.horizon,
-            "operator_kind": self.config.operator_echo["kind"],
-            "generators": len(self.generators),
-            "params": dict(self.config.params.get(name, {})),
-        }
-
 
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
-def _check_orbit_bounds(ctx: CheckContext, name: str):
-    rep = frames.frame_bounds(ctx.orbit(), ambient=True)
+def _check_orbit_bounds(run: Run, name: str, p, seed: int):
+    rep = frames.frame_bounds(run.orbit, ambient=True)
     outputs = {
         "a_opt": rep.a_opt,
         "b_opt": rep.b_opt,
@@ -99,17 +108,17 @@ def _check_orbit_bounds(ctx: CheckContext, name: str):
     }
     margins = {}
     passed = rep.a_opt <= rep.b_opt + BOUNDS_ORDER_SLACK
-    if ctx.config.weights is None:
+    if run.config.weights is None:
         try:
-            bound = dynsamp.bessel_bound_contractive(ctx.spectrum(),
-                                                     *ctx.generators)
+            bound = dynsamp.bessel_bound_contractive(run.spectrum,
+                                                     *run.generators)
         except HypothesisViolated:
             pass  # ||T|| >= 1: no contractive bound
         else:
             outputs["contractive_bessel_bound"] = bound
             margins["bessel_slack"] = bound - rep.b_opt
             passed = passed \
-                and margins["bessel_slack"] >= -ctx.tol("bessel")
+                and margins["bessel_slack"] >= -run.tol("bessel")
     return outputs, margins, passed
 
 
@@ -135,8 +144,8 @@ def _stein_series(t: np.ndarray, generators, depth: int) -> np.ndarray:
     return brute
 
 
-def _check_stein(ctx: CheckContext, name: str):
-    sol = ctx.stein(ctx.tol("stein"))
+def _check_stein(run: Run, name: str, p, seed: int):
+    sol = run.stein(run.tol("stein"))
     w = sol.eigenvalues
     outputs = {
         "residual": sol.residual,
@@ -148,10 +157,7 @@ def _check_stein(ctx: CheckContext, name: str):
     margins = {}
     passed = True
     opnorm = sol.operator_norm
-    c = np.zeros(ctx.operator.shape, dtype=complex)
-    for g in ctx.generators:
-        c += np.outer(g, g.conj())
-    c_norm = numkit.frobenius(c)
+    c_norm = numkit.frobenius(run.c)
     if opnorm < 1.0 and c_norm > 0:
         # truncation depth from the geometric tail bound; at q = 0 (also
         # where ||T||^2 underflows) every term past n = 0 is 0 in float64
@@ -159,11 +165,11 @@ def _check_stein(ctx: CheckContext, name: str):
         depth = 1 if q == 0 else max(1, math.ceil(
             math.log(1e-12 * (1.0 - q) / c_norm) / math.log(q)))
         if depth <= 5000:
-            brute = _stein_series(ctx.operator, ctx.generators, depth)
+            brute = _stein_series(run.operator, run.generators, depth)
             err = numkit.frobenius(sol.s - brute)
             outputs["truncation_depth"] = depth
             margins["brute_force_error"] = err
-            passed = err <= ctx.tol("stein_brute")
+            passed = err <= run.tol("stein_brute")
         else:
             # operator norm too close to 1 for a practical series oracle
             outputs["truncation_depth"] = None
@@ -171,15 +177,15 @@ def _check_stein(ctx: CheckContext, name: str):
     return outputs, margins, passed
 
 
-def _check_surjectivity(ctx: CheckContext, name: str):
-    phi = ctx.generator(name)
+def _check_surjectivity(run: Run, name: str, p, seed: int):
+    phi = run.generator(name)
     # an integral float is an integer to the schema
-    witness = ctx.params.get("witness_horizon")
+    witness = p.get("witness_horizon")
     # S_inf at the table's Stein tolerance: no override moves it
     rep = dynsamp.surjectivity_report(
-        ctx.operator, phi, ctx.stein(TOLERANCES["stein"]), ctx.spectrum(),
+        run.operator, phi, run.stein(TOLERANCES["stein"]), run.spectrum,
         horizon=None if witness is None else int(witness),
-        tol=ctx.tol("surjectivity"),
+        tol=run.tol("surjectivity"),
     )
     outputs = {
         "criterion_i": rep.criterion_i,
@@ -197,10 +203,10 @@ def _check_surjectivity(ctx: CheckContext, name: str):
     return outputs, {}, rep.consistent
 
 
-def _check_periodic(ctx: CheckContext, name: str):
+def _check_periodic(run: Run, name: str, p, seed: int):
     model = dynsamp.periodic_orbit_model(
-        ctx.operator, ctx.generator(name), period=ctx.params.get("period"))
-    tolr = ctx.tol("periodic")
+        run.operator, run.generator(name), period=p.get("period"))
+    tolr = run.tol("periodic")
     s_scale = max(1.0, numkit.frobenius(model.s))
     outputs = {
         "period": model.period,
@@ -233,38 +239,37 @@ def _check_periodic(ctx: CheckContext, name: str):
     return outputs, margins, passed
 
 
-def _check_ratio_bound(ctx: CheckContext, name: str):
-    res = dynsamp.ratio_bound_check(ctx.orbit(), ctx.spectrum())
+def _check_ratio_bound(run: Run, name: str, p, seed: int):
+    res = dynsamp.ratio_bound_check(run.orbit, run.spectrum)
     outputs = {"sup_ratio": res.sup_ratio, "bound": res.bound}
     margins = {"margin": res.margin}
     return outputs, margins, res.margin >= MARGIN_FLOOR
 
 
-def _check_kernel_invariance(ctx: CheckContext, name: str):
-    res = dynsamp.kernel_invariance_check(ctx.orbit(),
-                                          tol=ctx.tol("kernel"))
+def _check_kernel_invariance(run: Run, name: str, p, seed: int):
+    res = dynsamp.kernel_invariance_check(run.orbit, tol=run.tol("kernel"))
     return asdict(res), {}, True  # measurement check
 
 
-def _check_representation(ctx: CheckContext, name: str):
-    residual = dynsamp.representation_residual(ctx.orbit())
-    tol = ctx.tol("representation")
+def _check_representation(run: Run, name: str, p, seed: int):
+    residual = dynsamp.representation_residual(run.orbit)
+    tol = run.tol("representation")
     return {"residual": residual}, {"slack": tol - residual}, residual <= tol
 
 
-def _check_nogo_proxy(ctx: CheckContext, name: str):
-    d = ctx.config.dimension
-    horizons = [int(n) for n in ctx.params.get("horizons", [d, 4 * d, 16 * d])]
-    phi = ctx.generator(name)
-    b_opts = dynsamp.unitary_nogo_proxy(ctx.operator, phi, horizons)
+def _check_nogo_proxy(run: Run, name: str, p, seed: int):
+    d = run.config.dimension
+    horizons = [int(n) for n in p.get("horizons", [d, 4 * d, 16 * d])]
+    phi = run.generator(name)
+    b_opts = dynsamp.unitary_nogo_proxy(run.operator, phi, horizons)
     floor = [n * float(np.linalg.norm(phi)) ** 2 / d for n in horizons]
     slack = min(b - f for b, f in zip(b_opts, floor))
     outputs = {"horizons": horizons, "b_opts": b_opts, "floors": floor}
     return outputs, {"pigeonhole_slack": slack}, slack >= MARGIN_FLOOR
 
 
-def _check_riesz_profile(ctx: CheckContext, name: str):
-    profile = frames.lower_riesz_profile(ctx.orbit())
+def _check_riesz_profile(run: Run, name: str, p, seed: int):
+    profile = frames.lower_riesz_profile(run.orbit)
     jitter = 1e-12 * max(1.0, float(profile[0]))
     monotone = bool(np.all(np.diff(profile) <= jitter))
     final_ratio = float(profile[-1] / profile[0]) if profile[0] > 0 else 0.0
@@ -272,22 +277,21 @@ def _check_riesz_profile(ctx: CheckContext, name: str):
     return outputs, {}, monotone
 
 
-def _check_iterated(ctx: CheckContext, name: str):
+def _check_iterated(run: Run, name: str, p, seed: int):
     res = dynsamp.iterated_frame_operator_check(
-        ctx.orbit(), ctx.generators,
-        horizon=int(ctx.params.get("horizon", ctx.config.horizon))
+        run.orbit, run.generators,
+        horizon=int(p.get("horizon", run.config.horizon))
     )
     return asdict(res), {}, True  # measurement check
 
 
-def _check_perturbation(ctx: CheckContext, name: str):
+def _check_perturbation(run: Run, name: str, p, seed: int):
     kind = perturb.CERTIFICATES[name.split(":", 1)[1]]
-    inp = ctx.params
     instances = []
     all_pass = True
-    for psi in inp.psis:
-        doubled = partial(kind.evaluate, inp, psi, 2 * inp.horizon)
-        for cert in kind.evaluate(inp, psi, inp.horizon):
+    for psi in p.psis:
+        doubled = partial(kind.evaluate, p, psi, 2 * p.horizon)
+        for cert in kind.evaluate(p, psi, p.horizon):
             ok = not cert.verdict or kind.concludes(cert, doubled)
             instances.append(_cert_summary(cert))
             all_pass = all_pass and ok
@@ -313,11 +317,10 @@ def _cert_summary(cert: perturb.Certificate) -> dict:
     return out
 
 
-def _check_satisfiability(ctx: CheckContext, name: str):
+def _check_satisfiability(run: Run, name: str, p, seed: int):
     cert_name = name.split(":", 1)[1]
-    p = ctx.params
     trials = int(p.get("trials", 1000))
-    rep = perturb.satisfiability_search(cert_name, trials, seed=ctx.seed)
+    rep = perturb.satisfiability_search(cert_name, trials, seed=seed)
     count = len(rep.satisfying)
     outputs = {
         "tried": rep.tried,
@@ -332,20 +335,20 @@ def _check_satisfiability(ctx: CheckContext, name: str):
     return outputs, {}, passed
 
 
-def _check_repro_aldroubi(ctx: CheckContext, name: str):
-    diag = np.diag(ctx.operator)
-    if numkit.frobenius(ctx.operator - np.diag(diag)) > 1e-12:
+def _check_repro_aldroubi(run: Run, name: str, p, seed: int):
+    diag = np.diag(run.operator)
+    if numkit.frobenius(run.operator - np.diag(diag)) > 1e-12:
         raise InvalidInput("repro-aldroubi needs a diagonal operator")
     lam = np.real(diag)
     sys = dynsamp.frame_from_positive_operator(
         np.diag(lam.astype(complex)), frames.standard_basis(lam.size))
     s = frames.frame_operator(sys)
     err = float(np.max(np.abs(s - np.diag(lam.astype(complex)))))
-    tol = ctx.tol("repro")
+    tol = run.tol("repro")
     outputs = {"entrywise_error": err}
     passed = err <= tol
 
-    sweep = [int(d) for d in ctx.params.get("sweep_dims", [])]
+    sweep = [int(d) for d in p.get("sweep_dims", [])]
     if sweep:
         rows = []
         prev_min = math.inf
@@ -386,14 +389,14 @@ def _params_vector(p: dict, key: str, dim: int) -> np.ndarray:
     return parse_scalars(p[key])
 
 
-def _certificate_inputs(cfg: ExperimentConfig, operator, generators,
+def _certificate_inputs(cfg: ExperimentConfig,
                         p: dict) -> perturb.CertificateInputs:
     """A schema-valid ``params["perturbation:<name>"]``, parsed; the
     default operator, phi, weights and horizon are the config's."""
-    if "operator" in p:
-        operator = _params_operator(p, "operator")
+    operator = _params_operator(p, "operator") if "operator" in p \
+        else cfg.operator
     dim = operator.shape[0]
-    phi = _params_vector(p, "phi", dim) if "phi" in p else generators[0]
+    phi = _params_vector(p, "phi", dim) if "phi" in p else cfg.generators[0]
     if len(phi) != dim:
         raise ConfigError(f"operator dimension {dim} != config dimension "
                           f"{cfg.dimension}, so the generators do not fit")
@@ -410,7 +413,7 @@ def _certificate_inputs(cfg: ExperimentConfig, operator, generators,
     return perturb.CertificateInputs(
         operator=operator,
         phi=phi,
-        generators=generators,
+        generators=cfg.generators,
         subspace_basis=basis,
         psis=tuple(parse_complex(s).real * direction
                    for s in p.get("psi_scales", [1.0])),
@@ -451,7 +454,7 @@ for _cert, _kind in perturb.CERTIFICATES.items():
                                            _SEARCH_PARAMS)
 
 
-def _parse_params(cfg: ExperimentConfig, operator, generators) -> dict:
+def _parse_params(cfg: ExperimentConfig) -> dict:
     """Every check name and ``params`` block validated, and parsed, before
     any check runs; ``ConfigError`` (one line) on the first bad one."""
     for name in cfg.params:
@@ -468,19 +471,22 @@ def _parse_params(cfg: ExperimentConfig, operator, generators) -> dict:
                 f"params[{name!r}]{err.json_path[1:]}: {err.message}")
         if name.startswith("perturbation:"):
             try:
-                p = _certificate_inputs(cfg, operator, generators, p)
+                p = _certificate_inputs(cfg, p)
             except ConfigError as exc:
                 raise ConfigError(f"params[{name!r}]: {exc}") from None
         parsed[name] = p
     return parsed
 
 
-def run_single(ctx: CheckContext, name: str) -> CheckRecord:
+def run_single(run: Run, name: str, p, seed: int) -> CheckRecord:
     check, _ = REGISTRY[name]
     start = perf_counter()
-    inputs = ctx.base_inputs(name)
+    inputs = {"dimension": run.config.dimension, "horizon": run.config.horizon,
+              "operator_kind": run.config.operator_echo["kind"],
+              "generators": len(run.generators),
+              "params": dict(run.config.params.get(name, {}))}
     try:
-        outputs, margins, passed = check(ctx, name)
+        outputs, margins, passed = check(run, name, p, seed)
         error = None
     except (DynsampLabError, np.linalg.LinAlgError) as exc:
         outputs, margins, passed = {}, {}, False
@@ -497,29 +503,11 @@ def run_single(ctx: CheckContext, name: str) -> CheckRecord:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Validate every check and its params, then run them in declared order."""
-    operator, generators = cfg.operator, cfg.generators
-    params = _parse_params(cfg, operator, generators)
-    # an orbit that raises is not cached: each orbit check records the error
-    orbit = cache(partial(dynsamp.orbit, operator, generators,
-                          int(cfg.horizon),
-                          cfg.weights or WeightSpec.constant(1.0)))
-    spectrum = cache(partial(numkit.spectrum, operator))
-    stein = cache(lambda tol: dynsamp.orbit_frame_operator_exact(
-        operator, generators, spectrum(), tol=tol))
-    records = [
-        run_single(CheckContext(
-            config=cfg,
-            operator=operator,
-            generators=generators,
-            seed=cfg.seed + 1000003 * index,
-            params=params[name],
-            orbit=orbit,
-            spectrum=spectrum,
-            stein=stein,
-        ), name)
-        for index, name in enumerate(cfg.checks)
-    ]
+    """Validate every check and its params, then run them on one Run."""
+    params = _parse_params(cfg)
+    run = Run(cfg)
+    records = [run_single(run, name, params[name], cfg.seed + 1000003 * index)
+               for index, name in enumerate(cfg.checks)]
     echo = config_to_dict(cfg)
     echo_json = canonical_json(echo)
     return ExperimentReport(

@@ -175,11 +175,20 @@ def bessel_bound_contractive(spectrum: numkit.Spectrum, *generators) -> float:
     with np.errstate(over="ignore"):
         bound = sum(float(np.linalg.norm(phi) ** 2 / (1.0 - norm_t**2))
                     for phi in gens)
-    if not math.isfinite(bound):
-        raise np.linalg.LinAlgError(
-            "contractive Bessel bound sum ||phi||^2 / (1 - ||T||^2) is not "
-            "finite in float64")
-    return bound
+    return numkit.finite(
+        bound, "contractive Bessel bound sum ||phi||^2 / (1 - ||T||^2)")
+
+
+def generator_frame_operator(t, generators) -> np.ndarray:
+    """C = sum_phi phi phi* over the ``generators`` of an orbit of the
+    operator ``t``: positive semidefinite by construction, so it is not
+    eigensolved.  A C that float64 cannot hold raises ``LinAlgError``."""
+    t = numkit.as_operator(t)
+    c = np.zeros_like(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi in orbit_generators(t, generators, horizon=1):
+            c += np.outer(phi, phi.conj())
+    return numkit.finite(c, "C = sum phi phi*")
 
 
 def orbit_frame_operator_exact(t, generators, spectrum: numkit.Spectrum,
@@ -187,22 +196,14 @@ def orbit_frame_operator_exact(t, generators, spectrum: numkit.Spectrum,
     """Frame operator of the full infinite orbit {T^n phi}, n >= 0, of the
     ``generators`` phi; ``spectrum`` is the :class:`numkit.Spectrum` of T.
 
-    Computed as the Stein solution of ``S - T S T* = C``, ``C = sum_phi
-    phi phi*``, to ``numkit.stein_doubling``'s relative residual ``tol``; C
-    is positive semidefinite by construction, so it is not eigensolved, and
-    a C that float64 cannot hold raises ``LinAlgError``.  For one
-    generator, S is positive definite exactly when the reachability matrix
-    ``[phi, T phi, ..., T^{d-1} phi]`` has full rank.
+    Computed as the Stein solution of ``S - T S T* = C``, with C the
+    :func:`generator_frame_operator`, to ``numkit.stein_doubling``'s
+    relative residual ``tol``.  For one generator, S is positive definite
+    exactly when the reachability matrix ``[phi, T phi, ..., T^{d-1} phi]``
+    has full rank.
     """
-    t = numkit.as_operator(t)
-    c = np.zeros_like(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for phi in orbit_generators(t, generators, horizon=1):
-            c += np.outer(phi, phi.conj())
-    if not np.isfinite(c).all():
-        raise np.linalg.LinAlgError(
-            "C = sum phi phi* is not finite in float64")
-    return numkit.stein_doubling(t, c, spectrum, tol=tol)
+    return numkit.stein_doubling(t, generator_frame_operator(t, generators),
+                                 spectrum, tol=tol)
 
 
 def reachability_rank(t, phi) -> int:
@@ -406,6 +407,7 @@ def iterated_frame_operator_check(sys: VectorSystem, generators,
     lower bound >= 1; "not-bessel" if G has an above-floor component on
     lambda > 1 + delta; "bessel" if its component on lambda >= 1 - delta is
     within the floor (and dropped from the bound); else "inconclusive".
+    ``LinAlgError`` if ``||G||_F^2`` or the bound overflows float64.
     """
     report = frames.frame_bounds(sys, ambient=True)
     if report.a_opt <= report.tol:
@@ -414,15 +416,21 @@ def iterated_frame_operator_check(sys: VectorSystem, generators,
     c = numkit.adjoint(sp.u) @ np.column_stack(  # {S^n g}: orbits under S
         orbit_generators(sp.u, generators, horizon))
     lam = sp.s**2
+    with np.errstate(over="ignore"):
+        c_norm = numkit.finite(numkit.frobenius(c), "||G||_F^2 of the generators")
     size = max(sys.dim, len(sys)) * np.finfo(float).eps
-    delta, floor = 2.0 * size * lam[0], size * numkit.frobenius(c)
+    delta, floor = 2.0 * size * lam[0], size * c_norm
     unbounded_norm = numkit.frobenius(c[lam >= 1.0 - delta])
     verdict = ("cannot-be-frame" if report.a_opt >= 1.0
                else "not-bessel" if numkit.frobenius(c[lam > 1.0 + delta]) > floor
                else "bessel" if unbounded_norm <= floor else "inconclusive")
     keep = lam < 1.0 - delta
-    upper_bound = math.exp(_log_prefix_bounds(sp.s[keep], c[keep], [math.inf])[0]) \
-        if verdict == "bessel" else math.inf
+    try:
+        upper_bound = math.exp(_log_prefix_bounds(sp.s[keep], c[keep], [math.inf])[0]) \
+            if verdict == "bessel" else math.inf
+    except OverflowError:
+        raise np.linalg.LinAlgError("upper bound of the Bessel family {S^n g} "
+                                    "is not finite in float64") from None
     horizons = tuple(1 << k for k in range(int(horizon).bit_length())
                      if 1 << k < horizon) + (horizon,)
     return IteratedFrameOperatorResult(
@@ -661,50 +669,6 @@ def shift_weighted(a, c) -> np.ndarray:
     return out
 
 
-def _shift(sys: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
-    """L's subdiagonal, L e_k = (a_k / a_{k+1}) e_{k+1} (a the weights),
-    and the mask of the k < N - 1 it shifts: L e_k = 0 at the end of each
-    generator's run of h = horizon columns (one run without provenance),
-    as f_{j+1,0} != T f_{j,h-1}.  A shifted ratio that is 0 or not finite
-    in float64 raises ``LinAlgError`` naming k, with no numpy warning."""
-    if sys.weights is None:
-        raise InvalidInput("system must carry weights")
-    a, n = sys.weights, len(sys)
-    h = n if sys.provenance is None else sys.provenance.horizon
-    shifted = np.arange(n - 1) % h != h - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.where(shifted, a[:-1] / a[1:], 0.0)
-    bad = shifted & ~(np.isfinite(ratio) & (ratio != 0))
-    if bad.any():
-        raise np.linalg.LinAlgError(
-            "weight ratio a_k / a_{k+1} is 0 or not finite in float64 at "
-            f"k = {np.argmax(bad)}")
-    return ratio, shifted
-
-
-def shift_defect(sys: VectorSystem, rows: int) -> np.ndarray:
-    """The first ``rows`` rows of D = V* L (I - P), rows x N.
-
-    V* holds the right singular vectors of the system's spectrum (all
-    min(d, N) of them), L is the weighted right shift of :func:`_shift`,
-    block-diagonal over the generators (one block for a single generator:
-    the shift of :func:`shift_weighted`), and P = V_r V_r* projects onto
-    the kept row space.  P is applied twice, which is enough to make the
-    rows orthogonal to V_r to working precision (Giraud, Langou & Rozloznik
-    2005, Comput. Math. Appl. 50).  No array larger than rows x N is
-    formed.
-    """
-    ratio, _ = _shift(sys)
-    sp = sys.spectrum
-    kept = sp.vh[:sp.rank]
-    kept_h = numkit.adjoint(kept)
-    out = np.zeros((rows, len(sys)), dtype=complex)
-    out[:, :-1] = sp.vh[:rows, 1:] * ratio
-    for _ in range(2):
-        out -= (out @ kept_h) @ kept
-    return out
-
-
 @dataclass(frozen=True)
 class KernelInvarianceResult:
     invariant: bool
@@ -718,10 +682,10 @@ class KernelInvarianceResult:
 def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvarianceResult:
     """Is the synthesis kernel invariant under the weighted right shift L?
 
-    L shifts within each generator's run (:func:`shift_defect`).  The
-    kernel is the range of I - P, so the part of its shifted image
-    that leaves the kernel is P L (I - P), whose norm is that of
-    D_r = V_r* L (I - P), the first r rows of :func:`shift_defect`.  The
+    L shifts within each generator's run.  The kernel is the range of
+    I - P, so the part of its shifted image that leaves the kernel is
+    P L (I - P), whose norm is that of D_r = V_r* L (I - P), the first r
+    rows of the system's :attr:`frames.VectorSystem.shift_defect`.  The
     defect is the basis-free ``||D_r||_2 = sqrt(lambda_max(D_r D_r*))``,
     the largest norm that a unit kernel vector's shifted image has off
     the kernel; no kernel basis is formed.  A kernel of dimension 0 or N
@@ -733,7 +697,7 @@ def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvar
     if r in (0, n):
         return KernelInvarianceResult(invariant=True, defect=0.0,
                                       kernel_dim=n - r)
-    d_r = shift_defect(sys, r)
+    d_r = sys.shift_defect[:r]
     lam = np.linalg.eigvalsh(d_r @ numkit.adjoint(d_r))[-1]
     defect = math.sqrt(max(float(lam), 0.0))
     return KernelInvarianceResult(invariant=defect <= tol, defect=defect,
@@ -785,17 +749,20 @@ def representation_residual(sys: VectorSystem) -> float:
         f_{j+1} = (a_j / a_{j-1}) * sum_k <f_j, g_k> (a_{k-1} / a_k) f_{k+1}
 
     over the j whose f_{j+1} is in f_j's generator run.  From the spectrum
-    F = U Sigma V*, with L the block weighted right shift of :func:`_shift`
+    F = U Sigma V*, with L the block shift of :func:`frames.shift_ratios`
     and P = V_r V_r* (so G* F = P), the deviation at j is F L (I - P) e_j
     / (a_j / a_{j+1}); U has orthonormal columns, so its norm is that of
-    Sigma D e_j, with D the min(d, N) x N :func:`shift_defect`.
+    Sigma D e_j, with D the :attr:`frames.VectorSystem.shift_defect`.
     """
-    ratio, shifted = _shift(sys)
+    ratio, shifted = frames.shift_ratios(sys)
     sp = sys.spectrum
     if sp.rank == 0:
         raise NotAFrame("system has no positive lower frame bound on its span")
-    # Sigma D on its first N - 1 columns, read where L shifts
-    defect = shift_defect(sys, sp.s.size)[:, :-1]
-    defect *= sp.s[:, None]
-    return float(np.max(np.linalg.norm(defect, axis=0)[shifted]
-                        / np.abs(ratio[shifted]), initial=0.0))
+    # ||Sigma D e_j||^2 on D's first N - 1 columns, read where L shifts:
+    # summed row by row, in np.linalg.norm's order, so no copy of D is formed
+    sq = np.zeros(len(sys) - 1)
+    for s_i, row in zip(sp.s, sys.shift_defect[:, :-1]):
+        y = row * s_i
+        sq += (y.conj() * y).real
+    return float(np.max(np.sqrt(sq)[shifted] / np.abs(ratio[shifted]),
+                        initial=0.0))

@@ -39,7 +39,7 @@ class OrbitProvenance:
 @dataclass(frozen=True, eq=False)
 class VectorSystem:
     """Ordered family of vectors in C^dim, stored as its read-only
-    synthesis matrix, and the spectrum of that matrix, computed once."""
+    synthesis matrix; its spectrum and shift-defect matrix, once each."""
 
     matrix: np.ndarray  # dim x N, complex, weights folded in
     weights: np.ndarray | None = None
@@ -58,6 +58,45 @@ class VectorSystem:
     @cached_property
     def spectrum(self) -> numkit.Spectrum:
         return numkit.spectrum(self.matrix)
+
+    @cached_property
+    def shift_defect(self) -> np.ndarray:
+        """D = V* L (I - P), min(d, N) x N and read-only: V* from the
+        spectrum, L the weighted right shift of :func:`shift_ratios` within
+        each generator's run, P = V_r V_r* the kept row space, applied twice
+        to make the rows orthogonal to V_r to working precision (Giraud,
+        Langou & Rozloznik 2005, Comput. Math. Appl. 50).  Kernel invariance
+        reads its first r rows, the representation residual all of them."""
+        ratio, _ = shift_ratios(self)
+        sp = self.spectrum
+        kept = sp.vh[:sp.rank]
+        out = np.zeros(sp.vh.shape, dtype=complex)
+        out[:, :-1] = sp.vh[:, 1:] * ratio
+        for _ in range(2):
+            out -= (out @ numkit.adjoint(kept)) @ kept
+        out.flags.writeable = False
+        return out
+
+
+def shift_ratios(sys: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
+    """L's subdiagonal, L e_k = (a_k / a_{k+1}) e_{k+1} (a the weights),
+    and the mask of the k < N - 1 it shifts: L e_k = 0 at the end of each
+    generator's run of h = horizon columns (one run without provenance),
+    as f_{j+1,0} != T f_{j,h-1}.  A shifted ratio that is 0 or not finite
+    in float64 raises ``LinAlgError`` naming k, with no numpy warning."""
+    if sys.weights is None:
+        raise InvalidInput("system must carry weights")
+    a, n = sys.weights, len(sys)
+    h = n if sys.provenance is None else sys.provenance.horizon
+    shifted = np.arange(n - 1) % h != h - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.where(shifted, a[:-1] / a[1:], 0.0)
+    bad = shifted & ~(np.isfinite(ratio) & (ratio != 0))
+    if bad.any():
+        raise np.linalg.LinAlgError(
+            "weight ratio a_k / a_{k+1} is 0 or not finite in float64 at "
+            f"k = {np.argmax(bad)}")
+    return ratio, shifted
 
 
 def vector_system(vectors, weights=None, provenance=None) -> VectorSystem:
@@ -208,8 +247,8 @@ def kernel_synthesis(sys: VectorSystem) -> np.ndarray:
     with orthonormal columns: the orthogonal complement of the spectrum's
     kept row space V_r, the last N - r columns of a complete QR of V_r.
 
-    No check calls it: :func:`dynsamp.shift_defect` measures the kernel's
-    invariance without a basis.
+    No check calls it: :attr:`VectorSystem.shift_defect` measures the
+    kernel's invariance without a basis.
     """
     sp = sys.spectrum
     q, _ = np.linalg.qr(numkit.adjoint(sp.vh[:sp.rank]), mode="complete")

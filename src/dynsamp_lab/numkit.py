@@ -179,11 +179,17 @@ def _squared(s: np.ndarray, shape: tuple) -> np.ndarray:
     and the rank at 0."""
     with np.errstate(over="ignore"):
         sq = s**2
-    if not np.isfinite(sq[..., 0]).all():
-        raise np.linalg.LinAlgError(
-            f"squared singular value sigma_1^2 of a {shape[-2]} x {shape[-1]}"
-            " matrix is not finite in float64")
+    finite(sq[..., 0], "squared singular value sigma_1^2 of a "
+           f"{shape[-2]} x {shape[-1]} matrix")
     return sq
+
+
+def finite(value, what: str):
+    """``value``, or ``LinAlgError`` naming ``what`` when float64 cannot
+    hold it (an entry is not finite): the one refusal of such a quantity."""
+    if not np.isfinite(value).all():
+        raise np.linalg.LinAlgError(f"{what} is not finite in float64")
+    return value
 
 
 def rank_cut(sq) -> tuple[np.ndarray, np.ndarray]:

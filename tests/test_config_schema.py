@@ -287,7 +287,7 @@ def test_cli_refuses_a_misspelt_tolerance(tmp_path, capsys):
 
 
 def test_every_tolerance_a_check_reads_is_in_the_table():
-    # ctx.tol(key) falls back to TOLERANCES[key]: each key a check passes
+    # run.tol(key) falls back to TOLERANCES[key]: each key a check passes
     # is a string literal, and the table holds exactly those keys
     tree = ast.parse(Path(checks.__file__).read_text())
     keys = [node.args[0] for node in ast.walk(tree)

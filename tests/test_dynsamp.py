@@ -433,6 +433,27 @@ def test_iterated_horizon_one_is_the_generators_alone():
         dynsamp.iterated_frame_operator_check(sys, [[3.0, 4.0]], horizon=0)
 
 
+# T = diag(0.5), constant weights a: the orbit is finite and a frame, but
+# the Bessel bound of {S^n phi} (first) and ||phi||^2 (second) are not
+@pytest.mark.parametrize("phi, a, message", [
+    (1e153, 8.67e-154,
+     "upper bound of the Bessel family {S^n g} is not finite in float64"),
+    (1e160, 1e-165, "||G||_F^2 of the generators is not finite in float64"),
+])
+def test_an_iterated_bound_past_float64_is_an_error_record(phi, a, message):
+    cfg = config.parse_config({
+        "schema_version": 1, "dimension": 1, "horizon": 4,
+        "operator": {"kind": "diagonal", "values": [0.5]},
+        "generators": [[phi]], "weights": {"kind": "constant", "value": a},
+        "checks": ["iterated-frame-operator"],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record, = checks.run_experiment(cfg).checks
+    assert record.error == f"LinAlgError: {message}"
+    assert not record.passed and record.outputs == {}
+
+
 def diagonal_frame(lam):
     """The system {sqrt(lambda_k) e_k}: its frame operator is diag(lambda)."""
     lam = [float(x) for x in lam]
@@ -1044,6 +1065,22 @@ def test_representation_is_unitarily_invariant(seed):
     assert abs(dynsamp.representation_residual(twin)
                - dynsamp.representation_residual(sys)) \
         <= representation_gate(sys)
+
+
+@pytest.mark.parametrize("d, generators", [(8, 1), (32, 1), (128, 1), (16, 3)])
+def test_representation_residual_keeps_the_norms_bits(d, generators):
+    # the row-by-row sum over the cached D forms no copy of it, and gives
+    # the bits of np.linalg.norm over the columns of Sigma D
+    rng = np.random.default_rng([5, d])
+    gens = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            for _ in range(generators)]
+    sys = dynsamp.orbit(0.95 * dynsamp.cyclic_shift(d), gens, 4 * d,
+                        WeightSpec.geometric(0.99))
+    ratio, shifted = frames.shift_ratios(sys)
+    norms = np.linalg.norm(sys.shift_defect[:, :-1] * sys.spectrum.s[:, None],
+                           axis=0)
+    assert dynsamp.representation_residual(sys) == float(np.max(
+        norms[shifted] / np.abs(ratio[shifted]), initial=0.0))
 
 
 def test_representation_check_builds_no_dual(monkeypatch):

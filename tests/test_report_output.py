@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from dynsamp_lab import checks, cli, config, dynsamp, presets, report
+from dynsamp_lab import checks, cli, config, numkit, presets, report
 from dynsamp_lab.config import canonical_json
 
 LADDER_CHECKS = [
@@ -133,13 +133,13 @@ def test_repro_prints_the_report_file(tmp_path, capsys):
 @pytest.fixture
 def stein_calls(monkeypatch):
     calls = []
-    solve = dynsamp.orbit_frame_operator_exact
+    solve = numkit.stein_doubling
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("tol"))
-        return solve(*args, **kwargs)
+    def counted(t, c, spectrum, tol):
+        calls.append(tol)
+        return solve(t, c, spectrum, tol)
 
-    monkeypatch.setattr(dynsamp, "orbit_frame_operator_exact", counted)
+    monkeypatch.setattr(numkit, "stein_doubling", counted)
     return calls
 
 

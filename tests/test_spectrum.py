@@ -8,13 +8,15 @@ each made its own SVD and its own rank cut.
 """
 
 import warnings
+import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsamp_lab import checks, config, dynsamp, frames, numkit
+from dynsamp_lab import checks, config, dynsamp, frames, numkit, presets
 from dynsamp_lab.dynsamp import WeightSpec
 
 EPS = np.finfo(float).eps
@@ -271,10 +273,21 @@ def circulant_rung(d, seed=1):
     })
 
 
+def counted_shift_defect(monkeypatch) -> list:
+    """Patch ``VectorSystem.shift_defect`` to record each D it builds."""
+    built = []
+    prop = frames.VectorSystem.__dict__["shift_defect"]
+    counted = cached_property(lambda sys: built.append(sys) or prop.func(sys))
+    counted.__set_name__(frames.VectorSystem, "shift_defect")
+    monkeypatch.setattr(frames.VectorSystem, "shift_defect", counted)
+    return built
+
+
 @pytest.mark.parametrize("rung", [circulant_rung, dense_rung])
 def test_each_operator_is_factored_once_per_run(monkeypatch, rung):
     # ||T||_2, rank T and T^+ come from one SVD of T, S_inf is eigensolved
-    # once, and C = sum phi phi*, PSD by construction, not at all
+    # once, and C = sum phi phi*, PSD by construction, not at all; C and
+    # the shift-defect matrix D are each formed once, for every check
     cfg = rung(32)
     t, gens = cfg.operator, cfg.generators
     c = sum(np.outer(g, g.conj()) for g in gens)
@@ -291,7 +304,14 @@ def test_each_operator_is_factored_once_per_run(monkeypatch, rung):
 
     for name in seen:
         monkeypatch.setattr(np.linalg, name, counting(name))
+    formed = []
+    generator_frame_operator = dynsamp.generator_frame_operator
+    monkeypatch.setattr(dynsamp, "generator_frame_operator",
+                        lambda *args: formed.append(args)
+                        or generator_frame_operator(*args))
+    built = counted_shift_defect(monkeypatch)
     rep = checks.run_experiment(cfg)
+    assert len(formed) == 1 and len(built) == 1
 
     def calls(names, *ms):
         return sum(any(np.array_equal(a, m) for m in ms)
@@ -302,6 +322,44 @@ def test_each_operator_is_factored_once_per_run(monkeypatch, rung):
     assert calls(["eigvalsh", "eigh"], c, (c + numkit.adjoint(c)) / 2.0) == 0
     assert [r.name for r in rep.checks] == LADDER_CHECKS
     assert rep.checks[LADDER_CHECKS.index("stein")].error is None
+
+
+@pytest.mark.parametrize("preset", ["perturbation-gallery", "vacuity-search"])
+def test_a_run_of_certificate_checks_computes_no_shared_quantity(monkeypatch,
+                                                                 preset):
+    # perturbation: and satisfiability: checks read their own inputs, so the
+    # run builds no orbit (and so no D), no spectrum of T, no C and no S_inf
+    runs = []
+
+    class Recorded(checks.Run):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            runs.append(self)
+
+    monkeypatch.setattr(checks, "Run", Recorded)
+    built = counted_shift_defect(monkeypatch)
+    rep = checks.run_experiment(presets.preset_config(preset))
+    run, = runs
+    assert rep.passed
+    assert not {"orbit", "spectrum", "c"} & set(vars(run))
+    assert run._stein == {} and built == []
+
+
+def test_the_orbit_and_its_shift_defect_are_released_with_the_run(
+        monkeypatch):
+    # D lives on the run's orbit system, which nothing outside the run holds
+    systems = []
+    orbit = dynsamp.orbit
+
+    def recorded(*args):
+        sys = orbit(*args)
+        systems.append(weakref.ref(sys))
+        return sys
+
+    monkeypatch.setattr(dynsamp, "orbit", recorded)
+    rep = checks.run_experiment(dense_rung(8))
+    assert all(r.error is None for r in rep.checks)
+    assert len(systems) == 1 and systems[0]() is None
 
 
 # the entries of this orbit are finite, but sigma_1^2 and C = phi phi* are not
