@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from . import dynsamp, frames, numkit, perturb  # noqa: E402,F401
+from . import dynsamp, frames, numkit  # noqa: E402,F401
 from .errors import (  # noqa: F401
     DivergentSeries,
     DynsampLabError,

@@ -4,18 +4,18 @@
 several checks read once, on first use; every check is called with the
 run, its parsed params and its seed, and returns numeric outputs, margins
 and a pass flag.  Hypothesis violations are failed records, not crashes.
+Only a ``perturbation:`` or ``satisfiability:`` check loads ``perturb``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from time import perf_counter
 
 import numpy as np
 
-from . import dynsamp, frames, numkit, perturb
+from . import dynsamp, frames, numkit
 from .config import (
     TOLERANCES,
     ConfigError,
@@ -248,7 +248,7 @@ def _check_ratio_bound(run: Run, name: str, p, seed: int):
 
 def _check_kernel_invariance(run: Run, name: str, p, seed: int):
     res = dynsamp.kernel_invariance_check(run.orbit, tol=run.tol("kernel"))
-    return asdict(res), {}, True  # measurement check
+    return res._asdict(), {}, True  # measurement check
 
 
 def _check_representation(run: Run, name: str, p, seed: int):
@@ -282,10 +282,12 @@ def _check_iterated(run: Run, name: str, p, seed: int):
         run.orbit, run.generators,
         horizon=int(p.get("horizon", run.config.horizon))
     )
-    return asdict(res), {}, True  # measurement check
+    return res._asdict(), {}, True  # measurement check
 
 
 def _check_perturbation(run: Run, name: str, p, seed: int):
+    from . import perturb
+
     kind = perturb.CERTIFICATES[name.split(":", 1)[1]]
     instances = []
     all_pass = True
@@ -318,6 +320,8 @@ def _cert_summary(cert: perturb.Certificate) -> dict:
 
 
 def _check_satisfiability(run: Run, name: str, p, seed: int):
+    from . import perturb
+
     cert_name = name.split(":", 1)[1]
     trials = int(p.get("trials", 1000))
     rep = perturb.satisfiability_search(cert_name, trials, seed=seed)
@@ -393,6 +397,8 @@ def _certificate_inputs(cfg: ExperimentConfig,
                         p: dict) -> perturb.CertificateInputs:
     """A schema-valid ``params["perturbation:<name>"]``, parsed; the
     default operator, phi, weights and horizon are the config's."""
+    from . import perturb
+
     operator = _params_operator(p, "operator") if "operator" in p \
         else cfg.operator
     dim = operator.shape[0]
@@ -430,8 +436,10 @@ _TALLY = {"type": "integer", "minimum": 0}
 _SEARCH_PARAMS = params_schema(
     {"trials": _COUNT, "max_satisfying": _TALLY, "min_satisfying": _TALLY})
 
-# check name -> (check function, JSON schema of its params block)
-REGISTRY = {
+# check name -> (check function, JSON schema of its params block).  The
+# certificate rows, read off perturb.CERTIFICATES, are added when a
+# configured check needs them or ``REGISTRY`` (every row) is read
+_ROWS = {
     "orbit-bounds": (_check_orbit_bounds, _NO_PARAMS),
     "stein": (_check_stein, _NO_PARAMS),
     "surjectivity": (_check_surjectivity,
@@ -448,10 +456,23 @@ REGISTRY = {
     "repro-aldroubi": (_check_repro_aldroubi, params_schema(
         {"sweep_dims": {"type": "array", "items": _COUNT}})),
 }
-for _cert, _kind in perturb.CERTIFICATES.items():
-    REGISTRY[f"perturbation:{_cert}"] = (_check_perturbation, _kind.params)
-    REGISTRY[f"satisfiability:{_cert}"] = (_check_satisfiability,
+
+
+@cache
+def _certificate_rows() -> None:
+    from . import perturb
+
+    for cert, kind in perturb.CERTIFICATES.items():
+        _ROWS[f"perturbation:{cert}"] = (_check_perturbation, kind.params)
+        _ROWS[f"satisfiability:{cert}"] = (_check_satisfiability,
                                            _SEARCH_PARAMS)
+
+
+def __getattr__(attr: str):
+    if attr == "REGISTRY":
+        _certificate_rows()
+        return _ROWS
+    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
 
 
 def _parse_params(cfg: ExperimentConfig) -> dict:
@@ -462,10 +483,12 @@ def _parse_params(cfg: ExperimentConfig) -> dict:
             raise ConfigError(f"params[{name!r}] names no configured check")
     parsed = {}
     for name in cfg.checks:
-        if name not in REGISTRY:
+        if name.startswith(("perturbation:", "satisfiability:")):
+            _certificate_rows()
+        if name not in _ROWS:
             raise ConfigError(f"unknown check {name!r}")
         p = cfg.params.get(name, {})
-        err = schema_error(p, REGISTRY[name][1])
+        err = schema_error(p, _ROWS[name][1])
         if err is not None:
             raise ConfigError(
                 f"params[{name!r}]{err.json_path[1:]}: {err.message}")
@@ -479,7 +502,7 @@ def _parse_params(cfg: ExperimentConfig) -> dict:
 
 
 def run_single(run: Run, name: str, p, seed: int) -> CheckRecord:
-    check, _ = REGISTRY[name]
+    check, _ = _ROWS[name]
     start = perf_counter()
     inputs = {"dimension": run.config.dimension, "horizon": run.config.horizon,
               "operator_kind": run.config.operator_echo["kind"],

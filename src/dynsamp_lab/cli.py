@@ -1,13 +1,12 @@
 """Command-line experiment runner.
 
-Exit codes: 0 all checks passed, 1 configuration error, 2 at least one
-check failed.
+Exit codes: 0 all checks passed, 1 configuration error or a report that
+cannot be written, 2 at least one check failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .checks import run_experiment
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = load_config(args.config)
             if args.tol is not None:
-                cfg = dataclasses.replace(cfg, tolerances=parse_tolerances(
+                cfg = cfg._replace(tolerances=parse_tolerances(
                     {**cfg.tolerances, "default": args.tol}))
             report = run_experiment(cfg)
             report.write(args.out, fmt=args.format)
@@ -72,6 +71,9 @@ def main(argv=None) -> int:
             _summarize(report, stream=sys.stderr)
     except (ConfigError, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # load_config turns its own into ConfigError
+        print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
         return 1
     return 0 if report.passed else 2
 

@@ -19,9 +19,9 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -394,21 +394,21 @@ def weight_spec_to_dict(spec: WeightSpec | None) -> dict | None:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     # dimension and horizon hold the value as given, which the echo and
     # the hash read; the schema takes an integral float (2.0) for an
-    # integer, so code that counts with them converts it with int()
+    # integer, so code that counts with them converts it with int().
+    # parse_config sets every field: no default is shared between configs
     dimension: int
     operator: np.ndarray  # read-only, built once at load
     operator_echo: dict  # the operator spec as config_to_dict writes it
     generators: tuple[np.ndarray, ...]  # read-only
     horizon: int
     checks: tuple[str, ...]
-    weights: WeightSpec | None = None
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 0
-    params: dict = field(default_factory=dict)
+    weights: WeightSpec | None
+    tolerances: dict
+    seed: int
+    params: dict
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

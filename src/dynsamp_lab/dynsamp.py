@@ -10,7 +10,7 @@ and divergence proxies for the statements with no finite counterpart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .numkit import SteinSolution
 # weight sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class WeightSpec:
+class WeightSpec(NamedTuple):
     """Scalar weight sequence: constant, geometric, or an explicit list."""
 
     kind: str  # "constant" | "geometric" | "explicit"
@@ -44,9 +43,13 @@ class WeightSpec:
     def explicit(cls, seq) -> "WeightSpec":
         return cls(kind="explicit", values=np.asarray(seq, dtype=complex).reshape(-1))
 
+    # a tuple's own == and != would compare the weight arrays elementwise
     def __eq__(self, other) -> bool:
         return isinstance(other, WeightSpec) and (self.kind, self.value) == (
             other.kind, other.value) and np.array_equal(self.values, other.values)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def sequence(self, count: int) -> np.ndarray:
         if count < 1:
@@ -220,8 +223,7 @@ def reachability_rank(t, phi) -> int:
 # surjectivity criteria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurjectivityReport:
+class SurjectivityReport(NamedTuple):
     """Four equivalent surjectivity criteria evaluated on one orbit frame.
 
     ``witness_index`` is the first n >= 1 with
@@ -329,8 +331,7 @@ def surjectivity_report(t, phi, stein: SteinSolution,
 # range versus orbit-tail span
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RangeSpanResult:
+class RangeSpanResult(NamedTuple):
     equal: bool
     gap: float
 
@@ -385,8 +386,7 @@ def frame_from_positive_operator(t, basis: VectorSystem) -> VectorSystem:
 # iterated frame operators {S^n g}
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IteratedFrameOperatorResult:
+class IteratedFrameOperatorResult(NamedTuple):
     lower_bound_a: float
     verdict: str  # "cannot-be-frame" | "not-bessel" | "bessel" | "inconclusive"
     unbounded_norm: float  # ||G||_F on lambda >= 1 - delta
@@ -496,8 +496,7 @@ def unitary_nogo_proxy(t, phi, horizons) -> list[float]:
 # periodic (two-sided) orbit model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PeriodicOrbitModel:
+class PeriodicOrbitModel(NamedTuple):
     """One-period frame operator identities for T with T^p = I."""
 
     s: np.ndarray
@@ -609,8 +608,7 @@ def periodic_orbit_model(t, phi, period: int | None = None) -> PeriodicOrbitMode
     )
 
 
-@dataclass(frozen=True)
-class CommutantTransportResult:
+class CommutantTransportResult(NamedTuple):
     residual: float
     power_residuals: tuple[float, ...]
 
@@ -669,8 +667,7 @@ def shift_weighted(a, c) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class KernelInvarianceResult:
+class KernelInvarianceResult(NamedTuple):
     invariant: bool
     defect: float
     kernel_dim: int
@@ -708,8 +705,7 @@ def kernel_invariance_check(sys: VectorSystem, tol: float = 1e-8) -> KernelInvar
 # weight-ratio bound for orbit frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RatioBoundResult:
+class RatioBoundResult(NamedTuple):
     sup_ratio: float
     bound: float
     margin: float

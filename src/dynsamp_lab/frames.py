@@ -9,8 +9,8 @@ optional nonzero scalar weights folded into the columns.  Its one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ CLASSIFICATIONS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitProvenance:
+class OrbitProvenance(NamedTuple):
     """How an orbit system was generated: the operator, the generators and
     the horizon, each generator's run being ``horizon`` vectors long."""
 
@@ -36,17 +35,17 @@ class OrbitProvenance:
     horizon: int
 
 
-@dataclass(frozen=True, eq=False)
 class VectorSystem:
     """Ordered family of vectors in C^dim, stored as its read-only
-    synthesis matrix; its spectrum and shift-defect matrix, once each."""
+    synthesis matrix (dim x N, complex, weights folded in); its spectrum
+    and shift-defect matrix, once each."""
 
-    matrix: np.ndarray  # dim x N, complex, weights folded in
-    weights: np.ndarray | None = None
-    provenance: OrbitProvenance | None = None
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
+    def __init__(self, matrix: np.ndarray, weights: np.ndarray | None = None,
+                 provenance: OrbitProvenance | None = None):
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.weights = weights
+        self.provenance = provenance
 
     @property
     def dim(self) -> int:
@@ -128,8 +127,7 @@ def synthesis(sys: VectorSystem) -> np.ndarray:
     return sys.matrix
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Optimal frame constants plus classification of a finite system."""
 
     a_opt: float

@@ -12,7 +12,6 @@ never mutates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,8 +75,7 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Thin SVD ``m = u @ diag(s) @ vh`` of a synthesis matrix and its one
     rank decision, :func:`rank_cut` of the squared singular values.  Long
     matrices take the SVD through a QR of the long side (:func:`_thin_svd`).
@@ -257,8 +255,7 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-@dataclass(frozen=True, eq=False)
-class SteinSolution:
+class SteinSolution(NamedTuple):
     """Solution record for ``s - t @ s @ t* = c``."""
 
     s: np.ndarray  # exactly Hermitian

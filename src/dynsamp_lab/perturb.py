@@ -16,7 +16,6 @@ stack of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Callable, Iterator, NamedTuple
 
@@ -31,8 +30,7 @@ from .frames import BoundsReport
 _RIESZ = ("riesz_sequence", "riesz_basis")
 
 
-@dataclass(frozen=True, eq=False)
-class ContractionData:
+class ContractionData(NamedTuple):
     """Invariant subspace on which an operator acts as a strict contraction.
 
     ``mu`` is the largest norm of the operator over unit vectors of the
@@ -61,8 +59,7 @@ def contraction_data(t, subspace_basis) -> ContractionData:
                            invariance_defect=float(defect[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class Certificate:
+class Certificate(NamedTuple):
     """Named hypothesis evaluation with its margin and conclusion check."""
 
     name: str
@@ -571,20 +568,24 @@ def _two_operator_kernel(st: _Stack, fails: list,
 # the certificate table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class CertificateInputs:
     """One certificate instance; each psi in ``psis`` is certified in turn
     (ignored where no generator is perturbed).  ``second_operator`` is the
     W of the multi-generator and two-operator certificates."""
 
-    operator: np.ndarray
-    horizon: int
-    subspace_basis: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    psis: tuple = (None,)
-    weights: WeightSpec | None = None
-    generators: tuple = ()
-    second_operator: np.ndarray | None = None
+    def __init__(self, operator: np.ndarray, horizon: int,
+                 subspace_basis: np.ndarray | None = None,
+                 phi: np.ndarray | None = None, psis: tuple = (None,),
+                 weights: WeightSpec | None = None, generators: tuple = (),
+                 second_operator: np.ndarray | None = None):
+        self.operator = operator
+        self.horizon = horizon
+        self.subspace_basis = subspace_basis
+        self.phi = phi
+        self.psis = psis
+        self.weights = weights
+        self.generators = generators
+        self.second_operator = second_operator
 
     @cached_property
     def contraction(self) -> ContractionData:
@@ -855,11 +856,10 @@ CERTIFICATE_NAMES = tuple(CERTIFICATES)
 SEARCH_CHUNK = 512
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     certificate: str
     tried: int
-    satisfying: list[dict] = field(default_factory=list)
+    satisfying: list[dict]  # appended to by the search
 
 
 class Trial(NamedTuple):
@@ -943,7 +943,8 @@ def satisfiability_search(certificate_name: str, trials: int,
     finite.  Instances violating a hard hypothesis count as tried and
     unsatisfying.  Deterministic for a fixed seed.
     """
-    report = SearchReport(certificate=certificate_name, tried=trials)
+    report = SearchReport(certificate=certificate_name, tried=trials,
+                          satisfying=[])
     for trial in search_trials(certificate_name, trials, seed):
         for cert in trial.certificates:
             if _recorded(cert.margin):

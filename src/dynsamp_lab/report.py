@@ -7,14 +7,12 @@ stable payload.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import hashlib
 import io
 import json
 import numbers
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +68,8 @@ def jsonify(value):
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if hasattr(value, "_asdict"):  # a record: the dict of its fields
+            return jsonify(value._asdict())
         return [jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
         return jsonify(value.tolist())
@@ -91,13 +91,10 @@ def jsonify(value):
         return f
     if value is None or isinstance(value, str):
         return value
-    if dataclasses.is_dataclass(value):
-        return jsonify(dataclasses.asdict(value))
     return str(value)
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     inputs: dict
     outputs: dict
@@ -118,15 +115,14 @@ class CheckRecord:
         }
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     config_hash: str
     seed: int
     config_echo: dict
     # canonical_json(config_echo), encoded once per run and spliced into
     # the hash basis and the file
     echo_json: str
-    checks: list[CheckRecord] = field(default_factory=list)
+    checks: list[CheckRecord]
 
     @property
     def passed(self) -> bool:
@@ -208,6 +204,8 @@ class ExperimentReport:
 
     def to_csv(self) -> str:
         """Flattened numeric table: one row per (check, key) pair."""
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["check", "section", "key", "value"])

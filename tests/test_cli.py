@@ -224,6 +224,23 @@ def test_cli_run_csv(tmp_path):
     assert out_path.read_text().startswith("check,section,key,value")
 
 
+@pytest.mark.parametrize("command", ["run", "repro"])
+def test_cli_unwritable_report_path_exits_1_with_one_line(tmp_path, capsys,
+                                                          command):
+    # run: --out names a directory; repro: a path under an existing file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(shift_config()))
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path) if command == "run" else str(tmp_path / "file" / "x.json")
+    argv = ["run", str(cfg_path)] if command == "run" \
+        else ["repro", "shift-orbit", "--dim", "4"]
+    assert cli.main([*argv, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cannot write report {out}: [Errno ")
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(shift_config(checks=["bogus"])))
@@ -819,3 +836,56 @@ def test_the_cli_does_not_import_jsonschema(tmp_path):
         str(tmp_path / "r.json"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# ---------------------------------------------------------------------------
+# start-up: what a command loads
+# ---------------------------------------------------------------------------
+
+def test_an_orbit_run_does_not_load_the_certificate_module(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(shift_config(checks=[
+        "orbit-bounds", "stein", "surjectivity", "kernel-invariance",
+        "representation", "iterated-frame-operator"])))
+    proc = run_python(
+        "import sys\n"
+        "from dynsamp_lab import cli\n"
+        "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'dynsamp_lab.perturb' in sys.modules)",
+        str(cfg_path), str(tmp_path / "r.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_no_record_class_is_a_dataclass():
+    # records are NamedTuples (or plain classes where a cached_property
+    # needs an instance dict): a dataclass execs its generated methods at
+    # import
+    import ast
+
+    found = []
+    for path in sorted(Path(dynsamp_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if "dataclass" in ast.unparse(target):
+                        found.append(f"{path.name}:{node.name}")
+    assert found == []
+
+
+def test_the_registry_reads_its_certificate_rows_off_the_one_table():
+    # importing checks leaves perturb unloaded; reading REGISTRY gives all
+    # 23 rows, each certificate schema perturb.CERTIFICATES' own
+    proc = run_python(
+        "import sys\n"
+        "from dynsamp_lab import checks\n"
+        "loaded = 'dynsamp_lab.perturb' in sys.modules\n"
+        "rows = checks.REGISTRY\n"
+        "from dynsamp_lab import perturb\n"
+        "print(loaded, len(rows), all(\n"
+        "    rows[f'perturbation:{c}'][1] is k.params\n"
+        "    and f'satisfiability:{c}' in rows\n"
+        "    for c, k in perturb.CERTIFICATES.items()))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 23 True"

@@ -159,7 +159,7 @@ def evaluated(monkeypatch):
     for fn_name in CERTIFICATE_FUNCTIONS:
         def logged(*args, _fn=getattr(perturb, fn_name), **kwargs):
             out = _fn(*args, **kwargs)
-            log.extend(out if isinstance(out, tuple) else (out,))
+            log.extend((out,) if isinstance(out, perturb.Certificate) else out)
             return out
         monkeypatch.setattr(perturb, fn_name, logged)
     return log
