@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from functools import cache, cached_property, partial
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .dynsamp import WeightSpec
 from .errors import DynsampLabError, HypothesisViolated, InvalidInput
 from .frames import VectorSystem
 from .report import CheckRecord, ExperimentReport
+
+if TYPE_CHECKING:
+    from . import perturb
 
 # Fixed slacks, which no tolerance name, ``tolerances.default`` or
 # ``--tol`` moves.  ``ratio-bound`` passes at a margin, and ``nogo-proxy``
