@@ -1,5 +1,6 @@
 """Tests for configs, reports, the check runner, and the CLI."""
 
+import ast
 import contextlib
 import io
 import json
@@ -861,8 +862,6 @@ def test_no_record_class_is_a_dataclass():
     # records are NamedTuples (or plain classes where a cached_property
     # needs an instance dict): a dataclass execs its generated methods at
     # import
-    import ast
-
     found = []
     for path in sorted(Path(dynsamp_lab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
