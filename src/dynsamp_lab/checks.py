@@ -10,7 +10,7 @@ Only a ``perturbation:`` or ``satisfiability:`` check loads ``perturb``.
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -136,8 +136,10 @@ def _stein_series(t: np.ndarray, generators, depth: int) -> np.ndarray:
     g = np.column_stack(generators)
     d, r = g.shape
     per_block = max(1, d // r)
-    brute = np.zeros((d, d), dtype=complex)
-    block = np.empty((d, per_block * r), dtype=complex)
+    dtype = np.result_type(t, g)
+    t = t.astype(dtype, copy=False)  # once, not per power
+    brute = np.zeros((d, d), dtype=dtype)
+    block = np.empty((d, per_block * r), dtype=dtype)
     for start in range(0, depth + 1, per_block):
         terms = min(per_block, depth + 1 - start)
         for k in range(terms):
@@ -293,11 +295,16 @@ def _check_perturbation(run: Run, name: str, p, seed: int):
     from . import perturb
 
     kind = perturb.CERTIFICATES[name.split(":", 1)[1]]
+    # every psi as one stack, at the horizon and, if a conclusion reads it,
+    # at twice it; the first psi to fail, in order, is the record's error
+    at = cache(lambda horizon: kind.evaluate(p, np.array(p.psis), horizon))
     instances = []
     all_pass = True
-    for psi in p.psis:
-        doubled = partial(kind.evaluate, p, psi, 2 * p.horizon)
-        for cert in kind.evaluate(p, psi, p.horizon):
+    for i in range(len(p.psis)):
+        def doubled(i=i):
+            return _raised(at(2 * p.horizon)[i])
+
+        for cert in _raised(at(p.horizon)[i]):
             ok = not cert.verdict or kind.concludes(cert, doubled)
             instances.append(_cert_summary(cert))
             all_pass = all_pass and ok
@@ -305,6 +312,13 @@ def _check_perturbation(run: Run, name: str, p, seed: int):
     margins = {"best_margin": max((i["margin"] for i in instances),
                                   default=-math.inf)}
     return outputs, margins, all_pass
+
+
+def _raised(outcome):
+    """A psi's certificates, or the exception it failed with, raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _cert_summary(cert: perturb.Certificate) -> dict:
@@ -349,9 +363,9 @@ def _check_repro_aldroubi(run: Run, name: str, p, seed: int):
         raise InvalidInput("repro-aldroubi needs a diagonal operator")
     lam = np.real(diag)
     sys = dynsamp.frame_from_positive_operator(
-        np.diag(lam.astype(complex)), frames.standard_basis(lam.size))
+        np.diag(lam), frames.standard_basis(lam.size))
     s = frames.frame_operator(sys)
-    err = float(np.max(np.abs(s - np.diag(lam.astype(complex)))))
+    err = float(np.max(np.abs(s - np.diag(lam))))
     tol = run.tol("repro")
     outputs = {"entrywise_error": err}
     passed = err <= tol
@@ -364,9 +378,8 @@ def _check_repro_aldroubi(run: Run, name: str, p, seed: int):
         for d in sweep:
             lam_d = 1.0 - 2.0 ** -(np.arange(1, d + 1))
             b = np.sqrt(1.0 - lam_d**2)
-            t_d = np.diag(lam_d.astype(complex))
-            sol = numkit.solve_stein(t_d, np.outer(b, b).astype(complex),
-                                     numkit.spectrum(t_d))
+            t_d = np.diag(lam_d)
+            sol = numkit.solve_stein(t_d, np.outer(b, b), numkit.spectrum(t_d))
             w = sol.eigenvalues
             t_norm = float(lam_d[-1])
             rows.append({
@@ -416,7 +429,7 @@ def _certificate_inputs(cfg: ExperimentConfig,
     if len(set(coords)) < len(coords):
         raise ConfigError(f"subspace_coords {p['subspace_coords']!r} "
                           "repeats a coordinate")
-    basis = np.eye(dim, dtype=complex)[:, coords]
+    basis = np.eye(dim)[:, coords]
     direction = _params_vector(p, "psi_direction", dim) \
         if "psi_direction" in p else basis[:, 0]
     w_key = "w_operator" if "w_operator" in p else "second_operator"
@@ -512,12 +525,18 @@ def run_single(run: Run, name: str, p, seed: int) -> CheckRecord:
               "operator_kind": run.config.operator_echo["kind"],
               "generators": len(run.generators),
               "params": dict(run.config.params.get(name, {}))}
+    outputs, margins, passed, error, unexpected = {}, {}, False, None, False
     try:
         outputs, margins, passed = check(run, name, p, seed)
-        error = None
     except (DynsampLabError, np.linalg.LinAlgError) as exc:
-        outputs, margins, passed = {}, {}, False
         error = f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # a fault of the program: recorded, exit 3
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        error = (f"{type(exc).__name__}: {exc} (at "
+                 f"{tb.tb_frame.f_globals.get('__name__')}:{tb.tb_lineno})")
+        unexpected = True
     return CheckRecord(
         name=name,
         inputs=inputs,
@@ -526,6 +545,7 @@ def run_single(run: Run, name: str, p, seed: int) -> CheckRecord:
         passed=passed,
         wall_time=perf_counter() - start,
         error=error,
+        unexpected=unexpected,
     )
 
 

@@ -1,7 +1,9 @@
 """Command-line experiment runner.
 
 Exit codes: 0 all checks passed, 1 configuration error or a report that
-cannot be written, 2 at least one check failed.
+cannot be written, 2 at least one check failed, 3 a check raised an
+exception the program did not expect (its record names it and where it
+was raised; the report is still written).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # load_config turns its own into ConfigError
         print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
         return 1
-    return 0 if report.passed else 2
+    return 3 if report.unexpected else 0 if report.passed else 2
 
 
 if __name__ == "__main__":

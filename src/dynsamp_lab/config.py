@@ -7,7 +7,8 @@ dicts that state the structure; ``schema_error`` checks an instance against
 one of them, covering exactly the JSON Schema keywords they use.
 ``parse_complex`` alone owns the scalar rule, and ``parse_scalars`` applies
 it to every leaf of a scalar array (in bulk when all are float pairs) and
-returns a complex array.  ``parse_operator`` is the one place that knows
+returns a float64 array when no leaf has an imaginary part, else a complex
+one.  ``parse_operator`` is the one place that knows
 the operator kinds: it turns a spec, at any nesting depth, into its matrix
 and its echo.  A loaded ``ExperimentConfig`` holds the operator and the
 generators as read-only arrays, built once.
@@ -275,18 +276,26 @@ def encode_complex(value: complex) -> list[float]:
 
 
 def parse_scalars(items) -> np.ndarray:
-    """``parse_complex`` of every item, as a complex array.  A list whose
-    every item is a pair of ``float`` is parsed in bulk, by one type scan,
-    one array and one finiteness test; anything else, or a value that is
-    not finite, goes through ``parse_complex`` item by item, with its
-    refusal message."""
+    """``parse_complex`` of every item, as a float64 array when every
+    imaginary part is +0.0 and as a complex one otherwise (a -0.0 one
+    counts, so the echo keeps its sign).  A list whose every item is a pair
+    of ``float`` is parsed in bulk, by one type scan, one array and one
+    finiteness test; anything else, or a value that is not finite, goes
+    through ``parse_complex`` item by item, with its refusal message."""
     if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
         flat = list(chain.from_iterable(items))
         if set(map(type, flat)) <= {float}:
             parts = np.array(flat, dtype=float)
             if np.isfinite(parts).all():
-                return parts.view(complex)
-    return np.array(list(map(parse_complex, items)), dtype=complex)
+                return _real_if_real(parts.view(complex))
+    return _real_if_real(np.array(list(map(parse_complex, items)),
+                                  dtype=complex))
+
+
+def _real_if_real(z: np.ndarray) -> np.ndarray:
+    if z.imag.any() or np.signbit(z.imag).any():
+        return z
+    return z.real.copy()
 
 
 def encode_scalars(values) -> list[list[float]]:
@@ -323,7 +332,7 @@ def parse_operator(raw: dict) -> tuple[np.ndarray, dict]:
         if not blocks:
             raise ConfigError("block_diag operator needs at least one block")
         d = sum(len(m) for m, _ in blocks)
-        t = np.zeros((d, d), dtype=complex)
+        t = np.zeros((d, d), dtype=np.result_type(*(m for m, _ in blocks)))
         at = 0
         for m, _ in blocks:
             t[at:at + len(m), at:at + len(m)] = m

@@ -25,7 +25,8 @@ from .numkit import SteinSolution
 # ---------------------------------------------------------------------------
 
 class WeightSpec(NamedTuple):
-    """Scalar weight sequence: constant, geometric, or an explicit list."""
+    """Scalar weight sequence: constant, geometric, or an explicit list;
+    real when its value (or every explicit value) is."""
 
     kind: str  # "constant" | "geometric" | "explicit"
     value: complex | None = None
@@ -41,7 +42,8 @@ class WeightSpec(NamedTuple):
 
     @classmethod
     def explicit(cls, seq) -> "WeightSpec":
-        return cls(kind="explicit", values=np.asarray(seq, dtype=complex).reshape(-1))
+        return cls(kind="explicit", values=np.asarray(
+            seq, dtype=complex if np.iscomplexobj(seq) else float).reshape(-1))
 
     # a tuple's own == and != would compare the weight arrays elementwise
     def __eq__(self, other) -> bool:
@@ -54,12 +56,14 @@ class WeightSpec(NamedTuple):
     def sequence(self, count: int) -> np.ndarray:
         if count < 1:
             raise InvalidInput("weight sequence length must be >= 1")
+        value = None if self.value is None else \
+            self.value.real if self.value.imag == 0 else self.value
         if self.kind == "constant":
-            out = np.full(count, self.value, dtype=complex)
+            out = np.full(count, value)
         elif self.kind == "geometric":
             # a power past float64 is not finite; the orbit guard names its n
             with np.errstate(over="ignore", invalid="ignore"):
-                out = np.asarray(self.value, dtype=complex) ** np.arange(count)
+                out = np.asarray(value) ** np.arange(count)
         elif self.kind == "explicit":
             if len(self.values) < count:
                 raise InvalidInput(f"explicit weights provide {len(self.values)}"
@@ -83,12 +87,12 @@ class WeightSpec(NamedTuple):
 
 def cyclic_shift(dim: int) -> np.ndarray:
     """Unitary cyclic shift: delta_k -> delta_{k+1 mod dim}."""
-    return np.roll(np.eye(dim, dtype=complex), 1, axis=0)
+    return np.roll(np.eye(dim), 1, axis=0)
 
 
 def nilpotent_shift(dim: int) -> np.ndarray:
     """One-sided shift: delta_k -> delta_{k+1}, delta_dim -> 0."""
-    m = np.zeros((dim, dim), dtype=complex)
+    m = np.zeros((dim, dim))
     for k in range(dim - 1):
         m[k + 1, k] = 1.0
     return m
@@ -136,11 +140,14 @@ def orbit_stack(t: np.ndarray, starts: np.ndarray, horizon: int,
     """The :func:`orbit` synthesis matrices of a stack of operators ``t``
     (``B x d x d``), generators ``starts`` (``B x G x d``) and weight rows
     ``seqs`` (``B x horizon``): ``B x d x (G horizon)``, one stacked matvec
-    per step.  Also, per orbit, the ``LinAlgError`` naming the first n
-    whose column float64 cannot hold (that orbit's matrix is zeroed), or
-    None."""
+    per step, real when every input is (a real T meeting complex vectors
+    is promoted once).  Also, per orbit, the ``LinAlgError`` naming the
+    first n whose column float64 cannot hold (that orbit's matrix is
+    zeroed), or None."""
     b, g, d = starts.shape
-    u = np.empty((b, d, g * horizon), dtype=complex)
+    u = np.empty((b, d, g * horizon), dtype=np.result_type(
+        t, starts, *(() if seqs is None else (seqs,))))
+    t = t.astype(u.dtype, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(g):
             v = starts[:, j, :, None]
@@ -187,9 +194,10 @@ def generator_frame_operator(t, generators) -> np.ndarray:
     operator ``t``: positive semidefinite by construction, so it is not
     eigensolved.  A C that float64 cannot hold raises ``LinAlgError``."""
     t = numkit.as_operator(t)
-    c = np.zeros_like(t)
+    gens = orbit_generators(t, generators, horizon=1)
+    c = np.zeros(t.shape, dtype=np.result_type(*gens))  # the kind of phi
     with np.errstate(over="ignore", invalid="ignore"):
-        for phi in orbit_generators(t, generators, horizon=1):
+        for phi in gens:
             c += np.outer(phi, phi.conj())
     return numkit.finite(c, "C = sum phi phi*")
 
@@ -265,6 +273,7 @@ def surjectivity_report(t, phi, stein: SteinSolution,
     """
     t = numkit.as_operator(t)
     phi = numkit.as_vector(phi)
+    t = t.astype(np.result_type(t, phi), copy=False)  # once, for the walk
     s = stein.s
     d = t.shape[0]
     if horizon is None:
@@ -276,7 +285,7 @@ def surjectivity_report(t, phi, stein: SteinSolution,
 
     # the orbit tail T^n phi, n = 1..horizon, walked once; coeffs[n-1] is
     # <S^{-1} phi, T^n phi>, shared by criterion (i) and the tail diagnostic
-    tail_vecs = np.empty((d, horizon), dtype=complex)
+    tail_vecs = np.empty((d, horizon), dtype=t.dtype)
     v = phi
     for n in range(horizon):
         v = t @ v
@@ -559,6 +568,7 @@ def periodic_orbit_model(t, phi, period: int | None = None) -> PeriodicOrbitMode
     t = numkit.as_operator(t)
     phi = numkit.as_vector(phi)
     p = _period(t, period)
+    t = t.astype(np.result_type(t, phi), copy=False)  # once, for the walk
 
     sys = orbit(t, (phi,), p)
     s = frames.frame_operator(sys)
@@ -655,13 +665,13 @@ def shift_weighted(a, c) -> np.ndarray:
     ``out[0] = 0`` and ``out[k] = (a[k-1] / a[k]) * c[k-1]``; the last
     input coefficient is dropped by the truncation.
     """
-    a = np.array(a, dtype=complex).reshape(-1)
-    c = np.array(c, dtype=complex).reshape(-1)
+    a = numkit.inexact(a).reshape(-1)
+    c = numkit.inexact(c).reshape(-1)
     if a.size != c.size:
         raise InvalidInput("weights and coefficients must have equal length")
     if np.any(np.abs(a) == 0.0):
         raise InvalidInput("weights must be nonzero scalars")
-    out = np.zeros_like(c)
+    out = np.zeros(c.size, dtype=np.result_type(a, c))
     if c.size > 1:
         out[1:] = (a[:-1] / a[1:]) * c[:-1]
     return out

@@ -37,8 +37,9 @@ class OrbitProvenance(NamedTuple):
 
 class VectorSystem:
     """Ordered family of vectors in C^dim, stored as its read-only
-    synthesis matrix (dim x N, complex, weights folded in); its spectrum
-    and shift-defect matrix, once each."""
+    synthesis matrix (dim x N, weights folded in; float64 when the vectors
+    and weights are real, else complex128); its spectrum and shift-defect
+    matrix, once each, of the same kind."""
 
     def __init__(self, matrix: np.ndarray, weights: np.ndarray | None = None,
                  provenance: OrbitProvenance | None = None):
@@ -69,7 +70,7 @@ class VectorSystem:
         ratio, _ = shift_ratios(self)
         sp = self.spectrum
         kept = sp.vh[:sp.rank]
-        out = np.zeros(sp.vh.shape, dtype=complex)
+        out = np.zeros(sp.vh.shape, dtype=np.result_type(sp.vh, ratio))
         out[:, :-1] = sp.vh[:, 1:] * ratio
         for _ in range(2):
             out -= (out @ numkit.adjoint(kept)) @ kept
@@ -108,7 +109,7 @@ def vector_system(vectors, weights=None, provenance=None) -> VectorSystem:
     u = np.column_stack(vecs)
     w = None
     if weights is not None:
-        w = np.array(weights, dtype=complex).reshape(-1)
+        w = numkit.inexact(weights).reshape(-1)
         if w.size != len(vecs):
             raise InvalidInput("weights length must match the number of vectors")
         if np.any(np.abs(w) == 0.0):
@@ -119,7 +120,7 @@ def vector_system(vectors, weights=None, provenance=None) -> VectorSystem:
 
 def standard_basis(dim: int) -> VectorSystem:
     """The canonical orthonormal basis of C^dim as a system."""
-    return VectorSystem(matrix=np.eye(dim, dtype=complex))
+    return VectorSystem(matrix=np.eye(dim))
 
 
 def synthesis(sys: VectorSystem) -> np.ndarray:
@@ -325,7 +326,7 @@ def _inverse_sigma_min(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     and small ones do not underflow; see :func:`lower_riesz_profile`."""
     out = np.empty(s.size)
     out[0] = 1.0 / s[0]
-    w = np.ones(1, dtype=complex)  # top eigenvector of the previous H
+    w = np.ones(1, dtype=x.dtype)  # top eigenvector of the previous H
     z = x[:1, 0] / s[0]  # its image under the previous Y
     ub = 1.0  # upper bound on the previous lambda_max, in the previous scale
     for k in range(2, s.size + 1):

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernel.
+"""Dense linear-algebra kernel, real or complex.
 
 The one rank cut; at that cut the spectrum of a synthesis matrix or of an
 operator (one thin SVD, a long matrix first reduced by a QR of its long
@@ -6,8 +6,10 @@ side), pseudo-inverse, rank and range basis; PSD square root, spectral
 radius, and a discrete Stein-equation solver (one squaring iteration at
 every dimension, guarded by its residual, with ||T||_2 read off the
 spectrum of T that the caller hands it).  Operators and vectors are plain
-complex ``numpy`` arrays; every public function validates its inputs and
-never mutates them.
+``numpy`` arrays, float64 when every entry is real and complex128
+otherwise: the validators keep their input's kind, and a result is real
+when every input it is computed from is real.  Every public function
+validates its inputs and never mutates them.
 """
 
 from __future__ import annotations
@@ -30,9 +32,15 @@ STEIN_MAX_DOUBLINGS = 200
 STEIN_NORM_MARGIN = 1e-12
 
 
+def inexact(entries) -> np.ndarray:
+    """A new array of ``entries``: complex128 if any is complex, else float64."""
+    return np.array(entries,
+                    dtype=complex if np.iscomplexobj(entries) else float)
+
+
 def as_operator(entries) -> np.ndarray:
-    """Validate and return a square complex matrix with finite entries."""
-    m = np.array(entries, dtype=complex)
+    """Validate and return a square matrix with finite entries."""
+    m = inexact(entries)
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
@@ -43,8 +51,8 @@ def as_operator(entries) -> np.ndarray:
 
 
 def as_vector(entries) -> np.ndarray:
-    """Validate and return a complex vector with finite entries."""
-    v = np.array(entries, dtype=complex).reshape(-1)
+    """Validate and return a vector with finite entries."""
+    v = inexact(entries).reshape(-1)
     if v.size == 0:
         raise InvalidInput("vector must be nonempty")
     if not np.all(np.isfinite(v)):
@@ -53,8 +61,8 @@ def as_vector(entries) -> np.ndarray:
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Validate a (possibly rectangular) complex matrix."""
-    m = np.array(entries, dtype=complex)
+    """Validate a (possibly rectangular) matrix."""
+    m = inexact(entries)
     if m.ndim != 2 or m.size == 0:
         raise InvalidInput(f"expected a nonempty matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -72,7 +80,7 @@ def frobenius(m) -> float:
 
 def operator_norm(m) -> float:
     """Largest singular value."""
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
+    return float(np.linalg.svd(np.asarray(m), compute_uv=False)[0])
 
 
 class Spectrum(NamedTuple):
@@ -304,8 +312,9 @@ def stein_doubling(t, c, spectrum: Spectrum,
 
     Parameters
     ----------
-    t : square complex matrix
-    c : Hermitian PSD matrix of matching shape
+    t : square matrix
+    c : Hermitian PSD matrix of matching shape; a real T and a complex C
+        (or the reverse) are promoted to complex once, before the loop
     spectrum : the :class:`Spectrum` of ``t``
     tol : relative residual target; success requires
         ``||S - T S T* - C||_F <= tol * (1 + ||C||_F)``.
@@ -320,7 +329,9 @@ def stein_doubling(t, c, spectrum: Spectrum,
         raise _divergent(rho)
 
     target = tol * (1.0 + frobenius(c))
-    s = c.astype(complex, copy=True)
+    dtype = np.result_type(t, c)
+    t = t.astype(dtype, copy=False)
+    s = c.astype(dtype, copy=True)
     tk = t.copy()
     for iterations in range(1, STEIN_MAX_DOUBLINGS + 1):
         update = tk @ s @ adjoint(tk)

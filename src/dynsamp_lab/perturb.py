@@ -10,7 +10,7 @@ at all.  Every certificate is computed by one stacked kernel in stages:
 the search draws each shape group of its trials as one stack, computes
 every margin and the hypothesis values of the trials it records; the
 public certificate functions run every stage, conclusions included, on a
-stack of one.
+stack of one instance per psi they are given.
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ import numpy as np
 from . import frames, numkit
 from .config import CONFIG_SCHEMA, OPERATOR_SPEC, params_schema
 from .dynsamp import WeightSpec, nilpotent_shift, orbit_generators, orbit_stack
-from .errors import HypothesisViolated, InvalidHypothesis, InvalidInput
+from .errors import (
+    DynsampLabError,
+    HypothesisViolated,
+    InvalidHypothesis,
+    InvalidInput,
+)
 from .frames import BoundsReport
 
 _RIESZ = ("riesz_sequence", "riesz_basis")
@@ -106,10 +111,19 @@ class _Stack(NamedTuple):
 
     @classmethod
     def one(cls, horizon: int, weights: WeightSpec | None = None,
-            **arrays) -> "_Stack":
-        """The stack of one instance, from its unstacked fields."""
-        return cls(horizon=horizon, weights=(weights,),
-                   **{k: np.asarray(v)[None] for k, v in arrays.items()})
+            psi: tuple | list = (None,), **arrays) -> "_Stack":
+        """The stack of one instance per psi, from its unstacked fields."""
+        b = len(psi)
+        return cls(horizon=horizon, weights=(weights,) * b,
+                   psi=None if psi[0] is None else np.array(psi),
+                   **{k: np.repeat(np.asarray(v)[None], b, axis=0)
+                      for k, v in arrays.items()})
+
+    def take(self, idx: list[int]) -> "_Stack":
+        """The instances ``idx``, re-stacked."""
+        return self._replace(weights=tuple(self.weights[i] for i in idx),
+                             **{k: v[idx] for k, v in self._asdict().items()
+                                if isinstance(v, np.ndarray)})
 
     def inputs(self, j: int) -> "CertificateInputs":
         """Instance j, unstacked."""
@@ -154,17 +168,41 @@ def _staged(name: str, fails: list, head: Callable, conclusions: Callable,
                    values, conclusions)
 
 
+def _certify(kernel: Callable, stack: _Stack) -> list:
+    """Per instance of a stack, its certificates with every stage run, or
+    the exception it fails with alone once its conclusions are computed.
+    A stage raises for the whole stack only where an instance raises
+    alone; the instances are then certified one at a time."""
+    fails = [None] * len(stack.weights)
+    try:
+        staged = kernel(stack, fails)
+        conclusions = [s.conclusions() for s in staged]
+        ok = [i for i, fail in enumerate(fails) if fail is None]
+        values = [dict(zip(ok, s.values(ok))) if ok else {} for s in staged]
+    except (DynsampLabError, np.linalg.LinAlgError) as exc:
+        if len(fails) == 1:
+            return [exc]
+        return [_certify(kernel, stack.take([i]))[0] for i in range(len(fails))]
+    return [fail or tuple(Certificate(s.name, v[i], s.margins[i],
+                                      s.margins[i] > 0, c[i])
+                          for s, v, c in zip(staged, values, conclusions))
+            for i, fail in enumerate(fails)]
+
+
 def _one(kernel: Callable, stack: _Stack) -> tuple[Certificate, ...]:
-    """The certificates of a stack of one, every stage run; raises the
-    exception it fails with once its conclusions are computed."""
-    fails = [None]
-    staged = kernel(stack, fails)
-    conclusions = [s.conclusions()[0] for s in staged]
-    if fails[0] is not None:
-        raise fails[0]
-    return tuple(Certificate(s.name, s.values([0])[0], s.margins[0],
-                             s.margins[0] > 0, c)
-                 for s, c in zip(staged, conclusions))
+    """The certificates of a stack of one, raising what it fails with."""
+    (out,) = _certify(kernel, stack)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _per_psi(kernel: Callable, psi, stack: _Stack):
+    """The Certificate of a vector ``psi``, raising what it fails with; of a
+    ``B x d`` stack of them, :func:`_certify` of ``stack``, which holds one
+    instance per psi."""
+    return _certify(kernel, stack) if np.ndim(psi) == 2 \
+        else _one(kernel, stack)[0]
 
 
 def _flag(fails: list, bad, make: Callable[[int], Exception]) -> None:
@@ -220,14 +258,16 @@ def _leaves_subspace(fails: list, basis, vecs) -> None:
 
 
 def _sequences(weights: tuple, count: int, fails: list) -> np.ndarray:
-    """``B x count`` weight sequences; a refused one is flagged (ones)."""
-    out = np.ones((len(weights), count), dtype=complex)
+    """``B x count`` weight sequences, real when every one is; a refused
+    one is flagged (ones)."""
+    out = []
     for i, spec in enumerate(weights):
         try:
-            out[i] = spec.sequence(count)
+            out.append(spec.sequence(count))
         except InvalidInput as exc:
             fails[i] = fails[i] or exc
-    return out
+            out.append(np.ones(count))
+    return np.array(out)
 
 
 def _orbits(t, starts, horizon: int, fails: list, seqs=None) -> np.ndarray:
@@ -260,13 +300,13 @@ def riesz_perturbation_certificate(cd: ContractionData, phi, psi,
     the base orbit prefix.  Also reports the operative sum
     ``sum_n ||T^n psi|| ||S^+ T^n phi||`` with its geometric tail bound;
     a total below one certifies the perturbed prefix with lower bound at
-    least ``A (1 - sum)^2``.
+    least ``A (1 - sum)^2``.  ``psi`` may be a stack: see :func:`_per_psi`.
     """
-    phi, psi = orbit_generators(cd.operator, (phi, psi), horizon)
-    (cert,) = _one(_riesz_kernel, _Stack.one(
-        horizon, t=cd.operator, mu=cd.mu, basis=cd.subspace_basis,
-        phi=phi, psi=psi))
-    return cert
+    phi, *psis = orbit_generators(cd.operator, (phi, *np.atleast_2d(psi)),
+                                  horizon)
+    return _per_psi(_riesz_kernel, psi, _Stack.one(
+        horizon, psi=psis, t=cd.operator, mu=cd.mu, basis=cd.subspace_basis,
+        phi=phi))
 
 
 def _riesz_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
@@ -319,13 +359,13 @@ def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
     the span-relative lower bound of the perturbed system.  The ambient
     conclusion report is meaningful once psi reaches into the contraction
     subspace; at psi = 0 over a non-spanning base it degenerates to the
-    base classification.
+    base classification.  ``psi`` may be a stack: see :func:`_per_psi`.
     """
-    phi, psi = orbit_generators(cd.operator, (phi, psi), horizon)
-    (cert,) = _one(_weighted_kernel, _Stack.one(
-        horizon, weights, t=cd.operator, mu=cd.mu, basis=cd.subspace_basis,
-        phi=phi, psi=psi))
-    return cert
+    phi, *psis = orbit_generators(cd.operator, (phi, *np.atleast_2d(psi)),
+                                  horizon)
+    return _per_psi(_weighted_kernel, psi, _Stack.one(
+        horizon, weights, psis, t=cd.operator, mu=cd.mu,
+        basis=cd.subspace_basis, phi=phi))
 
 
 def _weighted_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
@@ -370,13 +410,13 @@ def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
     Hypotheses: {a_n T^n phi} is a frame with lower bound A and
     {a_{n+1} T^n psi} is Bessel with bound B.  Margin:
     ``sqrt(A / B) - sup_n |a_n / a_{n+1}|``; for psi = 0 the Bessel bound
-    degenerates to zero and the margin is reported as +inf.
+    degenerates to zero and the margin is reported as +inf.  ``psi`` may
+    be a stack: see :func:`_per_psi`.
     """
     t = numkit.as_operator(t)
-    phi, psi = orbit_generators(t, (phi, psi), horizon)
-    (cert,) = _one(_scaled_kernel, _Stack.one(horizon, weights, t=t,
-                                              phi=phi, psi=psi))
-    return cert
+    phi, *psis = orbit_generators(t, (phi, *np.atleast_2d(psi)), horizon)
+    return _per_psi(_scaled_kernel, psi, _Stack.one(horizon, weights, psis,
+                                                    t=t, phi=phi))
 
 
 def _scaled_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
@@ -607,8 +647,21 @@ class CertificateKind(NamedTuple):
     # search instance per rng
     draw: Callable
     kernel: Callable  # (stack, fails) -> (the certificate's _Staged,)
-    evaluate: Callable  # (inputs, psi, horizon) -> tuple of Certificates
+    # (inputs, psi, horizon) -> the public certificate function's result
+    certify: Callable
     concludes: Callable
+
+    def evaluate(self, inputs: "CertificateInputs", psi, horizon: int):
+        """The tuple of certificates of one psi (ignored where no generator
+        is perturbed), raising what it fails with; of a ``B x d`` stack of
+        psi, from one stacked call, the list of each psi's tuple or the
+        exception it fails with alone."""
+        out = self.certify(inputs, psi, horizon)
+        if isinstance(out, Certificate):
+            out = (out,)
+        if np.ndim(psi) == 2 and not isinstance(out, list):
+            out = [out] * len(psi)  # one result serves every psi
+        return out
 
     def sample(self, rngs) -> list[CertificateInputs]:
         """One search instance per rng, unstacked."""
@@ -812,23 +865,23 @@ CERTIFICATES = {
         partial(_draw_groups, partial(_draw_block, weighted=False),
                 _block_stack),
         _riesz_kernel,
-        lambda inp, psi, horizon: (riesz_perturbation_certificate(
-            inp.contraction, inp.phi, psi, horizon),),
+        lambda inp, psi, horizon: riesz_perturbation_certificate(
+            inp.contraction, inp.phi, psi, horizon),
         _riesz_concludes),
     "weighted_frame_perturbation": CertificateKind(
         _params(*_ORBIT_PARAMS, "weights"),
         partial(_draw_groups, partial(_draw_block, weighted=True),
                 _block_stack),
         _weighted_kernel,
-        lambda inp, psi, horizon: (weighted_frame_perturbation_certificate(
-            inp.contraction, inp.phi, psi, inp.weights, horizon),),
+        lambda inp, psi, horizon: weighted_frame_perturbation_certificate(
+            inp.contraction, inp.phi, psi, inp.weights, horizon),
         _stable_under_doubling),
     "scaled_generator_perturbation": CertificateKind(
         _params(*_ORBIT_PARAMS, "weights"),
         partial(_draw_groups, _draw_scaled, _scaled_stack),
         _scaled_kernel,
-        lambda inp, psi, horizon: (scaled_generator_perturbation_certificate(
-            inp.operator, inp.phi, psi, inp.weights, horizon),),
+        lambda inp, psi, horizon: scaled_generator_perturbation_certificate(
+            inp.operator, inp.phi, psi, inp.weights, horizon),
         lambda cert, doubled: cert.conclusion_check.classification
         in ("frame", "riesz_basis")),
     "multi_generator_riesz": CertificateKind(
@@ -836,8 +889,8 @@ CERTIFICATES = {
                 required=["w_operator"]),
         partial(_draw_groups, _draw_multi, _multi_stack),
         _multi_kernel,
-        lambda inp, psi, horizon: (multi_generator_riesz_certificate(
-            inp.second_contraction, inp.contraction, inp.generators, horizon),),
+        lambda inp, psi, horizon: multi_generator_riesz_certificate(
+            inp.second_contraction, inp.contraction, inp.generators, horizon),
         lambda cert, doubled: cert.conclusion_check.classification in _RIESZ),
     "two_operator_frame": _two_operator("two_operator_frame", nearby=False),
     "two_operator_riesz_sum": _two_operator("two_operator_riesz_sum",

@@ -102,6 +102,9 @@ class CheckRecord(NamedTuple):
     passed: bool
     wall_time: float
     error: str | None = None
+    # the error is an exception the check did not expect (CLI exit code 3);
+    # the report states it in ``error``, as "<Type>: <message> (at <where>)"
+    unexpected: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -127,6 +130,10 @@ class ExperimentReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    @property
+    def unexpected(self) -> bool:
+        return any(c.unexpected for c in self.checks)
 
     def stable_payload(self, payload: dict | None = None) -> dict:
         """Report payload with timing fields stripped (hash basis).

@@ -327,6 +327,27 @@ def test_cli_check_failure_exit_code(tmp_path):
     assert code == 2
 
 
+def test_an_unexpected_exception_is_a_record_and_exit_3(tmp_path, capsys,
+                                                        monkeypatch):
+    def broken(run, name, p, seed):
+        return {}, {}, len(None)
+
+    _, schema = checks._ROWS["surjectivity"]
+    monkeypatch.setitem(checks._ROWS, "surjectivity", (broken, schema))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(shift_config()))
+    out = tmp_path / "r.json"
+    code = cli.main(["run", str(cfg_path), "--out", str(out)])
+    assert code == 3
+    orbit, broken_record = json.loads(out.read_text())["checks"]
+    assert orbit["passed"] and orbit["error"] is None
+    line = broken.__code__.co_firstlineno + 1
+    assert broken_record["passed"] is False
+    assert broken_record["error"] == ("TypeError: object of type 'NoneType' "
+                                      f"has no len() (at test_cli:{line})")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("check", ["surjectivity", "periodic", "nogo-proxy"])
 def test_one_orbit_checks_refuse_several_generators(tmp_path, check):
     # each of these describes the orbit of one generator: a second one is

@@ -445,3 +445,73 @@ def test_search_deterministic():
 def test_search_rejects_unknown_certificate():
     with pytest.raises(InvalidInput):
         perturb.satisfiability_search("bogus", 10, seed=0)
+
+
+# -- a perturbation: check certifies its psi as one stack ---------------------
+
+def per_psi_record(kind, p):
+    """The check as it was, as an oracle: the public certificate function
+    once per psi, and again at twice the horizon where a conclusion reads
+    it; the first exception, in that order, ends the check."""
+    from dynsamp_lab import checks
+
+    instances, all_pass = [], True
+    for psi in p.psis:
+        def doubled(psi=psi):
+            return kind.evaluate(p, psi, 2 * p.horizon)
+
+        for cert in kind.evaluate(p, psi, p.horizon):
+            all_pass = all_pass and (not cert.verdict
+                                     or kind.concludes(cert, doubled))
+            instances.append(checks._cert_summary(cert))
+    return {"instances": instances}, all_pass
+
+
+def stacked_and_per_psi(raw):
+    from dynsamp_lab import checks, config
+
+    cfg = config.parse_config(raw)
+    params = checks._parse_params(cfg)
+    for record in checks.run_experiment(cfg).checks:
+        kind = perturb.CERTIFICATES[record.name.split(":", 1)[1]]
+        try:
+            outputs, passed = per_psi_record(kind, params[record.name])
+            want = repr((outputs, passed, None))
+        except (HypothesisViolated, InvalidInput, np.linalg.LinAlgError) as exc:
+            want = repr(({}, False, f"{type(exc).__name__}: {exc}"))
+        yield record, repr((record.outputs, record.passed, record.error)), want
+
+
+def gallery(**riesz_params):
+    from dynsamp_lab import config, presets
+
+    raw = config.config_to_dict(presets.preset_config("perturbation-gallery"))
+    raw["params"]["perturbation:riesz_orbit_perturbation"].update(riesz_params)
+    return raw
+
+
+def test_the_psi_stack_gives_the_gallery_every_bit_of_one_call_per_psi():
+    records = list(stacked_and_per_psi(gallery()))
+    assert len(records) == 4
+    for record, got, want in records:
+        assert record.error is None
+        # repr shows every float bit for bit
+        assert got == want, record.name
+
+
+@pytest.mark.parametrize("params, error", [
+    # psi 1 leaves the subspace, as the others do only within 1e-8
+    ({"psi_direction": [0.0, 1e-7, 1.0], "psi_scales": [0.01, 0.5, 0.02]},
+     "InvalidHypothesis: vector is not in the contraction subspace"),
+    # psi 1's perturbed sigma_1^2 overflows, which raises for the whole stack
+    ({"psi_scales": [0.1, 1.2e154, 0.6]}, "LinAlgError: squared singular "
+     "value sigma_1^2 of a 3 x 2 matrix is not finite in float64"),
+    # psi 1 fails as above; psi 2 raises for the whole stack
+    ({"psi_direction": [0.0, 1e-7, 1.0], "psi_scales": [0.01, 0.5, 1.2e154]},
+     "InvalidHypothesis: vector is not in the contraction subspace"),
+])
+def test_the_first_failing_psi_is_the_recorded_error(params, error):
+    record, got, want = next(stacked_and_per_psi(gallery(**params)))
+    assert record.name == "perturbation:riesz_orbit_perturbation"
+    assert record.error == error
+    assert got == want
