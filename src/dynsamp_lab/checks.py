@@ -10,7 +10,7 @@ Only a ``perturbation:`` or ``satisfiability:`` check loads ``perturb``.
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -291,20 +291,25 @@ def _check_iterated(run: Run, name: str, p, seed: int):
     return res._asdict(), {}, True  # measurement check
 
 
-def _check_perturbation(run: Run, name: str, p, seed: int):
+def _check_perturbation(run: Run, name: str, build, seed: int):
     from . import perturb
 
     kind = perturb.CERTIFICATES[name.split(":", 1)[1]]
+    # both two-operator checks report both certificates
+    kernel = perturb._two_operator_kernel if ":two_operator" in name \
+        else kind.kernel
     # every psi as one stack, at the horizon and, if a conclusion reads it,
     # at twice it; the first psi to fail, in order, is the record's error
-    at = cache(lambda horizon: kind.evaluate(p, np.array(p.psis), horizon))
+    stack = build()
+    at = cache(lambda horizon: perturb._certify(
+        kernel, stack._replace(horizon=horizon)))
     instances = []
     all_pass = True
-    for i in range(len(p.psis)):
+    for i in range(len(stack.weights)):
         def doubled(i=i):
-            return _raised(at(2 * p.horizon)[i])
+            return perturb._raised(at(2 * stack.horizon)[i])
 
-        for cert in _raised(at(p.horizon)[i]):
+        for cert in perturb._raised(at(stack.horizon)[i]):
             ok = not cert.verdict or kind.concludes(cert, doubled)
             instances.append(_cert_summary(cert))
             all_pass = all_pass and ok
@@ -312,13 +317,6 @@ def _check_perturbation(run: Run, name: str, p, seed: int):
     margins = {"best_margin": max((i["margin"] for i in instances),
                                   default=-math.inf)}
     return outputs, margins, all_pass
-
-
-def _raised(outcome):
-    """A psi's certificates, or the exception it failed with, raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def _cert_summary(cert: perturb.Certificate) -> dict:
@@ -410,12 +408,11 @@ def _params_vector(p: dict, key: str, dim: int) -> np.ndarray:
     return parse_scalars(p[key])
 
 
-def _certificate_inputs(cfg: ExperimentConfig,
-                        p: dict) -> perturb.CertificateInputs:
-    """A schema-valid ``params["perturbation:<name>"]``, parsed; the
-    default operator, phi, weights and horizon are the config's."""
-    from . import perturb
-
+def _perturbation_builder(cfg: ExperimentConfig, cert: str,
+                          p: dict) -> partial:
+    """A schema-valid ``params["perturbation:<cert>"]``, parsed into the
+    builder of its stack; the default operator, phi, weights and horizon
+    are the config's."""
     operator = _params_operator(p, "operator") if "operator" in p \
         else cfg.operator
     dim = operator.shape[0]
@@ -433,18 +430,46 @@ def _certificate_inputs(cfg: ExperimentConfig,
     direction = _params_vector(p, "psi_direction", dim) \
         if "psi_direction" in p else basis[:, 0]
     w_key = "w_operator" if "w_operator" in p else "second_operator"
-    return perturb.CertificateInputs(
+    with np.errstate(over="ignore"):  # a psi past float64 is refused later
+        psis = tuple(parse_complex(s).real * direction
+                     for s in p.get("psi_scales", [1.0]))
+    return partial(
+        _perturbation_stack, cert,
         operator=operator,
         phi=phi,
         generators=cfg.generators,
         subspace_basis=basis,
-        psis=tuple(parse_complex(s).real * direction
-                   for s in p.get("psi_scales", [1.0])),
+        psis=psis,
         weights=parse_weight_spec(p["weights"]) if "weights" in p
         else cfg.weights or WeightSpec.constant(1.0),
         horizon=int(p.get("horizon", cfg.horizon)),
         second_operator=_params_operator(p, w_key, dim) if w_key in p else None,
     )
+
+
+def _perturbation_stack(cert: str, operator, phi, generators, subspace_basis,
+                        psis, weights, horizon: int,
+                        second_operator) -> perturb._Stack:
+    """The stack of a perturbation check, one instance per psi, refused in
+    the order of its certificate's public function: the contraction data
+    of T and W on the subspace (W's first for multi_generator_riesz, none
+    for scaled_generator_perturbation), then phi and every psi."""
+    from . import perturb
+
+    ops = {"t": operator, "w": second_operator}
+    arrays = {}
+    for key in {"multi_generator_riesz": "wt",
+                "scaled_generator_perturbation": ""}.get(cert, "tw"):
+        if ops[key] is not None:
+            cd = perturb.contraction_data(ops[key], subspace_basis)
+            pre = "w_" if key == "w" else ""
+            arrays.update({key: cd.operator, pre + "mu": cd.mu,
+                           pre + "basis": cd.subspace_basis})
+    t = arrays.setdefault("t", operator)  # validated as it was parsed
+    phi, *psis = dynsamp.orbit_generators(t, (phi, *psis), horizon)
+    if cert == "multi_generator_riesz":
+        arrays["gens"] = np.stack(generators)  # finite, of phi's dimension
+    return perturb._Stack.one(horizon, weights, psis, phi=phi, **arrays)
 
 
 _NO_PARAMS = params_schema({})
@@ -511,7 +536,7 @@ def _parse_params(cfg: ExperimentConfig) -> dict:
                 f"params[{name!r}]{err.json_path[1:]}: {err.message}")
         if name.startswith("perturbation:"):
             try:
-                p = _certificate_inputs(cfg, p)
+                p = _perturbation_builder(cfg, name.split(":", 1)[1], p)
             except ConfigError as exc:
                 raise ConfigError(f"params[{name!r}]: {exc}") from None
         parsed[name] = p

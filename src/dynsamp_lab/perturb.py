@@ -6,17 +6,17 @@ the statement's conclusion on the perturbed system.  Infinite sums are
 truncated at the horizon with a geometric tail bound added, keeping the
 sufficient-condition direction intact.  A randomized satisfiability
 search probes whether the hypothesis set of a certificate is inhabited
-at all.  Every certificate is computed by one stacked kernel in stages:
-the search draws each shape group of its trials as one stack, computes
-every margin and the hypothesis values of the trials it records; the
-public certificate functions run every stage, conclusions included, on a
-stack of one instance per psi they are given.
+at all.  Every certificate is one stacked kernel in stages, and every
+caller builds a stack and calls it: the search, a shape group of its
+trials, for every margin and the hypothesis values of the trials it
+records; a ``perturbation:`` check, one instance per psi, and a public
+certificate function, one instance, for every stage and conclusion.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -78,10 +78,11 @@ class Certificate(NamedTuple):
 # stacked kernels
 #
 # A certificate is evaluated on a stack of instances of one shape: the
-# satisfiability search stacks a shape group, the public certificate
-# functions a single instance.  Stacked SVDs and products run LAPACK and
-# BLAS once per matrix, and each reduction is the one a single instance
-# makes, so every instance gets the bits it would get alone, in any stack.
+# satisfiability search stacks a shape group, a perturbation check one
+# instance per psi, a public certificate function a single instance.
+# Stacked SVDs and products run LAPACK and BLAS once per matrix, and each
+# reduction is the one a single instance makes, so every instance gets the
+# bits it would get alone, in any stack.
 # ``fails[i]`` holds the exception instance i raises alone (its first
 # violated hypothesis); later steps still run over it, but its result is
 # dropped.
@@ -90,7 +91,7 @@ class Certificate(NamedTuple):
 # every refusal and computes each margin from the quantities it reads.
 # The other two run only where a caller reads them: the remaining
 # hypothesis values over the instances a search records, re-stacked, and
-# the conclusion reports, which only the public functions compute.
+# the conclusion reports, which the search never computes.
 # ---------------------------------------------------------------------------
 
 class _Stack(NamedTuple):
@@ -124,19 +125,6 @@ class _Stack(NamedTuple):
         return self._replace(weights=tuple(self.weights[i] for i in idx),
                              **{k: v[idx] for k, v in self._asdict().items()
                                 if isinstance(v, np.ndarray)})
-
-    def inputs(self, j: int) -> "CertificateInputs":
-        """Instance j, unstacked."""
-        def row(a):
-            return None if a is None else a[j]
-
-        return CertificateInputs(
-            operator=self.t[j], horizon=self.horizon,
-            subspace_basis=row(self.basis), phi=row(self.phi),
-            psis=(row(self.psi),),
-            weights=self.weights[j] if self.weights else None,
-            generators=() if self.gens is None else tuple(self.gens[j]),
-            second_operator=row(self.w))
 
 
 class _Staged(NamedTuple):
@@ -189,20 +177,17 @@ def _certify(kernel: Callable, stack: _Stack) -> list:
             for i, fail in enumerate(fails)]
 
 
+def _raised(outcome):
+    """An instance's outcome of :func:`_certify`: its certificates, or the
+    exception it fails with, raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _one(kernel: Callable, stack: _Stack) -> tuple[Certificate, ...]:
     """The certificates of a stack of one, raising what it fails with."""
-    (out,) = _certify(kernel, stack)
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def _per_psi(kernel: Callable, psi, stack: _Stack):
-    """The Certificate of a vector ``psi``, raising what it fails with; of a
-    ``B x d`` stack of them, :func:`_certify` of ``stack``, which holds one
-    instance per psi."""
-    return _certify(kernel, stack) if np.ndim(psi) == 2 \
-        else _one(kernel, stack)[0]
+    return _raised(_certify(kernel, stack)[0])
 
 
 def _flag(fails: list, bad, make: Callable[[int], Exception]) -> None:
@@ -300,13 +285,12 @@ def riesz_perturbation_certificate(cd: ContractionData, phi, psi,
     the base orbit prefix.  Also reports the operative sum
     ``sum_n ||T^n psi|| ||S^+ T^n phi||`` with its geometric tail bound;
     a total below one certifies the perturbed prefix with lower bound at
-    least ``A (1 - sum)^2``.  ``psi`` may be a stack: see :func:`_per_psi`.
+    least ``A (1 - sum)^2``.
     """
-    phi, *psis = orbit_generators(cd.operator, (phi, *np.atleast_2d(psi)),
-                                  horizon)
-    return _per_psi(_riesz_kernel, psi, _Stack.one(
-        horizon, psi=psis, t=cd.operator, mu=cd.mu, basis=cd.subspace_basis,
-        phi=phi))
+    phi, psi = orbit_generators(cd.operator, (phi, psi), horizon)
+    return _one(_riesz_kernel, _Stack.one(
+        horizon, psi=[psi], t=cd.operator, mu=cd.mu, basis=cd.subspace_basis,
+        phi=phi))[0]
 
 
 def _riesz_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
@@ -359,13 +343,12 @@ def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
     the span-relative lower bound of the perturbed system.  The ambient
     conclusion report is meaningful once psi reaches into the contraction
     subspace; at psi = 0 over a non-spanning base it degenerates to the
-    base classification.  ``psi`` may be a stack: see :func:`_per_psi`.
+    base classification.
     """
-    phi, *psis = orbit_generators(cd.operator, (phi, *np.atleast_2d(psi)),
-                                  horizon)
-    return _per_psi(_weighted_kernel, psi, _Stack.one(
-        horizon, weights, psis, t=cd.operator, mu=cd.mu,
-        basis=cd.subspace_basis, phi=phi))
+    phi, psi = orbit_generators(cd.operator, (phi, psi), horizon)
+    return _one(_weighted_kernel, _Stack.one(
+        horizon, weights, [psi], t=cd.operator, mu=cd.mu,
+        basis=cd.subspace_basis, phi=phi))[0]
 
 
 def _weighted_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
@@ -410,13 +393,12 @@ def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
     Hypotheses: {a_n T^n phi} is a frame with lower bound A and
     {a_{n+1} T^n psi} is Bessel with bound B.  Margin:
     ``sqrt(A / B) - sup_n |a_n / a_{n+1}|``; for psi = 0 the Bessel bound
-    degenerates to zero and the margin is reported as +inf.  ``psi`` may
-    be a stack: see :func:`_per_psi`.
+    degenerates to zero and the margin is reported as +inf.
     """
     t = numkit.as_operator(t)
-    phi, *psis = orbit_generators(t, (phi, *np.atleast_2d(psi)), horizon)
-    return _per_psi(_scaled_kernel, psi, _Stack.one(horizon, weights, psis,
-                                                    t=t, phi=phi))
+    phi, psi = orbit_generators(t, (phi, psi), horizon)
+    return _one(_scaled_kernel, _Stack.one(horizon, weights, [psi], t=t,
+                                           phi=phi))[0]
 
 
 def _scaled_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
@@ -472,11 +454,10 @@ def multi_generator_riesz_certificate(cd_w: ContractionData,
     if not gens:
         raise InvalidInput("need at least one generator")
     gens = orbit_generators(cd_w.operator, gens, horizon)
-    (cert,) = _one(_multi_kernel, _Stack.one(
+    return _one(_multi_kernel, _Stack.one(
         horizon, t=cd_t.operator, mu=cd_t.mu, basis=cd_t.subspace_basis,
         w=cd_w.operator, w_mu=cd_w.mu, w_basis=cd_w.subspace_basis,
-        gens=np.stack(gens)))
-    return cert
+        gens=np.stack(gens)))[0]
 
 
 def _multi_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
@@ -608,37 +589,8 @@ def _two_operator_kernel(st: _Stack, fails: list,
 # the certificate table
 # ---------------------------------------------------------------------------
 
-class CertificateInputs:
-    """One certificate instance; each psi in ``psis`` is certified in turn
-    (ignored where no generator is perturbed).  ``second_operator`` is the
-    W of the multi-generator and two-operator certificates."""
-
-    def __init__(self, operator: np.ndarray, horizon: int,
-                 subspace_basis: np.ndarray | None = None,
-                 phi: np.ndarray | None = None, psis: tuple = (None,),
-                 weights: WeightSpec | None = None, generators: tuple = (),
-                 second_operator: np.ndarray | None = None):
-        self.operator = operator
-        self.horizon = horizon
-        self.subspace_basis = subspace_basis
-        self.phi = phi
-        self.psis = psis
-        self.weights = weights
-        self.generators = generators
-        self.second_operator = second_operator
-
-    @cached_property
-    def contraction(self) -> ContractionData:
-        return contraction_data(self.operator, self.subspace_basis)
-
-    @cached_property
-    def second_contraction(self) -> ContractionData:
-        return contraction_data(self.second_operator, self.subspace_basis)
-
-
 class CertificateKind(NamedTuple):
-    """One row of the certificate table; its functions call certificate
-    functions by their module-global names.  ``concludes(cert, doubled)``
+    """One row of the certificate table.  ``concludes(cert, doubled)``
     checks the conclusion of a certificate whose hypothesis holds;
     ``doubled()`` evaluates it again at twice the horizon."""
 
@@ -647,28 +599,7 @@ class CertificateKind(NamedTuple):
     # search instance per rng
     draw: Callable
     kernel: Callable  # (stack, fails) -> (the certificate's _Staged,)
-    # (inputs, psi, horizon) -> the public certificate function's result
-    certify: Callable
     concludes: Callable
-
-    def evaluate(self, inputs: "CertificateInputs", psi, horizon: int):
-        """The tuple of certificates of one psi (ignored where no generator
-        is perturbed), raising what it fails with; of a ``B x d`` stack of
-        psi, from one stacked call, the list of each psi's tuple or the
-        exception it fails with alone."""
-        out = self.certify(inputs, psi, horizon)
-        if isinstance(out, Certificate):
-            out = (out,)
-        if np.ndim(psi) == 2 and not isinstance(out, list):
-            out = [out] * len(psi)  # one result serves every psi
-        return out
-
-    def sample(self, rngs) -> list[CertificateInputs]:
-        """One search instance per rng, unstacked."""
-        out = {}
-        for idx, st in self.draw(rngs):
-            out.update((i, st.inputs(j)) for j, i in enumerate(idx))
-        return [out[i] for i in range(len(out))]
 
 
 _PARAMS = {
@@ -854,8 +785,6 @@ def _two_operator(name: str, nearby: bool) -> CertificateKind:
         partial(_draw_groups, _draw_two_operator,
                 partial(_two_operator_stack, nearby=nearby)),
         partial(_two_operator_kernel, names=(name,)),
-        lambda inp, psi, horizon: two_operator_certificates(
-            inp.contraction, inp.second_contraction, inp.phi, horizon),
         lambda cert, doubled: cert.conclusion_check.a_opt > 0)
 
 
@@ -865,23 +794,17 @@ CERTIFICATES = {
         partial(_draw_groups, partial(_draw_block, weighted=False),
                 _block_stack),
         _riesz_kernel,
-        lambda inp, psi, horizon: riesz_perturbation_certificate(
-            inp.contraction, inp.phi, psi, horizon),
         _riesz_concludes),
     "weighted_frame_perturbation": CertificateKind(
         _params(*_ORBIT_PARAMS, "weights"),
         partial(_draw_groups, partial(_draw_block, weighted=True),
                 _block_stack),
         _weighted_kernel,
-        lambda inp, psi, horizon: weighted_frame_perturbation_certificate(
-            inp.contraction, inp.phi, psi, inp.weights, horizon),
         _stable_under_doubling),
     "scaled_generator_perturbation": CertificateKind(
         _params(*_ORBIT_PARAMS, "weights"),
         partial(_draw_groups, _draw_scaled, _scaled_stack),
         _scaled_kernel,
-        lambda inp, psi, horizon: scaled_generator_perturbation_certificate(
-            inp.operator, inp.phi, psi, inp.weights, horizon),
         lambda cert, doubled: cert.conclusion_check.classification
         in ("frame", "riesz_basis")),
     "multi_generator_riesz": CertificateKind(
@@ -889,8 +812,6 @@ CERTIFICATES = {
                 required=["w_operator"]),
         partial(_draw_groups, _draw_multi, _multi_stack),
         _multi_kernel,
-        lambda inp, psi, horizon: multi_generator_riesz_certificate(
-            inp.second_contraction, inp.contraction, inp.generators, horizon),
         lambda cert, doubled: cert.conclusion_check.classification in _RIESZ),
     "two_operator_frame": _two_operator("two_operator_frame", nearby=False),
     "two_operator_riesz_sum": _two_operator("two_operator_riesz_sum",

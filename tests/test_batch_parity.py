@@ -12,6 +12,7 @@ certificate function, now a stack of one, with its conclusion.
 """
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from dynsamp_lab.errors import (
     InvalidInput,
 )
 from dynsamp_lab.frames import VectorSystem
-from dynsamp_lab.perturb import Certificate, CertificateInputs, ContractionData
+from dynsamp_lab.perturb import Certificate, ContractionData
 
 TRIALS = 200
 SEEDS = (7, 2024, 11)
@@ -340,13 +341,29 @@ def two_operator_certificates(cd_t: ContractionData, cd_w: ContractionData,
 
 # -- the oracle's samplers: one rng, one instance ----------------------------
 
+class Inputs(NamedTuple):
+    """One certificate instance, unstacked; each psi in ``psis`` is
+    certified in turn (ignored where no generator is perturbed).
+    ``second_operator`` is the W of the multi-generator and two-operator
+    certificates."""
+
+    operator: np.ndarray
+    horizon: int
+    subspace_basis: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    psis: tuple = (None,)
+    weights: WeightSpec | None = None
+    generators: tuple = ()
+    second_operator: np.ndarray | None = None
+
+
 def _random_contraction(rng, d, top=0.95):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     target = float(rng.uniform(0.2, top))
     return (m / numkit.operator_norm(m)) * target
 
 
-def _sample_block(rng, weighted: bool = False) -> CertificateInputs:
+def _sample_block(rng, weighted: bool = False) -> Inputs:
     """Shift block plus diagonal contraction block, contraction subspace =
     the trailing coordinates, and a psi of norm at most 1.2 inside it."""
     m = int(rng.integers(2, 5))
@@ -363,32 +380,32 @@ def _sample_block(rng, weighted: bool = False) -> CertificateInputs:
     psi = v_basis @ direction * float(rng.uniform(0.0, 1.2))
     weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3))) \
         if weighted else None
-    return CertificateInputs(operator=t, horizon=m, subspace_basis=v_basis,
-                             phi=phi, psis=(psi,), weights=weights)
+    return Inputs(operator=t, horizon=m, subspace_basis=v_basis, phi=phi,
+                  psis=(psi,), weights=weights)
 
 
-def _sample_scaled(rng) -> CertificateInputs:
+def _sample_scaled(rng) -> Inputs:
     d = int(rng.integers(2, 6))
     phi = np.eye(d, dtype=complex)[0]
     psi = phi * float(rng.uniform(0.0, 0.5))
     weights = WeightSpec.geometric(float(rng.uniform(0.7, 1.3)))
-    return CertificateInputs(operator=nilpotent_shift(d), horizon=d, phi=phi,
-                             psis=(psi,), weights=weights)
+    return Inputs(operator=nilpotent_shift(d), horizon=d, phi=phi,
+                  psis=(psi,), weights=weights)
 
 
-def _sample_multi(rng) -> CertificateInputs:
+def _sample_multi(rng) -> Inputs:
     d = int(rng.integers(1, 9))
     w_op = _random_contraction(rng, d)
     t_op = _random_contraction(rng, d)
     count = int(rng.integers(1, 3))
     gens = tuple((rng.standard_normal(d) + 1j * rng.standard_normal(d))
                  * float(rng.uniform(0.1, 2.0)) for _ in range(count))
-    return CertificateInputs(operator=t_op, horizon=4 * d,
-                             subspace_basis=np.eye(d, dtype=complex),
-                             generators=gens, second_operator=w_op)
+    return Inputs(operator=t_op, horizon=4 * d,
+                  subspace_basis=np.eye(d, dtype=complex),
+                  generators=gens, second_operator=w_op)
 
 
-def _sample_two_operator(rng, nearby: bool) -> CertificateInputs:
+def _sample_two_operator(rng, nearby: bool) -> Inputs:
     """Two random contractions; ``nearby`` draws W within 0.01 of T."""
     d = int(rng.integers(1, 9))
     t_op = _random_contraction(rng, d)
@@ -400,9 +417,9 @@ def _sample_two_operator(rng, nearby: bool) -> CertificateInputs:
         w_op = _random_contraction(rng, d)
     phi = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) \
         * float(rng.uniform(0.2, 2.0))
-    return CertificateInputs(operator=t_op, horizon=4 * d,
-                             subspace_basis=np.eye(d, dtype=complex),
-                             phi=phi, second_operator=w_op)
+    return Inputs(operator=t_op, horizon=4 * d,
+                  subspace_basis=np.eye(d, dtype=complex),
+                  phi=phi, second_operator=w_op)
 
 
 def _contraction(inp):
@@ -444,6 +461,46 @@ ORACLE = {
         lambda inp: two_operator_certificates(
             _contraction(inp), _second_contraction(inp), inp.phi,
             inp.horizon)),
+}
+
+
+class Public(NamedTuple):
+    """A certificate's public function, called as a check calls it:
+    ``evaluate(inputs, psi, horizon)`` is the tuple of its certificates."""
+
+    evaluate: Callable
+
+
+def _public_contraction(operator, inp):
+    return perturb.contraction_data(operator, inp.subspace_basis)
+
+
+def _public_two_operator(inp, psi, horizon):
+    return perturb.two_operator_certificates(
+        _public_contraction(inp.operator, inp),
+        _public_contraction(inp.second_operator, inp), inp.phi, horizon)
+
+
+# certificate -> its public function, taking the contraction data in the
+# order a perturbation check refuses them
+PUBLIC = {
+    "riesz_orbit_perturbation": Public(lambda inp, psi, horizon: (
+        perturb.riesz_perturbation_certificate(
+            _public_contraction(inp.operator, inp), inp.phi, psi, horizon),)),
+    "weighted_frame_perturbation": Public(lambda inp, psi, horizon: (
+        perturb.weighted_frame_perturbation_certificate(
+            _public_contraction(inp.operator, inp), inp.phi, psi,
+            inp.weights, horizon),)),
+    "scaled_generator_perturbation": Public(lambda inp, psi, horizon: (
+        perturb.scaled_generator_perturbation_certificate(
+            inp.operator, inp.phi, psi, inp.weights, horizon),)),
+    "multi_generator_riesz": Public(lambda inp, psi, horizon: (
+        perturb.multi_generator_riesz_certificate(
+            _public_contraction(inp.second_operator, inp),
+            _public_contraction(inp.operator, inp), inp.generators,
+            horizon),)),
+    "two_operator_frame": Public(_public_two_operator),
+    "two_operator_riesz_sum": Public(_public_two_operator),
 }
 
 
@@ -523,8 +580,8 @@ def test_search_matches_the_scalar_oracle(name, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", perturb.CERTIFICATE_NAMES)
 def test_public_functions_match_the_scalar_oracle(name, seed):
-    """The check path: each public function is a stack of one."""
-    kind = perturb.CERTIFICATES[name]
+    """Each public function, a stack of one."""
+    kind = PUBLIC[name]
     sample, evaluate = ORACLE[name]
     for trial in range(TRIALS):
         inp = sample(np.random.default_rng([seed, trial]))
@@ -689,9 +746,12 @@ def test_chunk_boundaries_do_not_change_any_trial(monkeypatch):
 @given(st.integers(0, 2**64 - 1))
 def test_multi_generator_margin_is_at_most_minus_half_the_energy(seed):
     kind = perturb.CERTIFICATES["multi_generator_riesz"]
-    inp = kind.sample([np.random.default_rng(seed)])[0]
+    ((_, stack),) = kind.draw([np.random.default_rng(seed)])
     try:
-        (cert,) = kind.evaluate(inp, None, inp.horizon)
+        cert = perturb.multi_generator_riesz_certificate(
+            perturb.contraction_data(stack.w[0], stack.basis[0]),
+            perturb.contraction_data(stack.t[0], stack.basis[0]),
+            stack.gens[0], stack.horizon)
     except HypothesisViolated:
         return
     energy = cert.hypothesis_values["generator_energy"]
@@ -703,9 +763,12 @@ def test_multi_generator_margin_is_at_most_minus_half_the_energy(seed):
        st.sampled_from(["two_operator_frame", "two_operator_riesz_sum"]))
 def test_two_operator_frame_margin_is_at_most_minus_phi_norm(seed, family):
     kind = perturb.CERTIFICATES[family]
-    inp = kind.sample([np.random.default_rng(seed)])[0]
+    ((_, stack),) = kind.draw([np.random.default_rng(seed)])
     try:
-        frame_cert, _ = kind.evaluate(inp, None, inp.horizon)
+        frame_cert, _ = perturb.two_operator_certificates(
+            perturb.contraction_data(stack.t[0], stack.basis[0]),
+            perturb.contraction_data(stack.w[0], stack.basis[0]),
+            stack.phi[0], stack.horizon)
     except HypothesisViolated:
         return
     phi_norm = frame_cert.hypothesis_values["phi_norm"]

@@ -530,6 +530,23 @@ def test_two_operator_riesz_sum_via_runner_emits_both_instances():
     assert riesz_sum["conclusion"]["a_opt"] > 0
 
 
+@pytest.mark.parametrize("cert, key, factor", [
+    ("multi_generator_riesz", "w_operator", 3),  # W's contraction, then T's
+    ("two_operator_frame", "second_operator", 2),  # T's, then W's
+    ("two_operator_riesz_sum", "second_operator", 2),
+])
+def test_each_certificate_refuses_its_contractions_in_its_own_order(
+        cert, key, factor):
+    check = f"perturbation:{cert}"
+    raw = diagonal_config(check, {
+        "operator": {"kind": "diagonal", "values": [2.0, 0.5]},
+        key: {"kind": "diagonal", "values": [3.0, 0.5]},
+        "subspace_coords": [0]})
+    (record,) = checks.run_experiment(config.parse_config(raw)).checks
+    assert record.error == (f"InvalidHypothesis: contraction factor {factor} "
+                            ">= 1 on the subspace")
+
+
 GALLERY = presets._perturbation_gallery(3, 7)
 RIESZ = "perturbation:riesz_orbit_perturbation"
 SCALED = "perturbation:scaled_generator_perturbation"
@@ -781,6 +798,16 @@ def test_cli_overflowing_bessel_bound_is_an_error_record_without_warnings(
                                "||phi||^2 / (1 - ||T||^2) is not finite in "
                                "float64")
     assert record["outputs"] == {}
+
+
+def test_cli_overflowing_psi_is_an_error_record_without_warnings(tmp_path):
+    # 2 x 1e308 overflows float64 as psi is formed from its params
+    proc, record = run_subprocess(tmp_path, gallery_with(
+        RIESZ, psi_direction=[0.0, 0.0, 2.0], psi_scales=[0.1, 1e308]))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert record["name"] == RIESZ
+    assert record["error"] == "InvalidInput: vector entries must be finite"
 
 
 @pytest.mark.parametrize("weights", [[1e-171, 1e153, 1.0],

@@ -449,18 +449,19 @@ def test_search_rejects_unknown_certificate():
 
 # -- a perturbation: check certifies its psi as one stack ---------------------
 
-def per_psi_record(kind, p):
+def per_psi_record(kind, public, p):
     """The check as it was, as an oracle: the public certificate function
-    once per psi, and again at twice the horizon where a conclusion reads
-    it; the first exception, in that order, ends the check."""
+    once per psi of the parsed inputs ``p``, and again at twice the
+    horizon where a conclusion reads it; the first exception, in that
+    order, ends the check."""
     from dynsamp_lab import checks
 
     instances, all_pass = [], True
     for psi in p.psis:
         def doubled(psi=psi):
-            return kind.evaluate(p, psi, 2 * p.horizon)
+            return public.evaluate(p, psi, 2 * p.horizon)
 
-        for cert in kind.evaluate(p, psi, p.horizon):
+        for cert in public.evaluate(p, psi, p.horizon):
             all_pass = all_pass and (not cert.verdict
                                      or kind.concludes(cert, doubled))
             instances.append(checks._cert_summary(cert))
@@ -469,13 +470,17 @@ def per_psi_record(kind, p):
 
 def stacked_and_per_psi(raw):
     from dynsamp_lab import checks, config
+    from test_batch_parity import PUBLIC, Inputs
 
     cfg = config.parse_config(raw)
     params = checks._parse_params(cfg)
     for record in checks.run_experiment(cfg).checks:
-        kind = perturb.CERTIFICATES[record.name.split(":", 1)[1]]
+        name = record.name.split(":", 1)[1]
+        # the parsed inputs the check's stack builder holds
+        inputs = Inputs(**params[record.name].keywords)
         try:
-            outputs, passed = per_psi_record(kind, params[record.name])
+            outputs, passed = per_psi_record(perturb.CERTIFICATES[name],
+                                             PUBLIC[name], inputs)
             want = repr((outputs, passed, None))
         except (HypothesisViolated, InvalidInput, np.linalg.LinAlgError) as exc:
             want = repr(({}, False, f"{type(exc).__name__}: {exc}"))
@@ -509,6 +514,10 @@ def test_the_psi_stack_gives_the_gallery_every_bit_of_one_call_per_psi():
     # psi 1 fails as above; psi 2 raises for the whole stack
     ({"psi_direction": [0.0, 1e-7, 1.0], "psi_scales": [0.01, 0.5, 1.2e154]},
      "InvalidHypothesis: vector is not in the contraction subspace"),
+    # psi 1 overflows float64 as the params block is parsed, with no numpy
+    # warning, and is refused before any kernel runs
+    ({"psi_direction": [0.0, 0.0, 2.0], "psi_scales": [0.1, 1e308]},
+     "InvalidInput: vector entries must be finite"),
 ])
 def test_the_first_failing_psi_is_the_recorded_error(params, error):
     record, got, want = next(stacked_and_per_psi(gallery(**params)))

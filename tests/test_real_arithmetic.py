@@ -53,17 +53,16 @@ def forced_complex(monkeypatch, cfg):
     solve = numkit.solve_stein
     monkeypatch.setattr(numkit, "solve_stein", lambda t, c, sp, tol=1e-12: solve(
         t.astype(complex), c.astype(complex), sp, tol))
-    inputs = checks._certificate_inputs
+    stack = checks._perturbation_stack
 
-    def complex_inputs(cfg, p):
-        inp = inputs(cfg, p)
+    def complex_stack(cert, **inp):
         for key in ("operator", "phi", "subspace_basis", "second_operator"):
-            if getattr(inp, key) is not None:
-                setattr(inp, key, getattr(inp, key).astype(complex))
-        inp.psis = tuple(psi.astype(complex) for psi in inp.psis)
-        return inp
+            if inp[key] is not None:
+                inp[key] = inp[key].astype(complex)
+        inp["psis"] = tuple(psi.astype(complex) for psi in inp["psis"])
+        return stack(cert, **inp)
 
-    monkeypatch.setattr(checks, "_certificate_inputs", complex_inputs)
+    monkeypatch.setattr(checks, "_perturbation_stack", complex_stack)
     return cfg._replace(operator=cfg.operator.astype(complex),
                         generators=tuple(g.astype(complex)
                                          for g in cfg.generators))
