@@ -96,7 +96,9 @@ class Certificate(NamedTuple):
 
 class _Stack(NamedTuple):
     """Instances of one shape stacked along axis 0; ``mu`` and ``w_mu``
-    are the contraction factors of T on ``basis`` and W on ``w_basis``."""
+    are the contraction factors of T on ``basis`` and W on ``w_basis``.
+    A stack that gives its factors without a basis contracts on the whole
+    space."""
 
     t: np.ndarray  # B x d x d
     horizon: int
@@ -229,13 +231,21 @@ def _contractions(t, v, fails: list) -> tuple[np.ndarray, np.ndarray]:
     _flag(fails, defect > 1e-8, lambda i: InvalidHypothesis(
         f"subspace is not invariant: defect {defect[i]:.3e} > 1.0e-08"))
     mu = _operator_norms(t @ v)
-    _flag(fails, mu >= 1.0, lambda i: InvalidHypothesis(
-        f"contraction factor {mu[i]:.6g} >= 1 on the subspace"))
+    _flag_factor(fails, mu)
     return mu, defect
 
 
+def _flag_factor(fails: list, mu: np.ndarray) -> None:
+    """Flag each contraction factor that is not below one."""
+    _flag(fails, mu >= 1.0, lambda i: InvalidHypothesis(
+        f"contraction factor {mu[i]:.6g} >= 1 on the subspace"))
+
+
 def _leaves_subspace(fails: list, basis, vecs) -> None:
-    """Flag each instance whose vector is not in its contraction subspace."""
+    """Flag each instance whose vector is not in its contraction subspace;
+    none leaves the whole space (no basis)."""
+    if basis is None:
+        return
     coords = np.conj(np.swapaxes(basis, 1, 2)) @ vecs[:, :, None]
     off = _norms(vecs - (basis @ coords)[:, :, 0])
     _flag(fails, off > 1e-8 * np.maximum(1.0, _norms(vecs)),
@@ -260,6 +270,17 @@ def _orbits(t, starts, horizon: int, fails: list, seqs=None) -> np.ndarray:
     u, errors = orbit_stack(t, starts, horizon, seqs)
     _flag(fails, [e is not None for e in errors], errors.__getitem__)
     return u
+
+
+def _overflow_only_orbits(st: _Stack, t, starts, fails: list) -> Callable:
+    """The :func:`_orbits` of an orbit whose one other job is the overflow
+    refusal, as a thunk.  A stack with a basis builds them now; a
+    whole-space stack when first read, since its factor ``||t|| < 1``
+    keeps every unflagged orbit vector within its generator's norm."""
+    if st.basis is not None:
+        u = _orbits(t, starts, st.horizon, fails)
+        return lambda: u
+    return cache(lambda: orbit_stack(t, starts, st.horizon)[0])
 
 
 def _is_riesz(sp: numkit.SpectrumStack) -> np.ndarray:
@@ -472,7 +493,7 @@ def _multi_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
     _flag(fails, lower <= w_spectra.cut, lambda i:
           HypothesisViolated("W-orbit system has no lower bound on its span"))
     gen_norms = np.stack([_norms(st.gens[:, j]) for j in range(count)], axis=1)
-    t_orbits = _orbits(st.t, st.gens, h, fails)
+    t_orbits = _overflow_only_orbits(st, st.t, st.gens, fails)
 
     def head(i: int) -> tuple[dict, float]:
         lam = max(float(st.w_mu[i]), float(st.mu[i]))
@@ -485,8 +506,8 @@ def _multi_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
 
     def extend(idx: list[int], heads: list[dict]) -> None:
         # S^+ W^n g_j is a column of the canonical dual of the W-system
-        partials = _dots(np.linalg.norm(w_orbits[idx] - t_orbits[idx], axis=1),
-                         frames.dual_column_norms(w_spectra.take(idx)))
+        diffs = np.linalg.norm(w_orbits[idx] - t_orbits()[idx], axis=1)
+        partials = _dots(diffs, frames.dual_column_norms(w_spectra.take(idx)))
         riesz = _is_riesz(w_spectra)
         for i, v, partial in zip(idx, heads, partials.tolist()):
             lam, energy = v["lambda"], v["generator_energy"]
@@ -497,7 +518,7 @@ def _multi_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
                      base_is_riesz=1.0 if riesz[i] else 0.0)
 
     return (_staged("multi_generator_riesz", fails, head,
-                    lambda: _bounds(t_orbits, ambient=False), extend),)
+                    lambda: _bounds(t_orbits(), ambient=False), extend),)
 
 
 _TWO_OPERATOR = ("two_operator_frame", "two_operator_riesz_sum")
@@ -534,8 +555,8 @@ def _two_operator_kernel(st: _Stack, fails: list,
     _flag(fails, lower <= base.cut, lambda i:
           HypothesisViolated("T-orbit prefix is not a frame"))
     phi_norms = _norms(st.phi)
-    w_orbits = _orbits(st.w, st.phi[:, None], h, fails)
-    w_reports = cache(lambda: _bounds(w_orbits, ambient=True))
+    w_orbits = _overflow_only_orbits(st, st.w, st.phi[:, None], fails)
+    w_reports = cache(lambda: _bounds(w_orbits(), ambient=True))
 
     def common(i: int) -> tuple[float, float, float]:
         return (float(lower[i]), max(float(st.mu[i]), float(st.w_mu[i])),
@@ -551,7 +572,8 @@ def _two_operator_kernel(st: _Stack, fails: list,
         return _staged("two_operator_frame", fails, head, w_reports)
 
     def riesz_sum() -> _Staged:
-        diff_sums = np.sum(np.linalg.norm(t_orbits - w_orbits, axis=1) ** 2,
+        w_all = w_orbits()
+        diff_sums = np.sum(np.linalg.norm(t_orbits - w_all, axis=1) ** 2,
                            axis=1)
 
         def head(i: int) -> tuple[dict, float]:
@@ -567,7 +589,7 @@ def _two_operator_kernel(st: _Stack, fails: list,
             is_riesz = _is_riesz(base)
             riesz = [i for i in idx if is_riesz[i]]
             combined = dict(zip(riesz, _bounds(
-                t_orbits[riesz] + w_orbits[riesz], ambient=False))) \
+                t_orbits[riesz] + w_all[riesz], ambient=False))) \
                 if riesz else {}
             for i, v in zip(idx, heads):
                 a, lam, phi_norm = v["lower_bound"], v["lambda"], v["phi_norm"]
@@ -596,7 +618,7 @@ class CertificateKind(NamedTuple):
 
     params: dict  # JSON schema of params["perturbation:<name>"]
     # iterable of rngs -> (trial positions, stack) per shape group, one
-    # search instance per rng
+    # search instance per rng, each drawn before the next rng is taken
     draw: Callable
     kernel: Callable  # (stack, fails) -> (the certificate's _Staged,)
     concludes: Callable
@@ -654,7 +676,7 @@ def _complex(draws: list, k: int) -> np.ndarray:
     return pairs[:, 0] + 1j * pairs[:, 1]
 
 
-def _unit_columns(b: int, d: int, start: int = 0) -> np.ndarray:
+def _unit_columns(b: int, d: int, start: int) -> np.ndarray:
     """``b`` copies of the columns ``start:`` of the d x d identity."""
     return np.repeat(np.eye(d, dtype=complex)[None, :, start:], b, axis=0)
 
@@ -673,11 +695,21 @@ def _draw_contraction(rng, d: int) -> tuple[np.ndarray, float]:
     return rng.standard_normal((2, d, d)), float(rng.uniform(0.2, 0.95))
 
 
-def _contractions_of(draws: list) -> np.ndarray:
-    """``(m / ||m||) * target`` for each drawn ``(parts of m, target)``."""
-    m = _complex(draws, 0)
-    return (m / _operator_norms(m)[:, None, None]) \
-        * _column(draws, 1)[:, None, None]
+def _contractions_of(*draws: list) -> list[np.ndarray]:
+    """``(m / ||m||) * target`` for each drawn ``(parts of m, target)``,
+    one stack per list of draws (of equal lengths), from one stacked SVD."""
+    every = [x for each in draws for x in each]
+    m = _complex(every, 0)
+    ops = (m / _operator_norms(m)[:, None, None]) \
+        * _column(every, 1)[:, None, None]
+    return np.split(ops, len(draws))
+
+
+def _whole_space(t: np.ndarray, w: np.ndarray, **fields) -> _Stack:
+    """The stack of T and W contracting on the whole space: no basis, and
+    both factors ``||T||`` and ``||W||`` from one stacked SVD."""
+    mu, w_mu = np.split(_operator_norms(np.concatenate([t, w])), 2)
+    return _Stack(t=t, mu=mu, w=w, w_mu=w_mu, **fields)
 
 
 def _draw_block(rng, weighted: bool) -> tuple:
@@ -736,9 +768,8 @@ def _multi_stack(key: tuple, draws: list) -> _Stack:
     gens = [g for *_, gens in draws for g in gens]
     gens = (_complex(gens, 0) * _column(gens, 1)[:, None]).reshape(
         len(draws), count, d)
-    return _Stack(t=_contractions_of([x[1] for x in draws]), horizon=4 * d,
-                  basis=_unit_columns(len(draws), d), gens=gens,
-                  w=_contractions_of([x[0] for x in draws]))
+    w, t = _contractions_of([x[0] for x in draws], [x[1] for x in draws])
+    return _whole_space(t, w, horizon=4 * d, gens=gens)
 
 
 def _draw_two_operator(rng) -> tuple:
@@ -751,16 +782,14 @@ def _draw_two_operator(rng) -> tuple:
 
 def _two_operator_stack(d: int, draws: list, nearby: bool) -> _Stack:
     """Two random contractions; ``nearby`` draws W within 0.01 of T."""
-    t = _contractions_of([x[0] for x in draws])
-    w = _contractions_of([x[1] for x in draws])
+    t, w = _contractions_of([x[0] for x in draws], [x[1] for x in draws])
     if nearby:
         w = t + 0.01 * w
         norms = _operator_norms(w)
         big = norms >= 1.0
         w[big] = w[big] / (norms[big] + 0.05)[:, None, None]
     phi = _complex(draws, 2) * _column(draws, 3)[:, None]
-    return _Stack(t=t, horizon=4 * d, basis=_unit_columns(len(draws), d),
-                  phi=phi, w=w)
+    return _whole_space(t, w, horizon=4 * d, phi=phi)
 
 
 def _riesz_concludes(cert: Certificate, doubled) -> bool:
@@ -847,8 +876,12 @@ class Trial(NamedTuple):
 
 def _contracted(st: _Stack, fails: list) -> _Stack:
     """The stack with the contraction factors of T (and W) on its subspace
-    where one is given, flagging what :func:`contraction_data` refuses."""
+    where one is given, flagging what :func:`contraction_data` refuses.  On
+    the whole space only a factor of one or more is refused, T's first."""
     if st.basis is None:
+        for mu in (st.mu, st.w_mu):
+            if mu is not None:
+                _flag_factor(fails, mu)
         return st
     mu = _contractions(st.t, st.basis, fails)[0]
     w_mu = None if st.w is None else _contractions(st.w, st.basis, fails)[0]
@@ -865,10 +898,15 @@ def search_trials(certificate_name: str, trials: int,
                   seed: int) -> Iterator[Trial]:
     """The trials of :func:`satisfiability_search`, in order.
 
-    Trial n draws its instance from ``default_rng([seed, n])``.  Each
-    chunk of trials is drawn first, each shape group (dimension, horizon,
+    Trial n draws its instance from the stream ``default_rng([seed, n])``
+    gives, bit for bit; a chunk's streams are seeded in bulk.  Each chunk
+    of trials is drawn first, each shape group (dimension, horizon,
     generator count) as one stack, then evaluated a group at a time by
-    the searched certificate's stacked kernel.  A trial carries that one
+    the searched certificate's stacked kernel.  The two-operator and
+    multi-generator stacks contract on the whole space: they carry no
+    basis, so no projector test runs, and an orbit whose one other job
+    is the overflow refusal, which their factors below one rule out, is
+    built only where a value reads it.  A trial carries that one
     certificate with its margin and verdict; only a recorded trial (a
     positive, finite margin) carries its hypothesis values, and no trial
     a conclusion check.  The public certificate functions verify
@@ -883,11 +921,16 @@ def search_trials(certificate_name: str, trials: int,
 
 
 def _trials(kind: CertificateKind, trials: int, seed: int) -> Iterator[Trial]:
+    """The trials of a search, a chunk at a time: the chunk's streams from
+    :func:`seeding.trial_streams`, its shape groups drawn and refused as
+    :func:`_contracted` refuses, then the searched certificate's first
+    stage over each group and its second over the trials it records."""
+    from .seeding import trial_streams
+
     for start in range(0, trials, SEARCH_CHUNK):
         numbers = range(start, min(trials, start + SEARCH_CHUNK))
         outcomes = [None] * len(numbers)
-        for idx, st in kind.draw(np.random.default_rng([seed, n])
-                                 for n in numbers):
+        for idx, st in kind.draw(trial_streams(seed, numbers)):
             fails = [None] * len(idx)
             (staged,) = kind.kernel(_contracted(st, fails), fails)
             recorded = [j for j, m in enumerate(staged.margins) if _recorded(m)]

@@ -747,10 +747,11 @@ def test_chunk_boundaries_do_not_change_any_trial(monkeypatch):
 def test_multi_generator_margin_is_at_most_minus_half_the_energy(seed):
     kind = perturb.CERTIFICATES["multi_generator_riesz"]
     ((_, stack),) = kind.draw([np.random.default_rng(seed)])
+    basis = np.eye(stack.t.shape[1], dtype=complex)  # the whole space
     try:
         cert = perturb.multi_generator_riesz_certificate(
-            perturb.contraction_data(stack.w[0], stack.basis[0]),
-            perturb.contraction_data(stack.t[0], stack.basis[0]),
+            perturb.contraction_data(stack.w[0], basis),
+            perturb.contraction_data(stack.t[0], basis),
             stack.gens[0], stack.horizon)
     except HypothesisViolated:
         return
@@ -764,10 +765,11 @@ def test_multi_generator_margin_is_at_most_minus_half_the_energy(seed):
 def test_two_operator_frame_margin_is_at_most_minus_phi_norm(seed, family):
     kind = perturb.CERTIFICATES[family]
     ((_, stack),) = kind.draw([np.random.default_rng(seed)])
+    basis = np.eye(stack.t.shape[1], dtype=complex)  # the whole space
     try:
         frame_cert, _ = perturb.two_operator_certificates(
-            perturb.contraction_data(stack.t[0], stack.basis[0]),
-            perturb.contraction_data(stack.w[0], stack.basis[0]),
+            perturb.contraction_data(stack.t[0], basis),
+            perturb.contraction_data(stack.w[0], basis),
             stack.phi[0], stack.horizon)
     except HypothesisViolated:
         return
