@@ -8,9 +8,11 @@ sufficient-condition direction intact.  A randomized satisfiability
 search probes whether the hypothesis set of a certificate is inhabited
 at all.  Every certificate is one stacked kernel in stages, and every
 caller builds a stack and calls it: the search, a shape group of its
-trials, for every margin and the hypothesis values of the trials it
-records; a ``perturbation:`` check, one instance per psi, and a public
+trials, for every margin and the hypothesis values of the records it
+keeps; a ``perturbation:`` check, one instance per psi, and a public
 certificate function, one instance, for every stage and conclusion.
+The search builds no stack for a trial whose draws alone bound its
+margin below zero (the README's two proofs of empty hypothesis sets).
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ class Certificate(NamedTuple):
 # A kernel runs in three stages.  The first, over the whole stack, decides
 # every refusal and computes each margin from the quantities it reads.
 # The other two run only where a caller reads them: the remaining
-# hypothesis values over the instances a search records, re-stacked, and
-# the conclusion reports, which the search never computes.
+# hypothesis values over the records a search keeps, re-stacked, and the
+# conclusion reports, which the search never computes.
 # ---------------------------------------------------------------------------
 
 class _Stack(NamedTuple):
@@ -270,17 +272,6 @@ def _orbits(t, starts, horizon: int, fails: list, seqs=None) -> np.ndarray:
     u, errors = orbit_stack(t, starts, horizon, seqs)
     _flag(fails, [e is not None for e in errors], errors.__getitem__)
     return u
-
-
-def _overflow_only_orbits(st: _Stack, t, starts, fails: list) -> Callable:
-    """The :func:`_orbits` of an orbit whose one other job is the overflow
-    refusal, as a thunk.  A stack with a basis builds them now; a
-    whole-space stack when first read, since its factor ``||t|| < 1``
-    keeps every unflagged orbit vector within its generator's norm."""
-    if st.basis is not None:
-        u = _orbits(t, starts, st.horizon, fails)
-        return lambda: u
-    return cache(lambda: orbit_stack(t, starts, st.horizon)[0])
 
 
 def _is_riesz(sp: numkit.SpectrumStack) -> np.ndarray:
@@ -493,7 +484,7 @@ def _multi_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
     _flag(fails, lower <= w_spectra.cut, lambda i:
           HypothesisViolated("W-orbit system has no lower bound on its span"))
     gen_norms = np.stack([_norms(st.gens[:, j]) for j in range(count)], axis=1)
-    t_orbits = _overflow_only_orbits(st, st.t, st.gens, fails)
+    t_orbits = _orbits(st.t, st.gens, h, fails)
 
     def head(i: int) -> tuple[dict, float]:
         lam = max(float(st.w_mu[i]), float(st.mu[i]))
@@ -506,7 +497,7 @@ def _multi_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
 
     def extend(idx: list[int], heads: list[dict]) -> None:
         # S^+ W^n g_j is a column of the canonical dual of the W-system
-        diffs = np.linalg.norm(w_orbits[idx] - t_orbits()[idx], axis=1)
+        diffs = np.linalg.norm(w_orbits[idx] - t_orbits[idx], axis=1)
         partials = _dots(diffs, frames.dual_column_norms(w_spectra.take(idx)))
         riesz = _is_riesz(w_spectra)
         for i, v, partial in zip(idx, heads, partials.tolist()):
@@ -518,7 +509,7 @@ def _multi_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
                      base_is_riesz=1.0 if riesz[i] else 0.0)
 
     return (_staged("multi_generator_riesz", fails, head,
-                    lambda: _bounds(t_orbits(), ambient=False), extend),)
+                    lambda: _bounds(t_orbits, ambient=False), extend),)
 
 
 _TWO_OPERATOR = ("two_operator_frame", "two_operator_riesz_sum")
@@ -555,8 +546,8 @@ def _two_operator_kernel(st: _Stack, fails: list,
     _flag(fails, lower <= base.cut, lambda i:
           HypothesisViolated("T-orbit prefix is not a frame"))
     phi_norms = _norms(st.phi)
-    w_orbits = _overflow_only_orbits(st, st.w, st.phi[:, None], fails)
-    w_reports = cache(lambda: _bounds(w_orbits(), ambient=True))
+    w_orbits = _orbits(st.w, st.phi[:, None], h, fails)
+    w_reports = cache(lambda: _bounds(w_orbits, ambient=True))
 
     def common(i: int) -> tuple[float, float, float]:
         return (float(lower[i]), max(float(st.mu[i]), float(st.w_mu[i])),
@@ -572,8 +563,7 @@ def _two_operator_kernel(st: _Stack, fails: list,
         return _staged("two_operator_frame", fails, head, w_reports)
 
     def riesz_sum() -> _Staged:
-        w_all = w_orbits()
-        diff_sums = np.sum(np.linalg.norm(t_orbits - w_all, axis=1) ** 2,
+        diff_sums = np.sum(np.linalg.norm(t_orbits - w_orbits, axis=1) ** 2,
                            axis=1)
 
         def head(i: int) -> tuple[dict, float]:
@@ -589,7 +579,7 @@ def _two_operator_kernel(st: _Stack, fails: list,
             is_riesz = _is_riesz(base)
             riesz = [i for i in idx if is_riesz[i]]
             combined = dict(zip(riesz, _bounds(
-                t_orbits[riesz] + w_all[riesz], ambient=False))) \
+                t_orbits[riesz] + w_orbits[riesz], ambient=False))) \
                 if riesz else {}
             for i, v in zip(idx, heads):
                 a, lam, phi_norm = v["lower_bound"], v["lambda"], v["phi_norm"]
@@ -617,11 +607,14 @@ class CertificateKind(NamedTuple):
     ``doubled()`` evaluates it again at twice the horizon."""
 
     params: dict  # JSON schema of params["perturbation:<name>"]
-    # iterable of rngs -> (trial positions, stack) per shape group, one
-    # search instance per rng, each drawn before the next rng is taken
+    # (iterable of rngs, bound=None) -> (trial positions, stack) per shape
+    # group, one search instance per rng, each drawn before the next rng is
+    # taken; with a bound, of the instances whose bound is >= 0 only
     draw: Callable
     kernel: Callable  # (stack, fails) -> (the certificate's _Staged,)
     concludes: Callable
+    # one instance's draws -> an upper bound on its margin (README proof)
+    bound: Callable | None = None
 
 
 _PARAMS = {
@@ -655,13 +648,17 @@ def _groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def _draw_groups(draw: Callable, build: Callable, rngs) -> list:
+def _draw_groups(draw: Callable, build: Callable, rngs,
+                 bound: Callable | None = None) -> list:
     """Each rng's draws by ``draw(rng) -> (shape key, *draws)``, then one
     stack per shape key by ``build(key, draws)``, in order of first
-    appearance, with the positions of its instances."""
+    appearance, with the positions of its instances: with a ``bound``,
+    of those whose ``bound((key, *draws)) >= 0``."""
     draws = [draw(rng) for rng in rngs]
-    return [(idx, build(draws[idx[0]][0], [draws[i][1:] for i in idx]))
-            for idx in _groups([x[0] for x in draws])]
+    keep = [i for i, x in enumerate(draws) if bound is None or bound(x) >= 0]
+    return [([keep[j] for j in idx],
+             build(draws[keep[idx[0]]][0], [draws[keep[j]][1:] for j in idx]))
+            for idx in _groups([draws[i][0] for i in keep])]
 
 
 def _column(draws: list, k: int) -> np.ndarray:
@@ -780,6 +777,24 @@ def _draw_two_operator(rng) -> tuple:
             float(rng.uniform(0.2, 2.0)))
 
 
+# The README's bounds on a margin from one instance's draws, with 1e-12
+# relative for rounding: a positive eigenvalue of the frame operator of a
+# truncated orbit of a contraction with factor mu <= lambda < 1 is at most
+# its trace, sum_{j,n} ||T^n g_j||^2 <= sum_j ||g_j||^2 / (1 - lambda^2).
+
+def _energy_bound(draws: tuple) -> float:
+    """``multi_generator_riesz``: at most ``-E / 2``, E the generator
+    energy."""
+    return (1e-12 - 0.5) * sum(scale * scale * float(np.vdot(parts, parts))
+                               for parts, scale in draws[3])
+
+
+def _phi_bound(draws: tuple) -> float:
+    """``two_operator_frame``: at most ``-||phi||``."""
+    *_, parts, scale = draws
+    return (1e-12 - 1.0) * scale * math.sqrt(float(np.vdot(parts, parts)))
+
+
 def _two_operator_stack(d: int, draws: list, nearby: bool) -> _Stack:
     """Two random contractions; ``nearby`` draws W within 0.01 of T."""
     t, w = _contractions_of([x[0] for x in draws], [x[1] for x in draws])
@@ -805,7 +820,7 @@ def _stable_under_doubling(cert: Certificate, doubled) -> bool:
     return a_now > 0 and abs(a_dbl - a_now) <= 0.10 * a_now
 
 
-def _two_operator(name: str, nearby: bool) -> CertificateKind:
+def _two_operator(name: str, nearby: bool, bound=None) -> CertificateKind:
     """Both two-operator checks report both certificates of an instance;
     the search of each evaluates its own."""
     return CertificateKind(
@@ -814,7 +829,7 @@ def _two_operator(name: str, nearby: bool) -> CertificateKind:
         partial(_draw_groups, _draw_two_operator,
                 partial(_two_operator_stack, nearby=nearby)),
         partial(_two_operator_kernel, names=(name,)),
-        lambda cert, doubled: cert.conclusion_check.a_opt > 0)
+        lambda cert, doubled: cert.conclusion_check.a_opt > 0, bound)
 
 
 CERTIFICATES = {
@@ -841,8 +856,10 @@ CERTIFICATES = {
                 required=["w_operator"]),
         partial(_draw_groups, _draw_multi, _multi_stack),
         _multi_kernel,
-        lambda cert, doubled: cert.conclusion_check.classification in _RIESZ),
-    "two_operator_frame": _two_operator("two_operator_frame", nearby=False),
+        lambda cert, doubled: cert.conclusion_check.classification in _RIESZ,
+        _energy_bound),
+    "two_operator_frame": _two_operator("two_operator_frame", nearby=False,
+                                        bound=_phi_bound),
     "two_operator_riesz_sum": _two_operator("two_operator_riesz_sum",
                                             nearby=True),
 }
@@ -858,11 +875,16 @@ CERTIFICATE_NAMES = tuple(CERTIFICATES)
 # trial count.
 SEARCH_CHUNK = 512
 
+# Recorded trials a search keeps, with their hypothesis values: the first,
+# in trial order.
+KEPT_RECORDS = 10
+
 
 class SearchReport(NamedTuple):
     certificate: str
     tried: int
-    satisfying: list[dict]  # appended to by the search
+    satisfying_count: int  # trials recorded
+    satisfying: list[dict]  # the first KEPT_RECORDS of them
 
 
 class Trial(NamedTuple):
@@ -896,21 +918,21 @@ def _recorded(margin) -> bool:
 
 def search_trials(certificate_name: str, trials: int,
                   seed: int) -> Iterator[Trial]:
-    """The trials of :func:`satisfiability_search`, in order.
+    """The trials that :func:`satisfiability_search` evaluates, in order.
 
     Trial n draws its instance from the stream ``default_rng([seed, n])``
     gives, bit for bit; a chunk's streams are seeded in bulk.  Each chunk
-    of trials is drawn first, each shape group (dimension, horizon,
-    generator count) as one stack, then evaluated a group at a time by
-    the searched certificate's stacked kernel.  The two-operator and
+    of trials is drawn first.  A trial whose certificate's ``bound`` is
+    negative is dropped: it builds no stack and runs no kernel, so it
+    cannot raise, and it is not yielded.  Each shape group (dimension,
+    horizon, generator count) of the rest is one stack, evaluated by the
+    searched certificate's stacked kernel.  The two-operator and
     multi-generator stacks contract on the whole space: they carry no
-    basis, so no projector test runs, and an orbit whose one other job
-    is the overflow refusal, which their factors below one rule out, is
-    built only where a value reads it.  A trial carries that one
-    certificate with its margin and verdict; only a recorded trial (a
-    positive, finite margin) carries its hypothesis values, and no trial
-    a conclusion check.  The public certificate functions verify
-    conclusions.
+    basis, so no projector test runs.  A trial carries that one
+    certificate with its margin and verdict; only a kept record (one of
+    the first ``KEPT_RECORDS`` trials with a positive, finite margin)
+    carries its hypothesis values, and no trial a conclusion check.  The
+    public certificate functions verify conclusions.
     """
     kind = CERTIFICATES.get(certificate_name)
     if kind is None:
@@ -922,32 +944,38 @@ def search_trials(certificate_name: str, trials: int,
 
 def _trials(kind: CertificateKind, trials: int, seed: int) -> Iterator[Trial]:
     """The trials of a search, a chunk at a time: the chunk's streams from
-    :func:`seeding.trial_streams`, its shape groups drawn and refused as
-    :func:`_contracted` refuses, then the searched certificate's first
-    stage over each group and its second over the trials it records."""
+    :func:`seeding.trial_streams`, its shape groups drawn, pruned by the
+    certificate's bound and refused as :func:`_contracted` refuses, then
+    the searched certificate's first stage over each group and its second
+    over the records still kept, re-stacked per group."""
     from .seeding import trial_streams
 
+    kept = 0
     for start in range(0, trials, SEARCH_CHUNK):
         numbers = range(start, min(trials, start + SEARCH_CHUNK))
-        outcomes = [None] * len(numbers)
-        for idx, st in kind.draw(trial_streams(seed, numbers)):
+        outcomes, groups = {}, []
+        for idx, st in kind.draw(trial_streams(seed, numbers), kind.bound):
             fails = [None] * len(idx)
             (staged,) = kind.kernel(_contracted(st, fails), fails)
-            recorded = [j for j, m in enumerate(staged.margins) if _recorded(m)]
-            values = dict(zip(recorded, staged.values(recorded))) \
-                if recorded else {}
-            for j, (i, m) in enumerate(zip(idx, staged.margins)):
-                if not isinstance(m, Exception):
-                    m = Certificate(staged.name, values.get(j, {}), m, m > 0)
-                outcomes[i] = (st.t.shape[1], m)
-        for n, (dimension, out) in zip(numbers, outcomes):
-            if isinstance(out, HypothesisViolated):
+            groups.append((idx, staged))
+            outcomes.update((i, (st.t.shape[1], m))
+                            for i, m in zip(idx, staged.margins))
+        keep = sorted(i for i, (_, m) in outcomes.items()
+                      if _recorded(m))[:KEPT_RECORDS - kept]
+        kept += len(keep)
+        values = {}
+        for idx, staged in groups:
+            if js := [j for j, i in enumerate(idx) if i in keep]:
+                values.update(zip([idx[j] for j in js], staged.values(js)))
+        for i in sorted(outcomes):
+            dimension, m = outcomes[i]
+            if isinstance(m, HypothesisViolated):
                 out = ()
-            elif isinstance(out, Exception):
-                raise out
+            elif isinstance(m, Exception):
+                raise m
             else:
-                out = (out,)
-            yield Trial(n, dimension, out)
+                out = (Certificate(staged.name, values.get(i, {}), m, m > 0),)
+            yield Trial(numbers[i], dimension, out)
 
 
 def satisfiability_search(certificate_name: str, trials: int,
@@ -956,19 +984,15 @@ def satisfiability_search(certificate_name: str, trials: int,
 
     Each trial draws an instance (dimension <= 8) from a seed-derived
     substream, evaluates the certificate's margin, and records the
-    instance with its hypothesis values when the margin is positive and
-    finite.  Instances violating a hard hypothesis count as tried and
+    instance when the margin is positive and finite.  The report counts
+    every recorded trial and keeps the first ``KEPT_RECORDS``, with their
+    hypothesis values.  Instances violating a hard hypothesis, or whose
+    certificate's bound rules out a positive margin, count as tried and
     unsatisfying.  Deterministic for a fixed seed.
     """
-    report = SearchReport(certificate=certificate_name, tried=trials,
-                          satisfying=[])
-    for trial in search_trials(certificate_name, trials, seed):
-        for cert in trial.certificates:
-            if _recorded(cert.margin):
-                report.satisfying.append({
-                    "margin": cert.margin,
-                    "dimension": trial.dimension,
-                    "hypothesis_values": dict(cert.hypothesis_values),
-                    "trial": trial.index,
-                })
-    return report
+    found = [(t, c) for t in search_trials(certificate_name, trials, seed)
+             for c in t.certificates if _recorded(c.margin)]
+    return SearchReport(certificate_name, trials, len(found), [
+        {"margin": c.margin, "dimension": t.dimension,
+         "hypothesis_values": dict(c.hypothesis_values), "trial": t.index}
+        for t, c in found[:KEPT_RECORDS]])

@@ -151,6 +151,8 @@ _BUILDERS = {
     "perturbation-gallery": (_perturbation_gallery, 3),
     "vacuity-search": (_vacuity_search, 1),
 }
+# presets whose builder ignores ``dim``: their dimension is the default
+_FIXED_DIM = ("perturbation-gallery", "vacuity-search")
 
 
 def preset_config(name: str, dim: int | None = None,
@@ -164,5 +166,8 @@ def preset_config(name: str, dim: int | None = None,
         dim = default_dim
     elif dim < 1:
         raise InvalidInput(f"preset dimension must be >= 1, got {dim}")
+    elif name in _FIXED_DIM and dim != default_dim:
+        raise InvalidInput(f"preset {name!r} has the fixed dimension "
+                           f"{default_dim}, got {dim}")
     raw = builder(dim, 7 if seed is None else int(seed))
     return parse_config(raw)

@@ -8,7 +8,9 @@ search draws each trial from the same ``default_rng([seed, trial])``
 stream, so the margin and verdict of every certificate it evaluates,
 vacuous ones included, and the hypothesis values of every trial it
 records must match the oracle bit for bit, and so must each public
-certificate function, now a stack of one, with its conclusion.
+certificate function, now a stack of one, with its conclusion.  The
+search parity runs with the ``unpruned`` fixture (``conftest.py``): every
+trial runs its kernel and every record keeps its values.
 """
 
 import math
@@ -545,7 +547,7 @@ def _outcome(call) -> list[str] | tuple[type, str]:
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", perturb.CERTIFICATE_NAMES)
-def test_search_matches_the_scalar_oracle(name, seed):
+def test_search_matches_the_scalar_oracle(name, seed, unpruned):
     """Each trial carries the searched certificate alone, with the oracle's
     margin and verdict; a recorded trial also carries its hypothesis
     values (in the oracle's order), any other none, and no trial a
@@ -720,8 +722,12 @@ def test_a_longer_search_keeps_the_first_records(name):
         == shorter.satisfying
 
 
-def test_chunk_boundaries_do_not_change_any_trial(monkeypatch):
-    name = "multi_generator_riesz"
+@pytest.mark.parametrize("name", ["multi_generator_riesz",
+                                  "two_operator_riesz_sum",
+                                  "riesz_orbit_perturbation"])
+def test_chunk_boundaries_do_not_change_any_trial(name, monkeypatch):
+    """The kernel runs in every chunk of the last two, and the kept records
+    of riesz_orbit_perturbation at seed 11 span the boundary at 37."""
 
     def trials():
         return [(t.index, t.dimension, [_record(c) for c in t.certificates])

@@ -383,6 +383,19 @@ def test_cli_repro_refuses_a_negative_seed_and_a_dim_below_one(capsys, argv,
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("preset, dim, fixed", [("vacuity-search", 3, 1),
+                                                ("perturbation-gallery", 2, 3)])
+def test_cli_repro_refuses_a_dim_that_a_fixed_preset_lacks(capsys, preset, dim,
+                                                           fixed):
+    assert cli.main(["repro", preset, "--dim", str(dim)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: preset {preset!r} has the fixed "
+                            f"dimension {fixed}, got {dim}\n")
+    assert captured.out == ""
+    assert config.config_hash(presets.preset_config(preset, dim=fixed)) \
+        == config.config_hash(presets.preset_config(preset))
+
+
 def test_cli_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     def rebuild():
         raise AssertionError("parser rebuilt per call")

@@ -5,7 +5,8 @@ certificate table replaced, kept literally as an oracle (library calls
 go through the ``perturb`` module).  Every trial must draw the same
 instance from ``default_rng([seed, trial])``: the margins and verdicts of
 the searched certificate and the satisfying records must match bit for
-bit.
+bit.  The search runs with the ``unpruned`` fixture (``conftest.py``):
+every trial runs its kernel and every record keeps its values.
 """
 
 import math
@@ -176,7 +177,7 @@ def _values(cert: perturb.Certificate) -> str:
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", perturb.CERTIFICATE_NAMES)
-def test_search_matches_scalar_oracle(name, seed, evaluated):
+def test_search_matches_scalar_oracle(name, seed, evaluated, unpruned):
     """The search evaluates the searched certificate of each trial, with
     the oracle's margin and verdict, and the hypothesis values of the
     trials it records."""
