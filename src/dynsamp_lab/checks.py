@@ -298,21 +298,13 @@ def _check_perturbation(run: Run, name: str, build, seed: int):
     # both two-operator checks report both certificates
     kernel = perturb._two_operator_kernel if ":two_operator" in name \
         else kind.kernel
-    # every psi as one stack, at the horizon and, if a conclusion reads it,
-    # at twice it; the first psi to fail, in order, is the record's error
-    stack = build()
-    at = cache(lambda horizon: perturb._certify(
-        kernel, stack._replace(horizon=horizon)))
-    instances = []
-    all_pass = True
-    for i in range(len(stack.weights)):
-        def doubled(i=i):
-            return perturb._raised(at(2 * stack.horizon)[i])
-
-        for cert in perturb._raised(at(stack.horizon)[i]):
-            ok = not cert.verdict or kind.concludes(cert, doubled)
+    # every psi as one stack; the first psi to fail, in order, is the
+    # record's error
+    instances, all_pass = [], True
+    for outcome in perturb._certify(kernel, build()):
+        for cert in perturb._raised(outcome):
+            all_pass = all_pass and (not cert.verdict or kind.concludes(cert))
             instances.append(_cert_summary(cert))
-            all_pass = all_pass and ok
     outputs = {"instances": instances}
     margins = {"best_margin": max((i["margin"] for i in instances),
                                   default=-math.inf)}
@@ -326,12 +318,10 @@ def _cert_summary(cert: perturb.Certificate) -> dict:
         "verdict": cert.verdict,
         "hypothesis_values": dict(cert.hypothesis_values),
     }
-    if cert.conclusion_check is not None:
-        out["conclusion"] = {
-            "a_opt": cert.conclusion_check.a_opt,
-            "b_opt": cert.conclusion_check.b_opt,
-            "classification": cert.conclusion_check.classification,
-        }
+    if (c := cert.conclusion_check) is not None:
+        out["conclusion"] = {"a_opt": c.a_opt, "b_opt": c.b_opt,
+                             "classification": c.classification,
+                             **(cert.bracket or {})}
     return out
 
 

@@ -74,6 +74,7 @@ class Certificate(NamedTuple):
     margin: float
     verdict: bool
     conclusion_check: BoundsReport | None = None
+    bracket: dict | None = None  # see weighted_frame_perturbation_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +135,15 @@ class _Stack(NamedTuple):
 class _Staged(NamedTuple):
     """One certificate of a stack, by stage.  ``margins[i]`` is instance
     i's margin, or the exception it fails with.  ``values(idx)`` gives the
-    hypothesis values of the instances ``idx`` (none failed) and
-    ``conclusions()`` the conclusion report of every instance."""
+    hypothesis values of the instances ``idx`` (none failed),
+    ``conclusions()`` the conclusion report of every instance and
+    ``brackets()``, where given, its :attr:`Certificate.bracket`."""
 
     name: str
     margins: list
     values: Callable[[list[int]], list[dict]]
     conclusions: Callable[[], list[BoundsReport]]
+    brackets: Callable[[], list[dict]] | None = None
 
 
 def _staged(name: str, fails: list, head: Callable, conclusions: Callable,
@@ -168,7 +171,8 @@ def _certify(kernel: Callable, stack: _Stack) -> list:
     fails = [None] * len(stack.weights)
     try:
         staged = kernel(stack, fails)
-        conclusions = [s.conclusions() for s in staged]
+        conclusions = [(s.conclusions(), s.brackets() if s.brackets
+                        else [None] * len(fails)) for s in staged]
         ok = [i for i, fail in enumerate(fails) if fail is None]
         values = [dict(zip(ok, s.values(ok))) if ok else {} for s in staged]
     except (DynsampLabError, np.linalg.LinAlgError) as exc:
@@ -176,8 +180,8 @@ def _certify(kernel: Callable, stack: _Stack) -> list:
             return [exc]
         return [_certify(kernel, stack.take([i]))[0] for i in range(len(fails))]
     return [fail or tuple(Certificate(s.name, v[i], s.margins[i],
-                                      s.margins[i] > 0, c[i])
-                          for s, v, c in zip(staged, values, conclusions))
+                                      s.margins[i] > 0, c[i], b[i])
+                          for s, v, (c, b) in zip(staged, values, conclusions))
             for i, fail in enumerate(fails)]
 
 
@@ -346,16 +350,19 @@ def _riesz_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
 def weighted_frame_perturbation_certificate(cd: ContractionData, phi, psi,
                                             weights: WeightSpec,
                                             horizon: int) -> Certificate:
-    """Frame stability of {a_n T^n (phi + psi)} for psi in the contraction
-    subspace.
+    """Frame stability of {a_n T^n (phi + psi)}, n >= 0, for psi in the
+    contraction subspace.
 
     Margin: ``sqrt(A (1 - mu^2)) - sup_n |a_n| ||psi||``.  A is the lower
     bound of the base orbit on its span (the ambient bound when the orbit
     spans).  The frame-sequence claim for arbitrary psi is recorded via
-    the span-relative lower bound of the perturbed system.  The ambient
-    conclusion report is meaningful once psi reaches into the contraction
-    subspace; at psi = 0 over a non-spanning base it degenerates to the
-    base classification.
+    the span-relative lower bound of the perturbed system.  The conclusion
+    report holds a_N and b_N of the perturbed prefix.  With |a_n| = c r^n
+    (r = |value| for geometric weights, 1 for constant ones) the orbit's
+    frame operator is S = S_N + (rT)^N S ((rT)^N)*, so with q =
+    ||(rT)^N||_2^2 < 1 its bounds lie in [a_N, b_N / (1 - q)]: ``bracket``
+    holds q and that ``b_infinite_bound`` (inf for q >= 1), both None
+    under explicit weights, which define no infinite orbit.
     """
     phi, psi = orbit_generators(cd.operator, (phi, psi), horizon)
     return _one(_weighted_kernel, _Stack.one(
@@ -376,6 +383,8 @@ def _weighted_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
     perturbed = _orbits(st.t, (st.phi + st.psi)[:, None], h, fails, seqs)
     # the perturbed system's spectra, shared by both later stages
     spectra = cache(lambda idx: numkit.spectra(perturbed[list(idx)]))
+    reports = cache(lambda: [frames.spectrum_bounds(sp, ambient=True)
+                             for sp in spectra(tuple(range(len(fails))))])
 
     def head(i: int) -> tuple[dict, float]:
         a = float(lower[i])
@@ -392,10 +401,24 @@ def _weighted_kernel(st: _Stack, fails: list) -> tuple[_Staged]:
             v["part_i_span_lower"] = \
                 frames.spectrum_bounds(sp, ambient=False).a_opt
 
-    return (_staged("weighted_frame_perturbation", fails, head,
-                    lambda: [frames.spectrum_bounds(sp, ambient=True)
-                             for sp in spectra(tuple(range(len(fails))))],
-                    extend),)
+    def brackets() -> list[dict]:
+        # no whole orbit under explicit weights; a failed instance keeps
+        # the error it failed with
+        rs = {i: 1.0 if w.kind == "constant" else abs(w.value)
+              for i, w in enumerate(st.weights)
+              if w.kind != "explicit" and fails[i] is None}
+        qs = dict.fromkeys(range(len(fails)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = np.linalg.matrix_power(
+                st.t[list(rs)] * np.array([*rs.values()])[:, None, None], h)
+            qs.update(zip(rs, (_operator_norms(numkit.finite(
+                power, f"(rT)^N at N = {h}")) ** 2).tolist()))
+        return [{"q": q, "b_infinite_bound": None if q is None else
+                 rep.b_opt / (1.0 - q) if q < 1.0 else math.inf}
+                for q, rep in zip(qs.values(), reports())]
+
+    return (_staged("weighted_frame_perturbation", fails, head, reports,
+                    extend)._replace(brackets=brackets),)
 
 
 def scaled_generator_perturbation_certificate(t, phi, psi, weights: WeightSpec,
@@ -602,9 +625,9 @@ def _two_operator_kernel(st: _Stack, fails: list,
 # ---------------------------------------------------------------------------
 
 class CertificateKind(NamedTuple):
-    """One row of the certificate table.  ``concludes(cert, doubled)``
-    checks the conclusion of a certificate whose hypothesis holds;
-    ``doubled()`` evaluates it again at twice the horizon."""
+    """One row of the certificate table.  ``concludes(cert)`` checks the
+    conclusion of a certificate whose hypothesis holds, from its own
+    conclusion report and bracket at its horizon."""
 
     params: dict  # JSON schema of params["perturbation:<name>"]
     # (iterable of rngs, bound=None) -> (trial positions, stack) per shape
@@ -640,14 +663,6 @@ _ORBIT_PARAMS = ("horizon", "operator", "phi", "subspace_coords",
                  "psi_direction", "psi_scales")
 
 
-def _groups(keys) -> list[list[int]]:
-    """Indices of equal keys, in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
 def _draw_groups(draw: Callable, build: Callable, rngs,
                  bound: Callable | None = None) -> list:
     """Each rng's draws by ``draw(rng) -> (shape key, *draws)``, then one
@@ -655,10 +670,12 @@ def _draw_groups(draw: Callable, build: Callable, rngs,
     appearance, with the positions of its instances: with a ``bound``,
     of those whose ``bound((key, *draws)) >= 0``."""
     draws = [draw(rng) for rng in rngs]
-    keep = [i for i, x in enumerate(draws) if bound is None or bound(x) >= 0]
-    return [([keep[j] for j in idx],
-             build(draws[keep[idx[0]]][0], [draws[keep[j]][1:] for j in idx]))
-            for idx in _groups([draws[i][0] for i in keep])]
+    groups: dict = {}
+    for i, x in enumerate(draws):
+        if bound is None or bound(x) >= 0:
+            groups.setdefault(x[0], []).append(i)
+    return [(idx, build(key, [draws[i][1:] for i in idx]))
+            for key, idx in groups.items()]
 
 
 def _column(draws: list, k: int) -> np.ndarray:
@@ -671,18 +688,6 @@ def _complex(draws: list, k: int) -> np.ndarray:
     parts, stacked as one complex array."""
     pairs = _column(draws, k)
     return pairs[:, 0] + 1j * pairs[:, 1]
-
-
-def _unit_columns(b: int, d: int, start: int) -> np.ndarray:
-    """``b`` copies of the columns ``start:`` of the d x d identity."""
-    return np.repeat(np.eye(d, dtype=complex)[None, :, start:], b, axis=0)
-
-
-def _first_units(b: int, d: int) -> np.ndarray:
-    """``b`` copies of the first unit vector of C^d."""
-    out = np.zeros((b, d), dtype=complex)
-    out[:, 0] = 1.0
-    return out
 
 
 def _draw_contraction(rng, d: int) -> tuple[np.ndarray, float]:
@@ -732,8 +737,9 @@ def _block_stack(key: tuple, draws: list) -> _Stack:
     psi[:, m:] = direction * _column(draws, 3)[:, None]
     weights = tuple(None if r is None else WeightSpec.geometric(r)
                     for *_, r in draws)
-    return _Stack(t=t, horizon=m, basis=_unit_columns(b, d, m),
-                  phi=_first_units(b, d), psi=psi, weights=weights)
+    eye = np.eye(d, dtype=complex)[None].repeat(b, axis=0)
+    return _Stack(t=t, horizon=m, basis=eye[:, :, m:], phi=eye[:, 0],
+                  psi=psi, weights=weights)
 
 
 def _draw_scaled(rng) -> tuple:
@@ -746,7 +752,7 @@ def _scaled_stack(d: int, draws: list) -> _Stack:
     psi = np.zeros((b, d), dtype=complex)
     psi[:, 0] = _column(draws, 0)
     return _Stack(t=np.repeat(nilpotent_shift(d)[None], b, axis=0), horizon=d,
-                  phi=_first_units(b, d), psi=psi,
+                  phi=np.eye(1, d, dtype=complex).repeat(b, axis=0), psi=psi,
                   weights=tuple(WeightSpec.geometric(r) for _, r in draws))
 
 
@@ -807,17 +813,21 @@ def _two_operator_stack(d: int, draws: list, nearby: bool) -> _Stack:
     return _whole_space(t, w, horizon=4 * d, phi=phi)
 
 
-def _riesz_concludes(cert: Certificate, doubled) -> bool:
-    h = cert.hypothesis_values
-    return (h["proof_sum_total"] < 1.0
-            and cert.conclusion_check.classification in _RIESZ
-            and cert.conclusion_check.a_opt >= h["perturbed_floor"] - 1e-8)
+# How far a Riesz conclusion's a_opt may fall below ``perturbed_floor``: it
+# absorbs the rounding of both.  A fixed slack (README), not yet derived
+# from their float noise (ROADMAP item 7).
+RIESZ_FLOOR_SLACK = 1e-8
 
 
-def _stable_under_doubling(cert: Certificate, doubled) -> bool:
-    a_now = cert.conclusion_check.a_opt
-    a_dbl = doubled()[0].conclusion_check.a_opt
-    return a_now > 0 and abs(a_dbl - a_now) <= 0.10 * a_now
+def _riesz_concludes(cert: Certificate) -> bool:
+    h, c = cert.hypothesis_values, cert.conclusion_check
+    return (h["proof_sum_total"] < 1.0 and c.classification in _RIESZ
+            and c.a_opt >= h["perturbed_floor"] - RIESZ_FLOOR_SLACK)
+
+
+def _frame_concludes(cert: Certificate) -> bool:
+    q = cert.bracket["q"]  # None: no whole orbit, the prefix alone
+    return cert.conclusion_check.a_opt > 0 and (q is None or q < 1.0)
 
 
 def _two_operator(name: str, nearby: bool, bound=None) -> CertificateKind:
@@ -829,7 +839,7 @@ def _two_operator(name: str, nearby: bool, bound=None) -> CertificateKind:
         partial(_draw_groups, _draw_two_operator,
                 partial(_two_operator_stack, nearby=nearby)),
         partial(_two_operator_kernel, names=(name,)),
-        lambda cert, doubled: cert.conclusion_check.a_opt > 0, bound)
+        lambda cert: cert.conclusion_check.a_opt > 0, bound)
 
 
 CERTIFICATES = {
@@ -844,19 +854,19 @@ CERTIFICATES = {
         partial(_draw_groups, partial(_draw_block, weighted=True),
                 _block_stack),
         _weighted_kernel,
-        _stable_under_doubling),
+        _frame_concludes),
     "scaled_generator_perturbation": CertificateKind(
         _params(*_ORBIT_PARAMS, "weights"),
         partial(_draw_groups, _draw_scaled, _scaled_stack),
         _scaled_kernel,
-        lambda cert, doubled: cert.conclusion_check.classification
+        lambda cert: cert.conclusion_check.classification
         in ("frame", "riesz_basis")),
     "multi_generator_riesz": CertificateKind(
         _params("horizon", "operator", "subspace_coords", "w_operator",
                 required=["w_operator"]),
         partial(_draw_groups, _draw_multi, _multi_stack),
         _multi_kernel,
-        lambda cert, doubled: cert.conclusion_check.classification in _RIESZ,
+        lambda cert: cert.conclusion_check.classification in _RIESZ,
         _energy_bound),
     "two_operator_frame": _two_operator("two_operator_frame", nearby=False,
                                         bound=_phi_bound),

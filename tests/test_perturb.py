@@ -220,6 +220,49 @@ def test_weighted_invariant_stability_under_doubling():
     assert checked >= 10
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_weighted_bracket_matches_the_closed_form_whole_orbit(seed):
+    """2000 drawn weighted block instances at horizon 2d.  The closed-form
+    frame operator S of the whole orbit lies in the certificate's bracket
+    [a_N, b_N / (1 - q)] up to 1e-12 relative; an orbit that is not Bessel
+    never concludes; and every instance that the doubling rule (a_N > 0
+    and a_2N within 10 % of a_N) passed still concludes."""
+    from search_truth import weighted_block, weighted_block_frame_operator
+
+    from dynsamp_lab import seeding
+
+    kind = perturb.CERTIFICATES["weighted_frame_perturbation"]
+    counts = {"verdict": 0, "concludes": 0, "doubling": 0, "not_bessel": 0}
+    for idx, st in kind.draw(seeding.trial_streams(seed, range(2000))):
+        d = st.t.shape[1]
+        st = perturb._contracted(st, [None] * len(idx))._replace(horizon=2 * d)
+        doubled = perturb._certify(kind.kernel, st._replace(horizon=4 * d))
+        for i, outcome in enumerate(perturb._certify(kind.kernel, st)):
+            (cert,) = perturb._raised(outcome)
+            if not cert.verdict:
+                continue
+            a_n = cert.conclusion_check.a_opt
+            a_2n = perturb._raised(doubled[i])[0].conclusion_check.a_opt
+            doubling = a_n > 0 and abs(a_2n - a_n) <= 0.10 * a_n
+            concludes = kind.concludes(cert)
+            assert concludes or not doubling
+            upper = cert.bracket["b_infinite_bound"]
+            s = weighted_block_frame_operator(*weighted_block(st, i))
+            if s is None:
+                assert not concludes and upper == math.inf
+                counts["not_bessel"] += 1
+            else:
+                low, high = np.linalg.eigvalsh(s)[[0, -1]]
+                assert a_n <= low + 1e-12 * high
+                assert high <= upper * (1.0 + 1e-12)
+            counts["verdict"] += 1
+            counts["concludes"] += concludes
+            counts["doubling"] += doubling
+    # the rule refused true frames that the bracket certifies
+    assert counts["not_bessel"] > 0
+    assert counts["doubling"] < counts["concludes"] < counts["verdict"]
+
+
 # ---------------------------------------------------------------------------
 # scaled-generator perturbation
 # ---------------------------------------------------------------------------
@@ -451,19 +494,14 @@ def test_search_rejects_unknown_certificate():
 
 def per_psi_record(kind, public, p):
     """The check as it was, as an oracle: the public certificate function
-    once per psi of the parsed inputs ``p``, and again at twice the
-    horizon where a conclusion reads it; the first exception, in that
+    once per psi of the parsed inputs ``p``; the first exception, in that
     order, ends the check."""
     from dynsamp_lab import checks
 
     instances, all_pass = [], True
     for psi in p.psis:
-        def doubled(psi=psi):
-            return public.evaluate(p, psi, 2 * p.horizon)
-
         for cert in public.evaluate(p, psi, p.horizon):
-            all_pass = all_pass and (not cert.verdict
-                                     or kind.concludes(cert, doubled))
+            all_pass = all_pass and (not cert.verdict or kind.concludes(cert))
             instances.append(checks._cert_summary(cert))
     return {"instances": instances}, all_pass
 
@@ -524,3 +562,55 @@ def test_the_first_failing_psi_is_the_recorded_error(params, error):
     assert record.name == "perturbation:riesz_orbit_perturbation"
     assert record.error == error
     assert got == want
+
+
+# -- the weighted check concludes at its own horizon --------------------------
+
+def weighted_record(**params):
+    """The gallery's weighted check alone, its params updated."""
+    from dynsamp_lab import checks, config
+
+    raw = gallery()
+    name = "perturbation:weighted_frame_perturbation"
+    raw["checks"] = [name]
+    raw["params"] = {name: {**raw["params"][name], **params}}
+    (record,) = checks.run_experiment(config.parse_config(raw)).checks
+    return record
+
+
+def test_explicit_weights_of_the_horizon_give_a_verdict():
+    record = weighted_record(
+        horizon=4, weights={"kind": "explicit", "values": [1, 1, 1, 1]})
+    assert record.error is None
+    assert record.passed
+    for inst in record.outputs["instances"]:
+        # no infinite orbit: the conclusion is about the prefix alone
+        assert inst["conclusion"]["q"] is None
+        assert inst["conclusion"]["b_infinite_bound"] is None
+
+
+@pytest.mark.parametrize("r, passed", [(1.9, True), (2.0, False)])
+def test_geometric_weights_conclude_from_q(r, passed):
+    # (rT)^4 is (r / 2)^4 on the 0.5 coordinate, the shift's square being 0
+    record = weighted_record(horizon=4, weights={"kind": "geometric", "value": r},
+                             psi_direction=[0.0, 0.0, 1.0], psi_scales=[0.05])
+    (inst,) = record.outputs["instances"]
+    conclusion = inst["conclusion"]
+    assert record.error is None and inst["verdict"]
+    assert conclusion["a_opt"] > 0
+    assert conclusion["q"] == pytest.approx((r / 2.0) ** 8, rel=1e-14)
+    assert record.passed == passed
+    assert conclusion["b_infinite_bound"] == (
+        conclusion["b_opt"] / (1.0 - conclusion["q"]) if passed else math.inf)
+
+
+def test_a_power_past_float64_is_an_error_record():
+    # a 1e100 coordinate that phi + psi never reaches: the orbit is finite,
+    # but (rT)^4 is not
+    record = weighted_record(horizon=4, phi=[1.0, 0.0, 0.0, 0.0],
+                             operator={"kind": "block_diag", "blocks": [
+                                 {"kind": "nilpotent_shift", "dimension": 2},
+                                 {"kind": "diagonal", "values": [1e100, 0.5]}]},
+                             subspace_coords=[3],
+                             psi_direction=[0.0, 0.0, 0.0, 1.0])
+    assert record.error == "LinAlgError: (rT)^N at N = 4 is not finite in float64"
